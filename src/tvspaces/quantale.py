@@ -11,8 +11,31 @@ equality.
 
 The reversed numeric order of the cost quantales is never exposed: all
 comparisons go through :meth:`Quantale.leq`.
+
+Scalars cross the public API as :class:`Value` objects, and every scalar
+operation checks its arguments with ``_check``.  The matrix kernels behind
+``vrel.compose``, the closure, space validation and continuity instead work
+on raw payloads, and this module alone decides their encoding:
+:meth:`Quantale.encode` turns ``Value`` matrices into payload matrices plus
+a kernel object for one operation (``Quantale.kernel`` and the kernel's
+``row`` do the same one row at a time, for scans that may stop early), and
+the kernel's ``decode`` turns the result back.
+
+* Finite quantales use the carrier indices already stored in the tables;
+  the kernel reads ``_tensor``, ``_join2`` and ``_leq`` directly.
+* Cost quantales use integers over ``scale``, the lcm of the denominators of
+  every entry of the operation, so ``+``, ``max`` and ``min`` on them are
+  exact integer arithmetic.  ``inf`` becomes one sentinel integer set above
+  every finite path sum the operation can form: the caller passes
+  ``steps``, the most entries one sum adds up, and the sentinel is
+  ``steps * M + 1`` for a bound ``M`` on every finite entry (the largest
+  numerator times the scale).  A sum that involves the sentinel is at least
+  the sentinel, and results are clamped back to it, so a finite sum is
+  never read as ``inf`` and ``inf`` never as finite.
 """
 
+import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -106,7 +129,16 @@ class Quantale:
                 )
 
     # subclasses implement: tensor, hom, leq, meet, join over iterables,
-    # bottom/top/unit, value_token, parse_value, cache_key
+    # bottom/top/unit, value_token, parse_value, cache_key, and kernel
+
+    def encode(self, matrices, steps=1):
+        """The payload kernel for some Value matrices, and their payloads.
+
+        ``steps`` bounds how many entries one sum of the operation adds up.
+        """
+        kernel = self.kernel(matrices, steps)
+        row = kernel.row
+        return kernel, [[row(r) for r in m] for m in matrices]
 
     def join(self, values):
         out = self.bottom
@@ -179,6 +211,7 @@ class FiniteQuantale(Quantale):
         self._top_index = self._extremum(bottom=False)
         self._hom = self._derive_residual(self._tensor)
         self._heyting = self._derive_residual(self._meet2)
+        self._kernel = _FiniteKernel(self)
 
     # -- table derivation -------------------------------------------------
 
@@ -234,15 +267,22 @@ class FiniteQuantale(Quantale):
             out = self._join2[out][i]
         return out
 
+    def _undefined(self, what):
+        return StructuralError(
+            f"{what} undefined in quantale {self.describe()}: the order "
+            "is not a complete lattice (run validate_quantale)"
+        )
+
     def _lookup(self, table, u, v, what):
         self._check(u, v)
         out = table[u.payload][v.payload]
         if out is None:
-            raise StructuralError(
-                f"{what} undefined in quantale {self.describe()}: the order "
-                "is not a complete lattice (run validate_quantale)"
-            )
+            raise self._undefined(what)
         return self._values[out]
+
+    def kernel(self, matrices, steps=1):
+        """The index kernel, shared by every operation on this quantale."""
+        return self._kernel
 
     # -- operations --------------------------------------------------------
 
@@ -399,6 +439,20 @@ class CostQuantale(Quantale):
             return self._zero
         return Value(self, v.payload)
 
+    def kernel(self, matrices, steps=1):
+        """A scaled-integer kernel for the entries of these matrices.
+
+        The scale is the lcm of their denominators, and ``inf`` is set above
+        ``steps`` times the largest numerator times the scale, so no finite
+        sum of ``steps`` entries reaches it.
+        """
+        ratios = [p.as_integer_ratio() for m in matrices for row in m
+                  for v in row if (p := v.payload) is not INF]
+        scale = math.lcm(*{d for _, d in ratios})
+        # n * (scale // d) <= n * scale bounds every entry
+        largest = max(ratios, default=(0, 1))[0] * scale
+        return _CostKernel(self, scale, max(steps, 1) * largest + 1)
+
     def _hom_payload(self, a, b):
         if _num_leq(b, a):
             return self._zero.payload
@@ -440,6 +494,238 @@ class CostQuantale(Quantale):
 
     def cache_key(self):
         return (self.kind,)
+
+
+# -- payload kernels ----------------------------------------------------------
+
+
+def _rows_by(fold, rows, width, empty):
+    """Entrywise ``fold`` (``max`` or ``min``) of equally long rows."""
+    if not rows:
+        return [empty] * width
+    if len(rows) == 1:
+        return list(rows[0])
+    return list(map(fold, *rows))
+
+
+class _Kernel:
+    """Matrix operations on the payloads of one quantale.
+
+    Subclasses give ``unit`` (a payload), ``row(values, indices=None)`` (the
+    payloads of a row of Values, or of ``values[j]`` for j in ``indices``),
+    ``value(p)`` (the Value of a payload), ``below(a, b)`` and
+    ``row_below(ra, rb)`` (the quantale order on entries and on whole rows),
+    ``compose(left, right, width)`` and ``close(rows)``.  Matrices are lists
+    of rows.
+    """
+
+    def decode(self, rows):
+        value = self.value
+        return [[value(p) for p in row] for row in rows]
+
+    def row_failures(self, ra, rb):
+        """Columns ``j`` where ``ra[j]`` is not below ``rb[j]``."""
+        below = self.below
+        return [j for j, (a, b) in enumerate(zip(ra, rb)) if not below(a, b)]
+
+    def failures(self, left, right):
+        """Positions ``(i, j)``, row by row, where left is not below right."""
+        for i, (ra, rb) in enumerate(zip(left, right)):
+            if not self.row_below(ra, rb):
+                for j in self.row_failures(ra, rb):
+                    yield i, j
+
+
+class _FiniteKernel(_Kernel):
+    """Compose and closure on carrier indices, read from the tables.
+
+    The shortcuts rest on laws a ``finite-table`` may break, so each is
+    checked once, here, and taken only when it holds.  When the join table
+    is ``max`` of the indices (bool2, the chains and the Lukasiewicz grids),
+    whole rows are joined by ``max`` and compared by ``<=``, and when bottom
+    (then index 0) also tensors every element to bottom, a bottom entry's
+    terms are skipped.  Otherwise every join goes through the table in the
+    order of the ``Value`` operations, so an undefined join raises the same
+    ``StructuralError`` at the same point.
+    """
+
+    def __init__(self, q):
+        n = len(q.labels)
+        self._q = q
+        self._leq = q._leq
+        self._tensor = q._tensor
+        self._join = q._join2
+        self.unit = q._unit_index
+        self._max_join = all(q._join2[a][b] == max(a, b)
+                             for a in range(n) for b in range(n))
+        self._skip = 0 if self._max_join and not any(q._tensor[0]) else None
+
+    @staticmethod
+    def row(values, indices=None):
+        if indices is None:
+            return [v.payload for v in values]
+        return [values[j].payload for j in indices]
+
+    def below(self, a, b):
+        return self._leq[a][b]
+
+    def row_below(self, ra, rb):
+        if self._max_join:             # the order is then the index order
+            return all(map(operator.le, ra, rb))
+        return all(map(operator.getitem, map(self._leq.__getitem__, ra), rb))
+
+    def value(self, p):
+        return self._q._values[p]
+
+    def _join2(self, a, b):
+        out = self._join[a][b]
+        if out is None:
+            raise self._q._undefined("join")
+        return out
+
+    def compose(self, left, right, width):
+        if not (left and width):
+            return [[] for _ in left]
+        if not self._max_join:
+            return self._fold_compose(left, right, width)
+        tensor, skip = self._tensor, self._skip
+        terms = [{} for _ in right]   # terms[m][a]: a tensored on right[m]
+        out = []
+        for row in left:
+            rows = []
+            for m, a in enumerate(row):
+                if a == skip:
+                    continue
+                t = terms[m].get(a)
+                if t is None:
+                    ta = tensor[a]
+                    t = terms[m][a] = [ta[x] for x in right[m]]
+                rows.append(t)
+            out.append(_rows_by(max, rows, width, 0))
+        return out
+
+    def _fold_compose(self, left, right, width):
+        bot = self._q.bottom.payload
+        join, tensor = self._join2, self._tensor
+        cols = list(zip(*right)) if right else [()] * width
+        out = []
+        for row in left:
+            out_row = []
+            for col in cols:
+                acc = bot
+                for a, b in zip(row, col):
+                    acc = join(acc, tensor[a][b])
+                out_row.append(acc)
+            out.append(out_row)
+        return out
+
+    def close(self, c):
+        """Floyd-Warshall in place, after joining the unit into the diagonal.
+
+        Rows are updated whole, in the order of the entrywise sweep: a row
+        before the pivot reads the pivot row as it was, a row after it reads
+        the updated one.
+        """
+        if not self._max_join:
+            return self._fold_close(c)
+        n, tensor, skip = len(c), self._tensor, self._skip
+        for i in range(n):
+            c[i][i] = max(c[i][i], self.unit)
+        for p in range(n):
+            terms = {}                # terms[v]: v tensored on row p
+            for i in range(n):
+                via = c[i][p]
+                if via == skip:
+                    continue
+                t = terms.get(via)
+                if t is None:
+                    tv = tensor[via]
+                    t = terms[via] = [tv[x] for x in c[p]]
+                c[i] = [x if x >= y else y for x, y in zip(c[i], t)]
+                if i == p:
+                    terms = {}
+        return c
+
+    def _fold_close(self, c):
+        n, join, tensor = len(c), self._join2, self._tensor
+        for i in range(n):
+            c[i][i] = join(c[i][i], self.unit)
+        for p in range(n):
+            cp = c[p]
+            for i in range(n):
+                ci = c[i]
+                tv = tensor[ci[p]]
+                for j in range(n):
+                    ci[j] = join(ci[j], tv[cp[j]])
+        return c
+
+
+class _CostKernel(_Kernel):
+    """Compose and closure on integers over ``scale``, ``inf`` a sentinel.
+
+    The quantale order is the reversed numeric order, join is ``min`` and the
+    tensor is ``+`` or ``max``.  An ``inf`` entry tensors every term to
+    ``inf``, which the ``min`` ignores, so its terms are skipped.
+    """
+
+    def __init__(self, q, scale, inf):
+        self._q = q
+        self._plus = q._flavor == "plus"
+        self.scale = scale
+        self.inf = inf
+        self.unit = 0
+        self._values = {}
+
+    def row(self, values, indices=None):
+        if indices is not None:
+            values = [values[j] for j in indices]
+        scale, inf = self.scale, self.inf
+        return [inf if (p := v.payload) is INF
+                else (r := p.as_integer_ratio())[0] * (scale // r[1])
+                for v in values]
+
+    @staticmethod
+    def below(a, b):
+        return b <= a
+
+    @staticmethod
+    def row_below(ra, rb):
+        return all(map(operator.le, rb, ra))
+
+    def value(self, p):
+        v = self._values.get(p)
+        if v is None:
+            v = self._values[p] = (
+                self._q.bottom if p >= self.inf
+                else Value(self._q, Fraction(p, self.scale)))
+        return v
+
+    def _terms(self, a, row):
+        if self._plus:
+            return [a + x for x in row]
+        return [a if a > x else x for x in row]
+
+    def compose(self, left, right, width):
+        inf = self.inf
+        out = []
+        for row in left:
+            rows = [self._terms(a, right[m])
+                    for m, a in enumerate(row) if a < inf]
+            out.append([x if x < inf else inf
+                        for x in _rows_by(min, rows, width, inf)])
+        return out
+
+    def close(self, c):
+        n, inf = len(c), self.inf
+        for i in range(n):
+            c[i][i] = min(c[i][i], self.unit)
+        for p in range(n):
+            for i in range(n):
+                via = c[i][p]
+                if via < inf:
+                    c[i] = [x if x <= y else y
+                            for x, y in zip(c[i], self._terms(via, c[p]))]
+        return c
 
 
 # -- constructors ------------------------------------------------------------

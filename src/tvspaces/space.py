@@ -96,6 +96,19 @@ class Space:
                 f"{self.structure!r})")
 
 
+def _require_square(monad, what):
+    """Refuse monads whose structures are not index-wise square matrices.
+
+    For the identity-isomorphic monads the structure ``TX -/-> X`` has the
+    rows of the square form in carrier order, the lifted structure has the
+    same entries and unit, multiplication and ``Tf`` act as the identity on
+    indices; the kernels below rely on exactly that.
+    """
+    if not monad.identity_isomorphic:
+        raise UnsupportedOperationError(
+            f"{what} needs an identity-isomorphic monad")
+
+
 def _check_compatible(*spaces):
     base = spaces[0]
     for s in spaces[1:]:
@@ -109,30 +122,29 @@ def _check_compatible(*spaces):
 
 
 def validate_space(space):
-    """Check lax reflexivity and transitivity entrywise, with witnesses."""
-    q = space.quantale
-    a = space.structure
-    monad = space.monad
+    """Check lax reflexivity and transitivity entrywise, with witnesses.
+
+    With the structure read as its square ``a``, reflexivity is
+    ``k <= a(x, x)`` and transitivity is ``a . a <= a``; a transitivity
+    witness names the point of ``TTX`` of its row.
+    """
+    _require_square(space.monad, "validation")
+    entries = space.structure.entries
+    labels = space.carrier.labels
+    kernel, (a,) = space.quantale.encode((entries,), steps=2)
     violations = []
+    for i, x in enumerate(labels):
+        if not kernel.below(kernel.unit, a[i][i]):
+            violations.append(("reflexivity", (x, entries[i][i].token)))
 
-    e = monad.unit(space.carrier)
-    k = q.unit
-    for x in space.carrier.labels:
-        if not q.leq(k, a.get(e(x), x)):
-            violations.append(("reflexivity", (x, a.get(e(x), x).token)))
-
-    t_carrier = space.t_carrier
-    tt_carrier = monad.apply_carrier(t_carrier)
-    lifted = monad.lift_relation(a)
-    m = monad.mult(space.carrier)
-    for big in tt_carrier.labels:
-        for x in space.carrier.labels:
-            lhs = q.join(q.tensor(lifted.get(big, tx), a.get(tx, x))
-                         for tx in t_carrier.labels)
-            rhs = a.get(m(big), x)
-            if not q.leq(lhs, rhs):
-                violations.append(("transitivity",
-                                   (big, x, lhs.token, rhs.token)))
+    lhs = kernel.compose(a, a, len(labels))
+    failures = list(kernel.failures(lhs, a))
+    if failures:
+        big = space.monad.apply_carrier(space.t_carrier).labels
+        for i, j in failures:
+            lhs_token = kernel.value(lhs[i][j]).token
+            violations.append(("transitivity", (big[i], labels[j], lhs_token,
+                                                entries[i][j].token)))
     return ValidationReport.collect(violations)
 
 
@@ -144,13 +156,21 @@ def continuity_witness(f, x_space, y_space):
     _check_compatible(x_space, y_space)
     if f.dom != x_space.carrier or f.cod != y_space.carrier:
         raise CarrierMismatchError("map endpoints do not match the spaces")
-    q = x_space.quantale
-    a, b = x_space.structure, y_space.structure
-    tf = x_space.monad.apply_map(f)
-    for tx in x_space.t_carrier.labels:
-        for x in x_space.carrier.labels:
-            if not q.leq(a.get(tx, x), b.get(tf(tx), f(x))):
-                return (tx, x)
+    _require_square(x_space.monad, "continuity")
+    a, b = x_space.structure.entries, y_space.structure.entries
+    kernel = x_space.quantale.kernel((a, b))
+    row, row_below = kernel.row, kernel.row_below
+    indices = f.cod.indices(f.table.values())
+    pulled = {}                       # image row fi of b, pulled back along f
+    # row by row, so that a map failing early is rejected early
+    for i, fi in enumerate(indices):
+        rb = pulled.get(fi)
+        if rb is None:
+            rb = pulled[fi] = row(b[fi], indices)
+        ra = row(a[i])
+        if not row_below(ra, rb):
+            j = kernel.row_failures(ra, rb)[0]
+            return (x_space.t_carrier.labels[i], x_space.carrier.labels[j])
     return None
 
 
@@ -163,12 +183,12 @@ def is_fully_faithful(f, x_space, y_space):
     _check_compatible(x_space, y_space)
     if f.dom != x_space.carrier or f.cod != y_space.carrier:
         raise CarrierMismatchError("map endpoints do not match the spaces")
-    a, b = x_space.structure, y_space.structure
-    tf = x_space.monad.apply_map(f)
-    return all(
-        a.get(tx, x) == b.get(tf(tx), f(x))
-        for tx in x_space.t_carrier.labels
-        for x in x_space.carrier.labels)
+    _require_square(x_space.monad, "full faithfulness")
+    a, b = x_space.structure.entries, y_space.structure.entries
+    row = x_space.quantale.kernel((a, b)).row
+    indices = f.cod.indices(f.table.values())
+    return all(row(a[i]) == row(b[fi], indices)
+               for i, fi in enumerate(indices))
 
 
 def all_maps(dom, cod):

@@ -272,7 +272,11 @@ def resolve_class(spec, quantale, monad, ws=None, grid=None):
     and ``explicit:NameA,NameB`` references named workspace spaces.
     """
     if spec.startswith("compact-hausdorff-upto:"):
-        n = int(spec.split(":", 1)[1])
+        try:
+            n = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise StructuralError(
+                f"class specifier {spec!r} needs an integer size") from None
         return ProbeClass.compact_hausdorff_upto(n, quantale, monad)
     if spec == "sierpinski":
         grid_values = None

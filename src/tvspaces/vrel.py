@@ -3,6 +3,14 @@
 Relations are dense matrices of :class:`~tvspaces.quantale.Value`; carriers
 are ordered label lists and equality of carriers is equality of those lists.
 Everything here is immutable and pure.
+
+``Value`` and its ``_check`` live at this boundary only.  :func:`compose`
+and :func:`reflexive_transitive_closure` encode their matrices once with
+:meth:`~tvspaces.quantale.Quantale.encode`, run on raw payloads (carrier
+indices for finite quantales, integers over a common denominator with an
+``inf`` sentinel for the cost quantales, see :mod:`tvspaces.quantale`) and
+decode the result once.  The answers are exactly those of the entrywise
+``Value`` operations, errors from an incomplete lattice included.
 """
 
 from .errors import (
@@ -39,6 +47,14 @@ class Carrier:
             return self._index[label]
         except KeyError:
             raise StructuralError(f"label {label!r} not in carrier") from None
+
+    def indices(self, labels):
+        """The positions of some labels, in their order."""
+        try:
+            return list(map(self._index.__getitem__, labels))
+        except KeyError as exc:
+            raise StructuralError(
+                f"label {exc.args[0]!r} not in carrier") from None
 
     def __eq__(self, other):
         return isinstance(other, Carrier) and self.labels == other.labels
@@ -196,15 +212,9 @@ def compose(r, s):
         raise CarrierMismatchError(
             f"cannot compose: {r.cod!r} != {s.dom!r}")
     q = r.quantale
-    n_mid = len(r.cod)
-    out = []
-    for i in range(len(r.dom)):
-        row = []
-        for j in range(len(s.cod)):
-            row.append(q.join(q.tensor(r.entries[i][m], s.entries[m][j])
-                              for m in range(n_mid)))
-        out.append(row)
-    return VRel(r.dom, s.cod, q, out)
+    kernel, (left, right) = q.encode((r.entries, s.entries), steps=2)
+    return VRel(r.dom, s.cod, q,
+                kernel.decode(kernel.compose(left, right, len(s.cod))))
 
 
 def transpose(r):
@@ -243,7 +253,8 @@ def reflexive_transitive_closure(r):
     A single Floyd-Warshall sweep after joining in the identity.  Exact for
     integral quantales: ``u (x) v <= u /\\ v`` means a path that repeats a
     node is never better than the path with the loop cut out, so simple
-    paths suffice and each pivot needs one pass.
+    paths suffice and each pivot needs one pass.  A candidate joins two
+    simple paths, so it adds up fewer than ``2 n`` entries.
     """
     if r.dom != r.cod:
         raise CarrierMismatchError("closure needs a square relation")
@@ -251,14 +262,5 @@ def reflexive_transitive_closure(r):
     if not q.integral:
         raise UnsupportedOperationError(
             "closure is only exact for integral quantales")
-    n = len(r.dom)
-    k = q.unit
-    c = [list(row) for row in r.entries]
-    for i in range(n):
-        c[i][i] = q.join2(c[i][i], k)
-    for p in range(n):
-        for i in range(n):
-            via = c[i][p]
-            for j in range(n):
-                c[i][j] = q.join2(c[i][j], q.tensor(via, c[p][j]))
-    return VRel(r.dom, r.cod, q, c)
+    kernel, (c,) = q.encode((r.entries,), steps=2 * len(r.dom))
+    return VRel(r.dom, r.cod, q, kernel.decode(kernel.close(c)))

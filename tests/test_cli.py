@@ -57,6 +57,15 @@ def test_unknown_name_is_a_structural_error():
     assert code == 2
 
 
+def test_malformed_class_size_is_a_structural_error():
+    code, text = run(["check", "c-generated", "Chain2", "--in",
+                      os.path.join(FIXTURES, "workspace.txt"),
+                      "--class", "compact-hausdorff-upto:x"])
+    assert code == 2
+    assert text == ("error: class specifier 'compact-hausdorff-upto:x' "
+                    "needs an integer size\n")
+
+
 def test_compute_precondition_failure_exits_one(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text(

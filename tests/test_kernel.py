@@ -1,0 +1,411 @@
+"""Differential tests of the payload kernels against the Value-level loops.
+
+``compose``, the reflexive-transitive closure, ``validate_space``,
+``continuity_witness`` and ``is_fully_faithful`` run on raw payloads (table
+indices, or integers over a common denominator with an ``inf`` sentinel).
+The functions prefixed ``ref_`` below are the entrywise ``Value``
+implementations they replaced, kept as the oracle: every kernel answer must
+equal theirs, violation lists and witnesses in the same order included.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from tvspaces import (
+    INF,
+    StructuralError,
+    UnsupportedOperationError,
+    bool2,
+    chain,
+    cost_max,
+    cost_plus,
+    finite_table,
+    lukasiewicz_grid,
+)
+from tvspaces.monad import Monad, finite_ultrafilter_monad, identity_monad
+from tvspaces.space import (
+    Space,
+    continuity_witness,
+    is_fully_faithful,
+    validate_space,
+)
+from tvspaces.validation import ValidationReport
+from tvspaces.vrel import (
+    Carrier,
+    MapArrow,
+    VRel,
+    compose,
+    reflexive_transitive_closure,
+)
+
+# -- the Value-level reference ------------------------------------------------
+
+
+def ref_compose(r, s):
+    q = r.quantale
+    out = []
+    for i in range(len(r.dom)):
+        row = []
+        for j in range(len(s.cod)):
+            row.append(q.join(q.tensor(r.entries[i][m], s.entries[m][j])
+                              for m in range(len(r.cod))))
+        out.append(row)
+    return VRel(r.dom, s.cod, q, out)
+
+
+def ref_closure(r):
+    q = r.quantale
+    n = len(r.dom)
+    c = [list(row) for row in r.entries]
+    for i in range(n):
+        c[i][i] = q.join2(c[i][i], q.unit)
+    for p in range(n):
+        for i in range(n):
+            via = c[i][p]
+            for j in range(n):
+                c[i][j] = q.join2(c[i][j], q.tensor(via, c[p][j]))
+    return VRel(r.dom, r.cod, q, c)
+
+
+def ref_validate(space):
+    q = space.quantale
+    a = space.structure
+    monad = space.monad
+    violations = []
+    e = monad.unit(space.carrier)
+    for x in space.carrier.labels:
+        if not q.leq(q.unit, a.get(e(x), x)):
+            violations.append(("reflexivity", (x, a.get(e(x), x).token)))
+    t_carrier = space.t_carrier
+    lifted = monad.lift_relation(a)
+    m = monad.mult(space.carrier)
+    for big in monad.apply_carrier(t_carrier).labels:
+        for x in space.carrier.labels:
+            lhs = q.join(q.tensor(lifted.get(big, tx), a.get(tx, x))
+                         for tx in t_carrier.labels)
+            rhs = a.get(m(big), x)
+            if not q.leq(lhs, rhs):
+                violations.append(("transitivity",
+                                   (big, x, lhs.token, rhs.token)))
+    return ValidationReport.collect(violations)
+
+
+def ref_continuity_witness(f, x_space, y_space):
+    q = x_space.quantale
+    a, b = x_space.structure, y_space.structure
+    tf = x_space.monad.apply_map(f)
+    for tx in x_space.t_carrier.labels:
+        for x in x_space.carrier.labels:
+            if not q.leq(a.get(tx, x), b.get(tf(tx), f(x))):
+                return (tx, x)
+    return None
+
+
+def ref_fully_faithful(f, x_space, y_space):
+    a, b = x_space.structure, y_space.structure
+    tf = x_space.monad.apply_map(f)
+    return all(a.get(tx, x) == b.get(tf(tx), f(x))
+               for tx in x_space.t_carrier.labels
+               for x in x_space.carrier.labels)
+
+
+# -- seeded inputs ------------------------------------------------------------
+
+def diamond():
+    """0 < a, b < 1 with meet as tensor: a lattice that is not a chain."""
+    meet = [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]
+    leq = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
+    return finite_table(["0", "a", "b", "1"], leq, meet, unit_index=3)
+
+
+# the five shipped quantales, and a lattice that takes the table-fold paths
+QUANTALES = {
+    "bool2": bool2,
+    "chain4": lambda: chain(4),
+    "luk4": lambda: lukasiewicz_grid(4),
+    "cost-plus": cost_plus,
+    "cost-max": cost_max,
+    "diamond": diamond,
+}
+MONADS = (identity_monad, finite_ultrafilter_monad)
+SIZES = (0, 1, 2, 5, 12)
+# mixed denominators, so the common scale is their lcm (84)
+COSTS = [Fraction(1, 3), Fraction(1, 7), Fraction(5, 12), Fraction(2),
+         Fraction(7, 4), Fraction(0), Fraction(11, 7)]
+
+
+def random_value(q, rng):
+    if rng.random() < 0.35:
+        return q.bottom
+    if q.is_finite:
+        return rng.choice(q.carrier_values())
+    return q.value(rng.choice(COSTS))
+
+
+def random_matrix(q, n, m, rng):
+    return [[random_value(q, rng) for _ in range(m)] for _ in range(n)]
+
+
+def carrier(prefix, n):
+    return Carrier([f"{prefix}{i}" for i in range(n)])
+
+
+def space_of(q, monad, c, rows):
+    return Space.from_square(c, monad, q, VRel(c, c, q, rows))
+
+
+def plant_transitivity(q, rows):
+    """Lower an entry that a two-step path forces above bottom."""
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            if i == j or rows[i][j] == q.bottom:
+                continue
+            if any(q.tensor(rows[i][p], rows[p][j]) != q.bottom
+                   for p in range(n) if p not in (i, j)):
+                out = [list(row) for row in rows]
+                out[i][j] = q.bottom
+                return out
+    return None
+
+
+def cases():
+    for qname in QUANTALES:
+        for monad in MONADS:
+            for n in SIZES:
+                yield pytest.param(qname, monad, n,
+                                   id=f"{qname}-{monad().name}-{n}")
+
+
+# -- differential tests -------------------------------------------------------
+
+
+@pytest.mark.parametrize("qname,monad,n", cases())
+def test_kernels_match_reference(qname, monad, n):
+    q, mon = QUANTALES[qname](), monad()
+    rng = random.Random(f"{qname}/{mon.name}/{n}")
+    c = carrier("p", n)
+    raw = VRel(c, c, q, random_matrix(q, n, n, rng))
+    closed = ref_closure(raw)
+    assert reflexive_transitive_closure(raw) == closed
+    assert compose(raw, raw) == ref_compose(raw, raw)
+    assert compose(closed, closed) == ref_compose(closed, closed)
+    other = carrier("z", 3)
+    right = VRel(c, other, q, random_matrix(q, n, 3, rng))
+    assert compose(raw, right) == ref_compose(raw, right)
+
+    spaces = [space_of(q, mon, c, raw.entries),
+              space_of(q, mon, c, closed.entries)]
+    if n:
+        no_loop = [list(row) for row in closed.entries]
+        no_loop[rng.randrange(n)][rng.randrange(n)] = q.bottom
+        k = rng.randrange(n)
+        no_loop[k][k] = q.bottom
+        spaces.append(space_of(q, mon, c, no_loop))
+    planted = plant_transitivity(q, closed.entries)
+    if planted is not None:
+        spaces.append(space_of(q, mon, c, planted))
+    for sp in spaces:
+        assert validate_space(sp) == ref_validate(sp)
+    if planted is not None:
+        assert any(law == "transitivity"
+                   for law, _ in validate_space(spaces[-1]).violations)
+
+    # continuity and full faithfulness of seeded maps into the closed space,
+    # from pullbacks (continuous, fully faithful) and from perturbed copies
+    y_space = spaces[1]
+    xc = carrier("x", n)
+    for _ in range(4):
+        image = [rng.randrange(n) for _ in range(n)] if n else []
+        f = MapArrow(xc, c, {f"x{i}": f"p{image[i]}" for i in range(n)})
+        pulled = [[closed.entries[image[i]][image[j]] for j in range(n)]
+                  for i in range(n)]
+        perturbed = [[random_value(q, rng) if rng.random() < 0.2 else v
+                      for v in row] for row in pulled]
+        for rows in (pulled, perturbed):
+            x_space = space_of(q, mon, xc, rows)
+            assert (continuity_witness(f, x_space, y_space)
+                    == ref_continuity_witness(f, x_space, y_space))
+            assert (is_fully_faithful(f, x_space, y_space)
+                    == ref_fully_faithful(f, x_space, y_space))
+
+
+def test_incomparable_entries_are_not_in_order():
+    # a and b lie in index order 1 < 2, but not in the diamond's order
+    q = diamond()
+    zero, a, b, one = q.carrier_values()
+    x_space = space_of(q, identity_monad(), carrier("x", 2),
+                       [[one, a], [zero, one]])
+    y_space = space_of(q, identity_monad(), carrier("p", 2),
+                       [[one, b], [zero, one]])
+    f = MapArrow(x_space.carrier, y_space.carrier, {"x0": "p0", "x1": "p1"})
+    assert continuity_witness(f, x_space, y_space) == ("x0", "x1")
+    assert ref_continuity_witness(f, x_space, y_space) == ("x0", "x1")
+
+
+def cost_rel(q, raw):
+    c = carrier("p", len(raw))
+    return VRel(c, c, q, [[q.bottom if x is INF else q.value(x) for x in row]
+                          for row in raw])
+
+
+def test_long_finite_path_is_not_infinite():
+    """A 12-step chain of 12s sums to 144, far above any single entry."""
+    q = cost_plus()
+    n = 13
+    raw = [[INF] * n for _ in range(n)]
+    for i in range(n - 1):
+        raw[i][i + 1] = Fraction(12)
+    r = cost_rel(q, raw)
+    closed = reflexive_transitive_closure(r)
+    assert closed == ref_closure(r)
+    assert closed.entries[0][n - 1] == q.value(144)
+    assert closed.entries[n - 1][0] == q.bottom
+    assert compose(closed, closed) == ref_compose(closed, closed)
+    sp = space_of(q, identity_monad(), r.dom, closed.entries)
+    assert validate_space(sp).passed
+
+
+def test_sums_into_infinity_stay_infinite():
+    q = cost_plus()
+    raw = [[Fraction(0), Fraction(5, 12), INF],
+           [INF, Fraction(0), INF],
+           [Fraction(1, 7), INF, Fraction(1, 3)]]
+    r = cost_rel(q, raw)
+    assert compose(r, r) == ref_compose(r, r)
+    assert compose(r, r).entries[0][2] == q.bottom
+    assert reflexive_transitive_closure(r) == ref_closure(r)
+    two_steps = q.value(Fraction(1, 7) + Fraction(5, 12))
+    assert compose(r, r).entries[2][1] == two_steps
+
+
+def test_relations_with_different_denominators_compose():
+    q = cost_plus()
+    a, b = carrier("a", 2), carrier("b", 2)
+    r = VRel(a, b, q, [[q.value(Fraction(1, 3)), q.bottom],
+                       [q.value(Fraction(2)), q.value(Fraction(1, 7))]])
+    s = VRel(b, a, q, [[q.value(Fraction(5, 12)), q.bottom],
+                       [q.value(0), q.value(Fraction(3, 5))]])
+    assert compose(r, s) == ref_compose(r, s)
+    assert compose(s, r) == ref_compose(s, r)
+
+
+# -- broken tables ------------------------------------------------------------
+
+# a, b incomparable below c: no bottom element, so no empty join
+NO_BOTTOM = dict(labels=["a", "b", "c"],
+                 leq_table=[[1, 0, 1], [0, 1, 1], [0, 0, 1]],
+                 tensor_table=[[0, 2, 0], [2, 1, 1], [0, 1, 2]],
+                 unit_index=2)
+
+
+def _no_join_table():
+    """z < x, y < u, v < t: x and y have two least upper bounds, u and v.
+
+    The unit is the top t, so closure accepts the table; the tensor is
+    idempotent and sends two different non-units to z.
+    """
+    labels = ["z", "x", "y", "u", "v", "t"]
+    above = {"z": "zxyuvt", "x": "xuvt", "y": "yuvt", "u": "ut", "v": "vt",
+             "t": "t"}
+    leq = [[int(b in above[a]) for b in labels] for a in labels]
+    t = 5
+    tensor = [[b if a == t else a if b in (a, t) else 0 for b in range(6)]
+              for a in range(6)]
+    return dict(labels=labels, leq_table=leq, tensor_table=tensor,
+                unit_index=t)
+
+
+NO_JOIN = _no_join_table()
+
+
+def reference_error(fn, *args):
+    with pytest.raises(StructuralError) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("table", [NO_BOTTOM, NO_JOIN],
+                         ids=["no-bottom", "no-join"])
+def test_undefined_join_raises_the_reference_error(table):
+    q = finite_table(**table)
+    c = carrier("p", 2)
+    v = q.carrier_values()
+    r = VRel(c, c, q, [[v[1], v[2]], [v[2], v[1]]])
+    want = reference_error(ref_compose, r, r)
+    assert reference_error(compose, r, r) == want
+    sp = space_of(q, identity_monad(), c, r.entries)
+    assert reference_error(validate_space, sp) == reference_error(
+        ref_validate, sp) == want
+
+
+def test_undefined_join_in_closure_raises_the_reference_error():
+    q = finite_table(**NO_JOIN)
+    z, x, y, _, _, t = q.carrier_values()
+    c = carrier("p", 3)
+    r = VRel(c, c, q, [[t, t, x], [z, t, y], [z, z, t]])
+    want = reference_error(ref_closure, r)
+    assert want.startswith("join undefined in quantale finite-table(")
+    assert reference_error(reflexive_transitive_closure, r) == want
+
+
+def test_bottom_that_does_not_absorb_gives_the_reference_answer():
+    # a three-chain whose join is max, but bottom (*) anything is anything
+    # and the unit 2 raises 0 to 2, so a pivot row changes while it is swept
+    q = finite_table(["0", "1", "2"], [[1, 1, 1], [0, 1, 1], [0, 0, 1]],
+                     [[0, 1, 2], [1, 1, 1], [2, 1, 2]], unit_index=2)
+    rng = random.Random(7)
+    for n in (1, 2, 3, 4, 5) * 12:
+        c = carrier("p", n)
+        r = VRel(c, c, q, random_matrix(q, n, n, rng))
+        assert compose(r, r) == ref_compose(r, r)
+        assert reflexive_transitive_closure(r) == ref_closure(r)
+        for mon in MONADS:
+            sp = space_of(q, mon(), c, r.entries)
+            assert validate_space(sp) == ref_validate(sp)
+
+
+def test_pivot_row_raised_by_its_own_sweep_is_read_after_it():
+    # a tensor that breaks the unit law: sweeping the pivot row over itself
+    # changes it, and the rows after the pivot must read the new row
+    q = finite_table(["0", "1", "2"], [[1, 1, 1], [0, 1, 1], [0, 0, 1]],
+                     [[1, 0, 0], [1, 0, 1], [1, 2, 0]], unit_index=2)
+    v = q.carrier_values()
+    c = carrier("p", 3)
+    r = VRel(c, c, q, [[v[0], v[0], v[0]], [v[0], v[0], v[0]],
+                       [v[0], v[1], v[0]]])
+    assert reflexive_transitive_closure(r) == ref_closure(r)
+
+
+def test_cost_kernel_results_are_canonical():
+    """Every inf that compose or close produces is the sentinel itself."""
+    q = cost_plus()
+    r = cost_rel(q, [[Fraction(1, 3), INF, INF], [INF, INF, Fraction(5, 12)],
+                     [INF, INF, INF]])
+    kernel, (a,) = q.encode((r.entries,), steps=2)
+    for rows, ref in ((kernel.compose(a, a, 3), ref_compose(r, r)),
+                      (kernel.close([list(x) for x in a]), ref_closure(r))):
+        assert all(p <= kernel.inf for row in rows for p in row)
+        assert kernel.decode(rows) == [list(row) for row in ref.entries]
+
+
+def test_non_principal_monad_is_refused():
+    class Renamed(Monad):
+        name = "renamed"
+        identity_isomorphic = False
+
+        def apply_carrier(self, carrier):
+            return carrier
+
+    q = bool2()
+    c = carrier("p", 1)
+    sp = Space(c, Renamed(), q, VRel(c, c, q, [[q.top]]))
+    with pytest.raises(UnsupportedOperationError):
+        validate_space(sp)
+    ident = MapArrow.identity(c)
+    with pytest.raises(UnsupportedOperationError):
+        continuity_witness(ident, sp, sp)
+    with pytest.raises(UnsupportedOperationError):
+        is_fully_faithful(ident, sp, sp)
