@@ -73,7 +73,6 @@ from .space import (
 )
 from .generation import (
     ProbeClass,
-    ProbeSink,
     alexandroff_expansion,
     c_generated_structure,
     cmap_space,

@@ -3,11 +3,22 @@
 Only finite quantales can be enumerated; all helpers here assume a monad
 that is carrier-isomorphic to the identity, so a structure is determined by
 its square form.
+
+:func:`all_valid_spaces` is a depth-first search over the cells of the
+square, on carrier indices.  It assigns the cells in the order of the
+product loop it replaces (the diagonal cells first, restricted to values
+above the unit, then the off-diagonal cells row by row) and tries the values
+in ``carrier_values()`` order, so it yields exactly the lexicographic
+sequence of that loop.  Transitivity is the inequality
+``a(x, y) (x) a(y, z) <= a(x, z)`` for every triangle ``(x, y, z)``; each
+triangle is tested once, when the last of its three cells is set, so a
+partial square that already breaks it is abandoned with every completion.
 """
 
 import itertools
+from functools import lru_cache
 
-from .errors import UnsupportedOperationError
+from .errors import StructuralError, UnsupportedOperationError
 from .space import Space, discrete_space, is_compact, is_hausdorff
 from .vrel import Carrier, VRel
 
@@ -15,46 +26,77 @@ _LETTERS = "abcdefghij"
 
 
 def standard_carrier(size):
+    """The carrier ``a, b, c, ...`` with ``size`` points, at most ten."""
+    if not 0 <= size <= len(_LETTERS):
+        raise StructuralError(
+            f"standard carriers have 0 to {len(_LETTERS)} points, "
+            f"not {size}")
     return Carrier(_LETTERS[:size])
 
 
-def square_is_lax_algebra(quantale, labels, cell):
-    """Validity of a square matrix as a reflexive transitive relation."""
-    k = quantale.unit
-    for x in labels:
-        if not quantale.leq(k, cell[x, x]):
-            return False
-    for x in labels:
-        for y in labels:
-            for z in labels:
-                if not quantale.leq(quantale.tensor(cell[x, y], cell[y, z]),
-                                    cell[x, z]):
-                    return False
-    return True
+@lru_cache(maxsize=None)
+def _cell_order(n):
+    """The positions of the cells in assignment order, and the triangles.
+
+    ``at[x][y]`` is the position of cell ``(x, y)``.  A triangle is the
+    position triple of ``(x, y)``, ``(y, z)``, ``(x, z)``; ``closes[p]``
+    lists the triangles whose last cell is at position ``p``.
+    """
+    cells = [(x, x) for x in range(n)]
+    cells += [(x, y) for x in range(n) for y in range(n) if x != y]
+    pos = {cell: p for p, cell in enumerate(cells)}
+    at = tuple(tuple(pos[x, y] for y in range(n)) for x in range(n))
+    closes = [[] for _ in cells]
+    for x, y, z in itertools.product(range(n), repeat=3):
+        triangle = (pos[x, y], pos[y, z], pos[x, z])
+        closes[max(triangle)].append(triangle)
+    return at, tuple(map(tuple, closes))
 
 
 def all_valid_spaces(quantale, monad, carrier):
-    """Every lax-algebra structure on the carrier, in deterministic order."""
+    """Every lax-algebra structure on the carrier, in deterministic order.
+
+    The order is lexicographic in the diagonal cells, then the off-diagonal
+    cells in row-major order, each ranging over ``carrier_values()`` (see
+    the module docstring for why the search keeps it).
+    """
     if not quantale.is_finite:
         raise UnsupportedOperationError(
             "cannot enumerate structures over an infinite quantale")
     if not monad.identity_isomorphic:
         raise UnsupportedOperationError(
             "enumeration needs an identity-isomorphic monad")
-    labels = carrier.labels
+    n = len(carrier)
     values = quantale.carrier_values()
-    diag_choices = [v for v in values if quantale.leq(quantale.unit, v)]
-    off_cells = [(x, y) for x in labels for y in labels if x != y]
-    diag_cells = [(x, x) for x in labels]
-    for diag in itertools.product(diag_choices, repeat=len(diag_cells)):
-        for off in itertools.product(values, repeat=len(off_cells)):
-            cell = dict(zip(diag_cells, diag))
-            cell.update(zip(off_cells, off))
-            if not square_is_lax_algebra(quantale, labels, cell):
-                continue
-            sq = VRel(carrier, carrier, quantale,
-                      [[cell[x, y] for y in labels] for x in labels])
-            yield Space.from_square(carrier, monad, quantale, sq)
+    tensor, leq = quantale._tensor, quantale._leq
+    unit = quantale.unit.payload
+    diag = [v.payload for v in values if leq[unit][v.payload]]
+    every = [v.payload for v in values]
+    at, closes = _cell_order(n)
+    # the rows of TX are the points in carrier order (see space.py)
+    t_carrier = monad.apply_carrier(carrier)
+    choices = [diag] * n + [every] * (n * n - n)
+    # one DFS frame per cell: the index of its next choice to try
+    a, nxt, depth, last = [0] * n * n, [0] * n * n, 0, n * n - 1
+    while depth >= 0:
+        if depth > last:                  # every cell is set: a structure
+            rows = [[values[a[p]] for p in row] for row in at]
+            yield Space(carrier, monad, quantale,
+                        VRel(t_carrier, carrier, quantale, rows))
+            depth -= 1
+            continue
+        k = nxt[depth]
+        if k == len(choices[depth]):
+            nxt[depth] = 0
+            depth -= 1
+            continue
+        nxt[depth] = k + 1
+        a[depth] = choices[depth][k]
+        for p, q, r in closes[depth]:
+            if not leq[tensor[a[p]][a[q]]][a[r]]:
+                break
+        else:
+            depth += 1
 
 
 def all_valid_spaces_upto(quantale, monad, max_size, include_empty=True):
@@ -83,6 +125,10 @@ def compact_hausdorff_spaces(quantale, monad, max_size):
     quantales use the fact that over an integral quantale with a principal
     monad the compact Hausdorff spaces are exactly the discrete ones.
     """
+    if max_size > len(_LETTERS):
+        raise StructuralError(
+            f"compact Hausdorff spaces are enumerated on at most "
+            f"{len(_LETTERS)} points, not {max_size}")
     result = []
     if quantale.is_finite:
         seen = set()

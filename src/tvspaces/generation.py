@@ -23,7 +23,7 @@ from .errors import (
 from .monad import identity_monad
 from .space import (
     Space,
-    all_maps,
+    _continuous_map_search,
     continuous_maps,
     exponential,
     exponentiability_witness,
@@ -40,26 +40,11 @@ from .vrel import Carrier, MapArrow, VRel
 DEFAULT_MAP_BUDGET = 2_000_000
 
 
-class ProbeSink:
-    """A deduplicated list of probes: continuous maps out of class objects."""
-
-    __slots__ = ("probes",)
-
-    def __init__(self, probes):
-        self.probes = tuple(probes)
-
-    def __iter__(self):
-        return iter(self.probes)
-
-    def __len__(self):
-        return len(self.probes)
-
-
 class ProbeClass:
     """A finite generating class sharing one monad and quantale.
 
     Objects are validated at construction and deduplicated up to carrier
-    relabeling, which leaves every final structure unchanged.  Probe sinks
+    relabeling, which leaves every final structure unchanged.  Probes
     and coreflections are cached per target space.
     """
 
@@ -123,8 +108,11 @@ class ProbeClass:
     def probes_into(self, space, budget=DEFAULT_MAP_BUDGET):
         """All probes over a space, deduplicated, in deterministic order.
 
-        The candidate count is checked against the budget before anything is
-        enumerated; overflowing raises instead of truncating.
+        Returns a tuple of ``(map, object)`` pairs: the continuous maps out
+        of each class object in turn, in :func:`all_maps` order.  The
+        candidate count |Y|^|X| over the objects is checked against the
+        budget before anything is searched; overflowing raises instead of
+        truncating.
         """
         key = space.cache_key()
         cached = self._probe_cache.get(key)
@@ -139,15 +127,15 @@ class ProbeClass:
         probes = []
         seen = set()
         for obj in self.objects:
-            for f in all_maps(obj.carrier, space.carrier):
-                if is_continuous(f, obj, space):
-                    dedup = (obj.cache_key(), f.graph())
-                    if dedup not in seen:
-                        seen.add(dedup)
-                        probes.append((f, obj))
-        sink = ProbeSink(probes)
-        self._probe_cache[key] = sink
-        return sink
+            obj_key = obj.cache_key()
+            for f in _continuous_map_search(obj, space):
+                dedup = (obj_key, f.graph())
+                if dedup not in seen:
+                    seen.add(dedup)
+                    probes.append((f, obj))
+        probes = tuple(probes)
+        self._probe_cache[key] = probes
+        return probes
 
     def homs(self, i, j):
         """Continuous maps between class objects, cached."""
@@ -161,8 +149,8 @@ class ProbeClass:
         key = space.cache_key()
         cached = self._coreflect_cache.get(key)
         if cached is None:
-            sink = self.probes_into(space, budget)
-            cached = final_structure(space.carrier, list(sink),
+            probes = self.probes_into(space, budget)
+            cached = final_structure(space.carrier, probes,
                                      space.monad, space.quantale)
             self._coreflect_cache[key] = cached
         return cached

@@ -197,9 +197,78 @@ def all_maps(dom, cod):
         yield MapArrow(dom, cod, dict(zip(dom.labels, images)))
 
 
+def _continuous_map_search(x_space, y_space):
+    """The search behind :func:`continuous_maps` and ``probes_into``.
+
+    Its errors are those of :func:`is_continuous` on the first candidate
+    map, and, as in a loop over :func:`all_maps`, nothing is checked when
+    there is no candidate map (X nonempty, Y empty).
+    """
+    dom, cod = x_space.carrier, y_space.carrier
+    n, m = len(dom), len(cod)
+    if n and not m:
+        return []
+    _check_compatible(x_space, y_space)
+    _require_square(x_space.monad, "continuity")
+    a, b = x_space.structure.entries, y_space.structure.entries
+    kernel = x_space.quantale.kernel((a, b))
+    row, below = kernel.row, kernel.below
+    a, b = [row(r) for r in a], [row(r) for r in b]
+    ys = range(m)
+    # per entry v of a and point y of Y, as bitsets over Y:
+    # out_of[v][y] holds the y' with v <= b(y, y'), into[v][y] those with
+    # v <= b(y', y)
+    out_of, into = {}, {}
+    for v in {p for r in a for p in r}:
+        out_of[v] = [sum(1 << z for z in ys if below(v, b[y][z]))
+                     for y in ys]
+        into[v] = [sum(1 << z for z in ys if below(v, b[z][y])) for y in ys]
+    loops = [sum(1 << y for y in ys if below(a[i][i], b[y][y]))
+             for i in range(n)]
+    images, found = [0] * n, []
+
+    def extend(i, open_):
+        if i == n:
+            found.append(tuple(images))
+            return
+        later = range(i + 1, n)
+        ai = a[i]
+        choices = open_[i]
+        while choices:
+            low = choices & -choices
+            choices ^= low
+            y = low.bit_length() - 1
+            images[i] = y
+            narrowed = list(open_)
+            for k in later:
+                narrowed[k] &= into[a[k][i]][y] & out_of[ai[k]][y]
+                if not narrowed[k]:
+                    break
+            else:
+                extend(i + 1, narrowed)
+
+    extend(0, loops)
+    labels = cod.labels
+    return [MapArrow(dom, cod, {x: labels[y] for x, y in zip(dom.labels, f)})
+            for f in found]
+
+
 def continuous_maps(x_space, y_space):
-    return [f for f in all_maps(x_space.carrier, y_space.carrier)
-            if is_continuous(f, x_space, y_space)]
+    """Every continuous map from X to Y, in :func:`all_maps` order.
+
+    With the structures read as squares ``a`` and ``b``, continuity of f is
+    pairwise: ``a(x, x') <= b(fx, fx')`` for every pair of points.  So the
+    images ``f(x0), f(x1), ...`` are chosen depth first, the first point
+    most significant and the points of Y in carrier order, which is the
+    order of :func:`all_maps`.  Each point keeps the images still open to
+    it, as a bitset over Y: at first the y with ``a(x, x) <= b(y, y)``, and
+    choosing ``f(xi) = y`` removes from every later point xk each y' with
+    ``a(xk, xi) </= b(y', y)`` or ``a(xi, xk) </= b(y, y')`` (forward
+    checking).  A branch ends when a point is left with no image, so every
+    map that gets an image for each point passes every pair, and no other
+    map does.  The entries are compared as kernel payloads.
+    """
+    return _continuous_map_search(x_space, y_space)
 
 
 # -- liftings and constructions ------------------------------------------------

@@ -66,6 +66,15 @@ def test_malformed_class_size_is_a_structural_error():
                     "needs an integer size\n")
 
 
+def test_class_size_above_ten_points_is_a_structural_error():
+    code, text = run(["check", "c-generated", "Chain2", "--in",
+                      os.path.join(FIXTURES, "workspace.txt"),
+                      "--class", "compact-hausdorff-upto:11"])
+    assert code == 2
+    assert text == ("error: compact Hausdorff spaces are enumerated on at "
+                    "most 10 points, not 11\n")
+
+
 def test_compute_precondition_failure_exits_one(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text(

@@ -558,6 +558,19 @@ def test_coproducts_of_compact_hausdorff_are_compact_hausdorff():
                 assert is_compact(summed) and is_hausdorff(summed)
 
 
+def test_enumeration_sizes_above_ten_points_raise():
+    # the standard carriers have at most ten points; a larger size is an
+    # error, never a silently smaller carrier
+    spaces = compact_hausdorff_spaces(CP, IM, 10)
+    assert [len(s.carrier) for s in spaces] == list(range(1, 11))
+    with pytest.raises(StructuralError):
+        compact_hausdorff_spaces(CP, IM, 11)
+    assert len(standard_carrier(10)) == 10
+    for size in (11, 12, -1):
+        with pytest.raises(StructuralError):
+            standard_carrier(size)
+
+
 def test_singleton_admits_exactly_one_structure():
     # integral quantales: the only structure on one point is the top loop
     for q in (B, chain(3), lukasiewicz_grid(4)):

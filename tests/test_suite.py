@@ -22,6 +22,14 @@ def test_run_suite_reports_one_line_per_battery():
         assert f"({result.checks} checks)" in line
 
 
+def test_fast_suite_check_counts_are_pinned():
+    # a change in any count means a battery checks more or less than before
+    results = run_suite("fast")
+    assert [r.checks for r in results] == [
+        1268, 200, 267, 17, 912, 141, 120, 513, 205, 52, 75, 20]
+    assert all(r.passed for r in results)
+
+
 def test_failing_battery_is_named_in_the_report(monkeypatch):
     import tvspaces.suite as suite_module
 
