@@ -225,29 +225,33 @@ def _continuous_map_search(x_space, y_space):
         into[v] = [sum(1 << z for z in ys if below(v, b[z][y])) for y in ys]
     loops = [sum(1 << y for y in ys if below(a[i][i], b[y][y]))
              for i in range(n)]
-    images, found = [0] * n, []
-
-    def extend(i, open_):
+    found, images = [], [0] * n
+    # opens[i]: the open images of every point once x0 .. x(i-1) are mapped;
+    # untried[i]: the open images of xi not tried yet
+    opens, untried = [loops] + [None] * n, loops[:1] + [0] * n
+    i = 0
+    while i >= 0:
         if i == n:
             found.append(tuple(images))
-            return
-        later = range(i + 1, n)
-        ai = a[i]
-        choices = open_[i]
-        while choices:
-            low = choices & -choices
-            choices ^= low
-            y = low.bit_length() - 1
-            images[i] = y
-            narrowed = list(open_)
-            for k in later:
-                narrowed[k] &= into[a[k][i]][y] & out_of[ai[k]][y]
-                if not narrowed[k]:
-                    break
-            else:
-                extend(i + 1, narrowed)
-
-    extend(0, loops)
+            i -= 1
+            continue
+        choices = untried[i]
+        if not choices:
+            i -= 1
+            continue
+        low = choices & -choices
+        untried[i] = choices ^ low
+        y = images[i] = low.bit_length() - 1
+        narrowed, ai = list(opens[i]), a[i]
+        for k in range(i + 1, n):
+            narrowed[k] &= into[a[k][i]][y] & out_of[ai[k]][y]
+            if not narrowed[k]:
+                break
+        else:
+            i += 1
+            opens[i] = narrowed
+            if i < n:
+                untried[i] = narrowed[i]
     labels = cod.labels
     return [MapArrow(dom, cod, {x: labels[y] for x, y in zip(dom.labels, f)})
             for f in found]
