@@ -20,6 +20,7 @@ from tvspaces import (
     INF,
     BudgetExceededError,
     CarrierMismatchError,
+    TvsError,
     UnsupportedOperationError,
     bool2,
     chain,
@@ -108,7 +109,7 @@ def outcome(fn, *args):
     """The result of a call, or the type and message of its error."""
     try:
         return fn(*args)
-    except Exception as exc:  # noqa: BLE001 - compared, never swallowed
+    except TvsError as exc:
         return (type(exc), str(exc))
 
 
@@ -311,23 +312,25 @@ def point_space(q, monad, labels):
 def test_mismatches_raise_the_reference_error():
     b, ch = bool2(), chain(3)
     ident, ultra = identity_monad(), finite_ultrafilter_monad()
-    pairs = [
-        (point_space(b, ident, "ab"), point_space(ch, ident, "pq")),
-        (point_space(b, ident, "ab"), point_space(b, ultra, "pq")),
-        (point_space(b, ultra, ""), point_space(b, ident, "pq")),
-        (point_space(b, ident, ""), point_space(ch, ident, "")),
+    quantales = (CarrierMismatchError, "spaces use different quantales")
+    monads = (CarrierMismatchError, "spaces use different monads")
+    cases = [
+        (point_space(b, ident, "ab"), point_space(ch, ident, "pq"), quantales),
+        (point_space(b, ident, "ab"), point_space(b, ultra, "pq"), monads),
+        # the empty map is a candidate, so it is checked
+        (point_space(b, ultra, ""), point_space(b, ident, "pq"), monads),
+        (point_space(b, ident, ""), point_space(ch, ident, ""), quantales),
+        (point_space(b, ident, ""), point_space(b, ident, ""), None),
+        (point_space(b, ident, ""), point_space(b, ident, "pq"), None),
         # no candidate map, so no check and no error
-        (point_space(b, ident, "ab"), point_space(ch, ultra, "")),
-        (point_space(b, ident, "a"), point_space(b, ident, "")),
-        (point_space(b, ident, ""), point_space(b, ident, "")),
-        (point_space(b, ident, ""), point_space(b, ident, "pq")),
+        (point_space(b, ident, "ab"), point_space(ch, ultra, ""), []),
+        (point_space(b, ident, "a"), point_space(b, ident, ""), []),
     ]
-    for x, y in pairs:
-        expected = outcome(ref_continuous_maps, x, y)
-        assert outcome(continuous_maps, x, y) == expected
-    assert isinstance(outcome(continuous_maps, *pairs[0])[1], str)
-    assert outcome(continuous_maps, *pairs[0])[0] is CarrierMismatchError
-    assert outcome(continuous_maps, *pairs[4]) == []
+    for x, y, expected in cases:
+        got = outcome(continuous_maps, x, y)
+        assert got == outcome(ref_continuous_maps, x, y)
+        if expected is not None:
+            assert got == expected
 
 
 def test_non_principal_monad_is_refused_like_the_reference():
