@@ -146,6 +146,9 @@ def cmd_check(args, out):
     except OSError as exc:
         out.write(f"io error: {exc}\n")
         return 2
+    except PreconditionError as exc:
+        out.write(f"precondition failed: {exc}\n")
+        return 1
     except TvsError as exc:
         out.write(f"error: {exc}\n")
         return 2

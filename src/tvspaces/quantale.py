@@ -14,8 +14,10 @@ comparisons go through :meth:`Quantale.leq`.
 
 Scalars cross the public API as :class:`Value` objects, and every scalar
 operation checks its arguments with ``_check``.  The matrix kernels behind
-``vrel.compose``, the closure, space validation and continuity instead work
-on raw payloads, and this module alone decides their encoding:
+``vrel.compose``, the closure and the space predicates and constructions
+(validation, continuity, initial and final structures, function spaces,
+compactness, Hausdorffness, separatedness) instead work on raw payloads, and
+this module alone decides their encoding:
 :meth:`Quantale.encode` turns ``Value`` matrices into payload matrices plus
 a kernel object for one operation (``Quantale.kernel`` and the kernel's
 ``row`` do the same one row at a time, for scans that may stop early), and
@@ -145,13 +147,6 @@ class Quantale:
         for v in values:
             self._check(v)
             out = self.join2(out, v)
-        return out
-
-    def meet_all(self, values, start=None):
-        out = self.top if start is None else start
-        for v in values:
-            self._check(v)
-            out = self.meet(out, v)
         return out
 
     def eq(self, u, v):
@@ -511,12 +506,18 @@ def _rows_by(fold, rows, width, empty):
 class _Kernel:
     """Matrix operations on the payloads of one quantale.
 
-    Subclasses give ``unit`` (a payload), ``row(values, indices=None)`` (the
-    payloads of a row of Values, or of ``values[j]`` for j in ``indices``),
-    ``value(p)`` (the Value of a payload), ``below(a, b)`` and
-    ``row_below(ra, rb)`` (the quantale order on entries and on whole rows),
-    ``compose(left, right, width)`` and ``close(rows)``.  Matrices are lists
-    of rows.
+    Subclasses give ``unit``, ``bottom`` and ``top`` (payloads; a finite
+    table without a bottom or top raises when one is read),
+    ``row(values, indices=None)`` (the payloads of a row of Values, or of
+    ``values[j]`` for j in ``indices``), ``value(p)`` (the Value of a
+    payload), ``below(a, b)`` and ``row_below(ra, rb)`` (the quantale order
+    on entries and on whole rows), ``tensor(a, b)`` and ``heyting(a, b)``
+    on entries, ``compose(left, right, width)``, ``close(rows)``, and three
+    folds: ``meet_rows(rows, width)`` (the entrywise meet of some rows,
+    starting from top), ``join_all(payloads)`` (the join of a sequence,
+    starting from bottom) and ``join_at(acc, cols, row)`` (``acc[cols[j]]``
+    joined with ``row[j]`` in place, for j in order).  Matrices are lists of
+    rows.
     """
 
     def decode(self, rows):
@@ -534,6 +535,36 @@ class _Kernel:
             if not self.row_below(ra, rb):
                 for j in self.row_failures(ra, rb):
                     yield i, j
+
+    def function_space(self, b, c, images):
+        """The function-space matrix on some maps Y -> Z.
+
+        ``b`` and ``c`` are the squares of Y and Z, and each map is the list
+        of its image indices.  Entry ``(g, h)`` is the meet, over the point
+        pairs ``(y1, y2)`` in row-major order, of
+        ``heyting(b[y1][y2], c[g[y1]][h[y2]])``.  Row g is the meet of one
+        row over the maps h per point pair, and that row depends only on
+        ``b[y1][y2]``, ``g[y1]`` and ``y2``, so it is built once per such
+        triple.  This takes the meet to be a total, associative and
+        commutative operation; the finite kernel overrides it for tables
+        where it may not be.
+        """
+        heyting, width = self.heyting, len(images)
+        at = list(zip(*images))       # at[y2]: h(y2) for every map h
+        cache, out = {}, []
+        for g in images:
+            rows = []
+            for y1, z in enumerate(g):
+                cz = c[z]
+                for y2, v in enumerate(b[y1]):
+                    key = (v, z, y2)
+                    r = cache.get(key)
+                    if r is None:
+                        hz = [heyting(v, w) for w in cz]
+                        r = cache[key] = [hz[w] for w in at[y2]]
+                    rows.append(r)
+            out.append(self.meet_rows(rows, width))
+        return out
 
 
 class _FiniteKernel(_Kernel):
@@ -560,6 +591,14 @@ class _FiniteKernel(_Kernel):
                              for a in range(n) for b in range(n))
         self._skip = 0 if self._max_join and not any(q._tensor[0]) else None
 
+    @property
+    def bottom(self):
+        return self._q.bottom.payload
+
+    @property
+    def top(self):
+        return self._q.top.payload
+
     @staticmethod
     def row(values, indices=None):
         if indices is None:
@@ -569,6 +608,9 @@ class _FiniteKernel(_Kernel):
     def below(self, a, b):
         return self._leq[a][b]
 
+    def tensor(self, a, b):
+        return self._tensor[a][b]
+
     def row_below(self, ra, rb):
         if self._max_join:             # the order is then the index order
             return all(map(operator.le, ra, rb))
@@ -577,10 +619,64 @@ class _FiniteKernel(_Kernel):
     def value(self, p):
         return self._q._values[p]
 
-    def _join2(self, a, b):
-        out = self._join[a][b]
+    def _lookup(self, table, a, b, what):
+        out = table[a][b]
         if out is None:
-            raise self._q._undefined("join")
+            raise self._q._undefined(what)
+        return out
+
+    def _join2(self, a, b):
+        return self._lookup(self._join, a, b, "join")
+
+    def _meet2(self, a, b):
+        return self._lookup(self._q._meet2, a, b, "meet")
+
+    def heyting(self, a, b):
+        return self._lookup(self._q._heyting, a, b, "Heyting implication")
+
+    def meet_rows(self, rows, width):
+        if self._max_join:             # a chain: the meet is min
+            return _rows_by(min, rows, width, self.top)
+        out = [self.top] * width
+        for row in rows:
+            out = [self._meet2(a, b) for a, b in zip(out, row)]
+        return out
+
+    def join_all(self, payloads):
+        if self._max_join:             # a chain: bottom is index 0
+            return max(payloads, default=0)
+        out = self.bottom
+        for p in payloads:
+            out = self._join2(out, p)
+        return out
+
+    def join_at(self, acc, cols, row):
+        if self._max_join:
+            for k, v in zip(cols, row):
+                if v > acc[k]:
+                    acc[k] = v
+        else:
+            join = self._join2
+            for k, v in zip(cols, row):
+                acc[k] = join(acc[k], v)
+
+    def function_space(self, b, c, images):
+        if self._max_join:
+            return super().function_space(b, c, images)
+        # entry by entry, in the order of the Value operations, so that an
+        # undefined meet or implication raises at the same point
+        meet, heyting = self._meet2, self.heyting
+        out = []
+        for g in images:
+            row = []
+            for h in images:
+                acc = self.top
+                for bi, z in zip(b, g):
+                    cz = c[z]
+                    for v, w in zip(bi, h):
+                        acc = meet(acc, heyting(v, cz[w]))
+                row.append(acc)
+            out.append(row)
         return out
 
     def compose(self, left, right, width):
@@ -605,7 +701,7 @@ class _FiniteKernel(_Kernel):
         return out
 
     def _fold_compose(self, left, right, width):
-        bot = self._q.bottom.payload
+        bot = self.bottom
         join, tensor = self._join2, self._tensor
         cols = list(zip(*right)) if right else [()] * width
         out = []
@@ -624,8 +720,12 @@ class _FiniteKernel(_Kernel):
 
         Rows are updated whole, in the order of the entrywise sweep: a row
         before the pivot reads the pivot row as it was, a row after it reads
-        the updated one.
+        the updated one.  Only exact for an integral quantale (see
+        ``vrel.reflexive_transitive_closure``); any other is refused.
         """
+        if not self._q.integral:
+            raise UnsupportedOperationError(
+                "closure is only exact for integral quantales")
         if not self._max_join:
             return self._fold_close(c)
         n, tensor, skip = len(c), self._tensor, self._skip
@@ -672,8 +772,8 @@ class _CostKernel(_Kernel):
         self._q = q
         self._plus = q._flavor == "plus"
         self.scale = scale
-        self.inf = inf
-        self.unit = 0
+        self.inf = self.bottom = inf
+        self.unit = self.top = 0
         self._values = {}
 
     def row(self, values, indices=None):
@@ -691,6 +791,30 @@ class _CostKernel(_Kernel):
     @staticmethod
     def row_below(ra, rb):
         return all(map(operator.le, rb, ra))
+
+    def tensor(self, a, b):
+        if self._plus:
+            s = a + b
+            return s if s < self.inf else self.inf
+        return a if a > b else b
+
+    @staticmethod
+    def heyting(a, b):
+        # meet is the numeric max, so the implication is the cost-max hom
+        return 0 if b <= a else b
+
+    @staticmethod
+    def meet_rows(rows, width):
+        return _rows_by(max, rows, width, 0)
+
+    def join_all(self, payloads):
+        return min(payloads, default=self.inf)
+
+    @staticmethod
+    def join_at(acc, cols, row):
+        for k, v in zip(cols, row):
+            if v < acc[k]:
+                acc[k] = v
 
     def value(self, p):
         v = self._values.get(p)

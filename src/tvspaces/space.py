@@ -10,6 +10,24 @@ is carrier-isomorphic to the identity.
 
 Structure equality is exact entrywise value equality; there are no
 tolerances anywhere.
+
+The predicates and constructions run on kernel payloads (see
+:mod:`tvspaces.quantale`): each converts the structure matrices it reads to
+payloads once, through ``Quantale.encode`` or ``Quantale.kernel``, works on
+carrier indices, and converts a structure it builds back to ``Value``
+entries once.  A construction over a source or sink of maps encodes each
+distinct target or domain structure once, however many maps share it (a
+coreflection has thousands of probes out of a handful of class objects).
+That is exact because the encoding is fixed for the whole operation: a
+finite table's payload is the carrier index itself, and the cost kernel puts
+every entry of the operation over one common scale, so two entries have the
+same payload exactly when they are the same value, and the kernel's order,
+tensor, join, meet and implication agree with the ``Value`` ones.  Encoding
+a matrix again for every map that refers to it would give the same payloads.
+
+All of them read a structure ``TX -/-> X`` as its square form, which needs a
+monad isomorphic to the identity (both shipped monads are); any other monad
+is refused with ``UnsupportedOperationError``.
 """
 
 import itertools
@@ -27,7 +45,6 @@ from .vrel import (
     MapArrow,
     VRel,
     from_map,
-    reflexive_transitive_closure,
     transpose,
 )
 
@@ -56,26 +73,32 @@ class Space:
         return self._t_carrier
 
     def square(self):
-        """The structure restricted along the unit, as a square relation."""
-        e = self.monad.unit(self.carrier)
-        return VRel.build(self.carrier, self.carrier, self.quantale,
-                          lambda x, y: self.structure.get(e(x), y))
+        """The structure restricted along the unit, as a square relation.
+
+        For an identity-isomorphic monad the structure's rows are already
+        those of the square form, in carrier order.
+        """
+        _require_square(self.monad, "the square form")
+        return VRel(self.carrier, self.carrier, self.quantale,
+                    self.structure.entries)
 
     @staticmethod
     def from_square(carrier, monad, quantale, square):
         """Rebuild a structure from its square form along the retraction.
 
         Only meaningful for monads isomorphic to the identity, where the
-        unit is a bijection on points.
+        unit is a bijection on points.  The square must be indexed by the
+        carrier itself on both sides, in carrier order.
         """
         if not monad.identity_isomorphic:
             raise UnsupportedOperationError(
                 "square transport needs an identity-isomorphic monad")
-        retract = monad.retraction(carrier)
-        t_carrier = monad.apply_carrier(carrier)
-        return Space(carrier, monad, quantale, VRel.build(
-            t_carrier, carrier, quantale,
-            lambda tx, y: square.get(retract(tx), y)))
+        if square.dom != carrier or square.cod != carrier:
+            raise StructuralError(
+                f"square form on {list(square.dom.labels)} x "
+                f"{list(square.cod.labels)} does not match the carrier "
+                f"{list(carrier.labels)}")
+        return _square_space(carrier, monad, quantale, square.entries)
 
     def cache_key(self):
         return (self.quantale.cache_key(), self.monad.name,
@@ -107,6 +130,23 @@ def _require_square(monad, what):
     if not monad.identity_isomorphic:
         raise UnsupportedOperationError(
             f"{what} needs an identity-isomorphic monad")
+
+
+def _square_space(carrier, monad, quantale, rows):
+    """The space whose square form has these rows of Values."""
+    return Space(carrier, monad, quantale,
+                 VRel(monad.apply_carrier(carrier), carrier, quantale, rows))
+
+
+def _encode_distinct(quantale, spaces, steps=1):
+    """The kernel for some spaces' structures, and each one's payloads.
+
+    Each distinct structure is encoded once; the payloads come back keyed
+    by the ``id`` of the structure.
+    """
+    distinct = {id(s.structure): s.structure.entries for s in spaces}
+    kernel, payloads = quantale.encode(list(distinct.values()), steps)
+    return kernel, dict(zip(distinct, payloads))
 
 
 def _check_compatible(*spaces):
@@ -286,19 +326,22 @@ def subspace(space, labels):
             raise StructuralError(f"label {x!r} is not in the carrier")
     sub = Carrier(labels)
     incl = MapArrow(sub, space.carrier, {x: x for x in labels})
-    t_incl = space.monad.apply_map(incl)
-    t_sub = space.monad.apply_carrier(sub)
-    structure = VRel.build(
-        t_sub, sub, space.quantale,
-        lambda tx, y: space.structure.get(t_incl(tx), incl(y)))
-    return Space(sub, space.monad, space.quantale, structure), incl
+    _require_square(space.monad, "restriction to a subspace")
+    a = space.structure.entries
+    indices = space.carrier.indices(labels)
+    rows = [[a[i][j] for j in indices] for i in indices]
+    return _square_space(sub, space.monad, space.quantale, rows), incl
 
 
 def initial_structure(carrier, source, monad, quantale):
     """Greatest structure making every map of the source continuous.
 
     ``source`` is a list of ``(map, target_space)`` pairs sharing ``carrier``
-    as domain; the empty source yields the indiscrete space.
+    as domain; the empty source yields the indiscrete space.  Entry
+    ``(x, x')`` is the meet, over the source in order, of
+    ``b(f(x), f(x'))``: row x meets the rows ``b[f(x)]`` pulled back along
+    each f, starting from top.  Each distinct target structure is encoded
+    once, and a pulled-back row once per image point.
     """
     for f, y in source:
         if f.dom != carrier:
@@ -307,15 +350,18 @@ def initial_structure(carrier, source, monad, quantale):
             raise CarrierMismatchError("source map codomain mismatch")
         if y.monad is not monad or y.quantale is not quantale:
             raise CarrierMismatchError("source space monad/quantale mismatch")
-    t_carrier = monad.apply_carrier(carrier)
-    lifted = [(monad.apply_map(f), f, y) for f, y in source]
-
-    def entry(tx, x):
-        return quantale.meet_all(
-            y.structure.get(tf(tx), f(x)) for tf, f, y in lifted)
-
-    return Space(carrier, monad, quantale,
-                 VRel.build(t_carrier, carrier, quantale, entry))
+    _require_square(monad, "the initial structure")
+    kernel, payloads = _encode_distinct(quantale, [y for _, y in source])
+    pulled = []                       # per map, row x of b pulled back
+    for f, y in source:
+        b = payloads[id(y.structure)]
+        indices = y.carrier.indices(f.table.values())
+        rows = {fi: [b[fi][j] for j in indices] for fi in set(indices)}
+        pulled.append([rows[fi] for fi in indices])
+    n = len(carrier)
+    meets = [kernel.meet_rows([rows[i] for rows in pulled], n)
+             for i in range(n)]
+    return _square_space(carrier, monad, quantale, kernel.decode(meets))
 
 
 def final_structure(carrier, sink, monad, quantale):
@@ -324,7 +370,9 @@ def final_structure(carrier, sink, monad, quantale):
     Computed as the reflexive-transitive closure of the joined pushforward
     relations; restricted to identity-isomorphic monads and integral
     quantales, where the closure is exact.  The empty sink gives the
-    discrete space.
+    discrete space.  Each distinct domain structure is encoded once, with
+    room for the closure's sums; every map then joins its domain's square
+    into the rows and columns of its images, in the order of the sink.
     """
     if not monad.identity_isomorphic:
         raise UnsupportedOperationError(
@@ -336,19 +384,17 @@ def final_structure(carrier, sink, monad, quantale):
             raise CarrierMismatchError("sink map domain mismatch")
         if x.monad is not monad or x.quantale is not quantale:
             raise CarrierMismatchError("sink space monad/quantale mismatch")
-    bot = quantale.bottom
-    rows = {x: {y: bot for y in carrier.labels} for x in carrier.labels}
-    for f, x_space in sink:
-        sq = x_space.square()
-        for x1 in x_space.carrier.labels:
-            for x2 in x_space.carrier.labels:
-                tgt = rows[f(x1)]
-                tgt[f(x2)] = quantale.join2(tgt[f(x2)], sq.get(x1, x2))
-    joined = VRel(carrier, carrier, quantale,
-                  [[rows[x][y] for y in carrier.labels]
-                   for x in carrier.labels])
-    closed = reflexive_transitive_closure(joined)
-    return Space.from_square(carrier, monad, quantale, closed)
+    n = len(carrier)
+    kernel, payloads = _encode_distinct(quantale, [x for _, x in sink],
+                                        steps=2 * n)
+    bot = kernel.bottom               # read even for an empty carrier
+    joined = [[bot] * n for _ in range(n)]
+    for f, x in sink:
+        indices = carrier.indices(f.table.values())
+        for fi, row in zip(indices, payloads[id(x.structure)]):
+            kernel.join_at(joined[fi], indices, row)
+    closed = kernel.close(joined)
+    return _square_space(carrier, monad, quantale, kernel.decode(closed))
 
 
 def product(x_space, y_space):
@@ -393,17 +439,13 @@ def coproduct_many(spaces):
         MapArrow(s.carrier, carrier, {x: f"{i}:{x}" for x in s.carrier.labels})
         for i, s in enumerate(spaces)]
     bot = quantale.bottom
-    squares = [s.square() for s in spaces]
-
-    def entry(p, r):
-        i, x = p.split(":", 1)
-        j, y = r.split(":", 1)
-        if i != j:
-            return bot
-        return squares[int(i)].get(x, y)
-
-    sq = VRel.build(carrier, carrier, quantale, entry)
-    return Space.from_square(carrier, monad, quantale, sq), injections
+    rows, before = [], 0
+    for s in spaces:
+        after = len(carrier) - before - len(s.carrier)
+        rows.extend([bot] * before + list(row) + [bot] * after
+                    for row in s.structure.entries)
+        before += len(s.carrier)
+    return _square_space(carrier, monad, quantale, rows), injections
 
 
 def coproduct(x_space, y_space):
@@ -424,13 +466,17 @@ def copairing(maps, coproduct_carrier):
 
 
 def compactness_witness(space):
-    """None when compact, else an element of TX missing a convergence point."""
-    q = space.quantale
-    a = space.structure
-    for tx in space.t_carrier.labels:
-        total = q.join(q.tensor(a.get(tx, x), a.get(tx, x))
-                       for x in space.carrier.labels)
-        if not q.leq(q.unit, total):
+    """None when compact, else an element of TX missing a convergence point.
+
+    Row tx is compact when the unit is below the join over x of
+    ``a(tx, x) (x) a(tx, x)``; rows are tested in order.
+    """
+    _require_square(space.monad, "compactness")
+    kernel, (a,) = space.quantale.encode((space.structure.entries,), steps=2)
+    tensor, unit = kernel.tensor, kernel.unit
+    for tx, row in zip(space.t_carrier.labels, a):
+        total = kernel.join_all([tensor(v, v) for v in row])
+        if not kernel.below(unit, total):
             return (tx,)
     return None
 
@@ -440,17 +486,21 @@ def is_compact(space):
 
 
 def hausdorff_witness(space):
-    """None when Hausdorff, else ``(x, y, tx)`` with a double convergence."""
-    q = space.quantale
-    a = space.structure
-    bot, k = q.bottom, q.unit
-    for x in space.carrier.labels:
-        for y in space.carrier.labels:
-            for tx in space.t_carrier.labels:
-                value = q.tensor(a.get(tx, x), a.get(tx, y))
-                if x != y and not q.eq(value, bot):
-                    return (x, y, tx)
-                if x == y and not q.leq(value, k):
+    """None when Hausdorff, else ``(x, y, tx)`` with a double convergence.
+
+    ``a(tx, x) (x) a(tx, y)`` must be bottom for x != y and below the unit
+    for x = y; pairs are tested with x outermost and tx innermost.
+    """
+    _require_square(space.monad, "Hausdorffness")
+    kernel, (a,) = space.quantale.encode((space.structure.entries,),
+                                         steps=2)
+    bot, unit = kernel.bottom, kernel.unit
+    tensor, below = kernel.tensor, kernel.below
+    for i, x in enumerate(space.carrier.labels):
+        for j, y in enumerate(space.carrier.labels):
+            for tx, row in zip(space.t_carrier.labels, a):
+                value = tensor(row[i], row[j])
+                if value != bot if i != j else not below(value, unit):
                     return (x, y, tx)
     return None
 
@@ -467,11 +517,18 @@ def point_order_leq(space, y1, y2):
 
 
 def separatedness_witness(space):
-    """None when the point preorder is antisymmetric, else the cycle pair."""
-    for y1 in space.carrier.labels:
-        for y2 in space.carrier.labels:
-            if y1 != y2 and point_order_leq(space, y1, y2) \
-                    and point_order_leq(space, y2, y1):
+    """None when the point preorder is antisymmetric, else the cycle pair.
+
+    Pairs ``(y1, y2)`` of distinct points are tested in row-major order.
+    """
+    _require_square(space.monad, "separatedness")
+    kernel, (a,) = space.quantale.encode((space.structure.entries,))
+    unit, below = kernel.unit, kernel.below
+    up = [[below(unit, p) for p in row] for row in a]
+    labels = space.carrier.labels
+    for i, y1 in enumerate(labels):
+        for j, y2 in enumerate(labels):
+            if i != j and up[i][j] and up[j][i]:
                 return (y1, y2)
     return None
 
@@ -579,25 +636,15 @@ def map_label(f):
     return "[" + ",".join(f.graph()) + "]"
 
 
-def function_space_join(quantale, pairs):
-    """Largest value v with ``b /\\ v <= c`` for every pair ``(b, c)``.
-
-    This is the join in the function-space structure; it equals the meet of
-    the Heyting implications because meet distributes over joins here.
-    """
-    out = quantale.top
-    for b, c in pairs:
-        out = quantale.meet(out, quantale.heyting(b, c))
-    return out
-
-
 def exponential(y_space, z_space):
     """Function space on the continuous maps, for exponentiable ``y_space``.
 
     The structure between maps g, h is the largest value v such that
     ``b(y, y') /\\ v <= c(g(y), h(y'))`` for all points; only available for
     identity-isomorphic monads, where the defining condition collapses to
-    point pairs.
+    point pairs.  That value is the meet of the Heyting implications
+    ``b(y, y') => c(g(y), h(y'))``, because meet distributes over joins
+    here; the kernel computes the whole matrix from the two squares.
     """
     _check_compatible(y_space, z_space)
     monad, q = y_space.monad, y_space.quantale
@@ -611,18 +658,11 @@ def exponential(y_space, z_space):
     maps = continuous_maps(y_space, z_space)
     carrier = Carrier(map_label(f) for f in maps)
     by_label = {map_label(f): f for f in maps}
-    b, c = y_space.square(), z_space.square()
-    points = y_space.carrier.labels
-
-    def entry(gl, hl):
-        g, h = by_label[gl], by_label[hl]
-        return function_space_join(
-            q, ((b.get(y1, y2), c.get(g(y1), h(y2)))
-                for y1 in points for y2 in points))
-
-    sq = VRel.build(carrier, carrier, q, entry)
-    space = Space.from_square(carrier, monad, q, sq)
-    return space, by_label
+    kernel, (b, c) = q.encode((y_space.structure.entries,
+                               z_space.structure.entries))
+    images = [z_space.carrier.indices(f.table.values()) for f in maps]
+    rows = kernel.function_space(b, c, images)
+    return _square_space(carrier, monad, q, kernel.decode(rows)), by_label
 
 
 def evaluation_map(exp_space, by_label, y_space, z_space):

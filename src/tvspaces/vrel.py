@@ -17,7 +17,6 @@ from .errors import (
     CarrierMismatchError,
     QuantaleMismatchError,
     StructuralError,
-    UnsupportedOperationError,
 )
 
 
@@ -254,13 +253,11 @@ def reflexive_transitive_closure(r):
     integral quantales: ``u (x) v <= u /\\ v`` means a path that repeats a
     node is never better than the path with the loop cut out, so simple
     paths suffice and each pivot needs one pass.  A candidate joins two
-    simple paths, so it adds up fewer than ``2 n`` entries.
+    simple paths, so it adds up fewer than ``2 n`` entries.  The kernel
+    refuses a quantale that is not integral.
     """
     if r.dom != r.cod:
         raise CarrierMismatchError("closure needs a square relation")
     q = r.quantale
-    if not q.integral:
-        raise UnsupportedOperationError(
-            "closure is only exact for integral quantales")
     kernel, (c,) = q.encode((r.entries,), steps=2 * len(r.dom))
     return VRel(r.dom, r.cod, q, kernel.decode(kernel.close(c)))

@@ -89,6 +89,19 @@ def test_compute_precondition_failure_exits_one(tmp_path):
     assert "precondition" in text
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("explicit:", "a probe class needs at least one object"),
+    ("explicit:Empty", "a probe class needs a nonempty generating space"),
+])
+def test_check_precondition_failure_exits_one(spec, message):
+    workspace = os.path.join(FIXTURES, "workspace.txt")
+    for argv in (["check", "c-generated", "Chain2"],
+                 ["compute", "coreflect", "Chain2"]):
+        code, text = run(argv + ["--in", workspace, "--class", spec])
+        assert code == 1
+        assert text == f"precondition failed: {message}\n"
+
+
 def test_compute_writes_output_file(tmp_path):
     out_file = tmp_path / "result.txt"
     code, text = run(["compute", "coreflect", "Chain2", "--in",

@@ -1,0 +1,621 @@
+"""Differential tests of the payload constructions against the Value loops.
+
+Initial and final structures (and so products, coreflections and the
+reflection of a quasi-space), ``Space.square`` and ``Space.from_square``,
+subspaces, coproducts, the compactness, Hausdorff and separatedness witnesses
+and the function-space entries of ``exponential`` run on kernel payloads.
+The functions prefixed ``ref_`` below are the entrywise ``Value``
+implementations they replaced, kept as the oracle: every answer must equal
+theirs, with witnesses in the same order, and every error must have the same
+type and message.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from tvspaces import (
+    CarrierMismatchError,
+    PreconditionError,
+    StructuralError,
+    TvsError,
+    UnsupportedOperationError,
+    bool2,
+    chain,
+    cost_max,
+    cost_plus,
+    finite_table,
+    lukasiewicz_grid,
+)
+from tvspaces.generation import ProbeClass
+from tvspaces.monad import Monad, finite_ultrafilter_monad, identity_monad
+from tvspaces.space import (
+    Space,
+    compactness_witness,
+    continuous_maps,
+    coproduct_many,
+    discrete_space,
+    exponential,
+    exponentiability_witness,
+    final_structure,
+    hausdorff_witness,
+    initial_structure,
+    map_label,
+    product,
+    separatedness_witness,
+    subspace,
+)
+from tvspaces.suite import non_integral_quantale
+from tvspaces.vrel import Carrier, MapArrow, VRel, reflexive_transitive_closure
+
+# -- the Value-level reference ------------------------------------------------
+
+
+def ref_meet_all(q, values):
+    out = q.top
+    for v in values:
+        q._check(v)
+        out = q.meet(out, v)
+    return out
+
+
+def ref_square(space):
+    e = space.monad.unit(space.carrier)
+    return VRel.build(space.carrier, space.carrier, space.quantale,
+                      lambda x, y: space.structure.get(e(x), y))
+
+
+def ref_from_square(carrier, monad, quantale, square):
+    if not monad.identity_isomorphic:
+        raise UnsupportedOperationError(
+            "square transport needs an identity-isomorphic monad")
+    retract = monad.retraction(carrier)
+    t_carrier = monad.apply_carrier(carrier)
+    return Space(carrier, monad, quantale, VRel.build(
+        t_carrier, carrier, quantale,
+        lambda tx, y: square.get(retract(tx), y)))
+
+
+def ref_subspace(space, labels):
+    labels = list(labels)
+    for x in labels:
+        if x not in space.carrier:
+            raise StructuralError(f"label {x!r} is not in the carrier")
+    sub = Carrier(labels)
+    incl = MapArrow(sub, space.carrier, {x: x for x in labels})
+    t_incl = space.monad.apply_map(incl)
+    t_sub = space.monad.apply_carrier(sub)
+    structure = VRel.build(
+        t_sub, sub, space.quantale,
+        lambda tx, y: space.structure.get(t_incl(tx), incl(y)))
+    return Space(sub, space.monad, space.quantale, structure), incl
+
+
+def ref_initial_structure(carrier, source, monad, quantale):
+    for f, y in source:
+        if f.dom != carrier:
+            raise CarrierMismatchError("source map domain mismatch")
+        if f.cod != y.carrier:
+            raise CarrierMismatchError("source map codomain mismatch")
+        if y.monad is not monad or y.quantale is not quantale:
+            raise CarrierMismatchError("source space monad/quantale mismatch")
+    t_carrier = monad.apply_carrier(carrier)
+    lifted = [(monad.apply_map(f), f, y) for f, y in source]
+
+    def entry(tx, x):
+        return ref_meet_all(quantale, (
+            y.structure.get(tf(tx), f(x)) for tf, f, y in lifted))
+
+    return Space(carrier, monad, quantale,
+                 VRel.build(t_carrier, carrier, quantale, entry))
+
+
+def ref_product(x_space, y_space):
+    labels = [f"({x},{y})" for x in x_space.carrier.labels
+              for y in y_space.carrier.labels]
+    carrier = Carrier(labels)
+    table1, table2 = {}, {}
+    for x in x_space.carrier.labels:
+        for y in y_space.carrier.labels:
+            table1[f"({x},{y})"] = x
+            table2[f"({x},{y})"] = y
+    p1 = MapArrow(carrier, x_space.carrier, table1)
+    p2 = MapArrow(carrier, y_space.carrier, table2)
+    space = ref_initial_structure(carrier, [(p1, x_space), (p2, y_space)],
+                                  x_space.monad, x_space.quantale)
+    return space, (p1, p2)
+
+
+def ref_final_structure(carrier, sink, monad, quantale):
+    if not monad.identity_isomorphic:
+        raise UnsupportedOperationError(
+            "final structures need an identity-isomorphic monad")
+    for f, x in sink:
+        if f.cod != carrier:
+            raise CarrierMismatchError("sink map codomain mismatch")
+        if f.dom != x.carrier:
+            raise CarrierMismatchError("sink map domain mismatch")
+        if x.monad is not monad or x.quantale is not quantale:
+            raise CarrierMismatchError("sink space monad/quantale mismatch")
+    bot = quantale.bottom
+    rows = {x: {y: bot for y in carrier.labels} for x in carrier.labels}
+    for f, x_space in sink:
+        sq = ref_square(x_space)
+        for x1 in x_space.carrier.labels:
+            for x2 in x_space.carrier.labels:
+                tgt = rows[f(x1)]
+                tgt[f(x2)] = quantale.join2(tgt[f(x2)], sq.get(x1, x2))
+    joined = VRel(carrier, carrier, quantale,
+                  [[rows[x][y] for y in carrier.labels]
+                   for x in carrier.labels])
+    closed = reflexive_transitive_closure(joined)
+    return ref_from_square(carrier, monad, quantale, closed)
+
+
+def ref_coproduct_many(spaces):
+    monad, quantale = spaces[0].monad, spaces[0].quantale
+    if not monad.identity_isomorphic:
+        raise UnsupportedOperationError(
+            "coproducts need an identity-isomorphic monad")
+    labels = [f"{i}:{x}" for i, s in enumerate(spaces)
+              for x in s.carrier.labels]
+    carrier = Carrier(labels)
+    injections = [
+        MapArrow(s.carrier, carrier, {x: f"{i}:{x}" for x in s.carrier.labels})
+        for i, s in enumerate(spaces)]
+    bot = quantale.bottom
+    squares = [ref_square(s) for s in spaces]
+
+    def entry(p, r):
+        i, x = p.split(":", 1)
+        j, y = r.split(":", 1)
+        if i != j:
+            return bot
+        return squares[int(i)].get(x, y)
+
+    sq = VRel.build(carrier, carrier, quantale, entry)
+    return ref_from_square(carrier, monad, quantale, sq), injections
+
+
+def ref_compactness_witness(space):
+    q = space.quantale
+    a = space.structure
+    for tx in space.t_carrier.labels:
+        total = q.join(q.tensor(a.get(tx, x), a.get(tx, x))
+                       for x in space.carrier.labels)
+        if not q.leq(q.unit, total):
+            return (tx,)
+    return None
+
+
+def ref_hausdorff_witness(space):
+    q = space.quantale
+    a = space.structure
+    bot, k = q.bottom, q.unit
+    for x in space.carrier.labels:
+        for y in space.carrier.labels:
+            for tx in space.t_carrier.labels:
+                value = q.tensor(a.get(tx, x), a.get(tx, y))
+                if x != y and not q.eq(value, bot):
+                    return (x, y, tx)
+                if x == y and not q.leq(value, k):
+                    return (x, y, tx)
+    return None
+
+
+def ref_point_order_leq(space, y1, y2):
+    e = space.monad.unit(space.carrier)
+    return space.quantale.leq(space.quantale.unit,
+                              space.structure.get(e(y1), y2))
+
+
+def ref_separatedness_witness(space):
+    for y1 in space.carrier.labels:
+        for y2 in space.carrier.labels:
+            if y1 != y2 and ref_point_order_leq(space, y1, y2) \
+                    and ref_point_order_leq(space, y2, y1):
+                return (y1, y2)
+    return None
+
+
+def ref_function_space_join(quantale, pairs):
+    out = quantale.top
+    for b, c in pairs:
+        out = quantale.meet(out, quantale.heyting(b, c))
+    return out
+
+
+def ref_function_space(y_space, z_space, maps):
+    """The function-space square on some maps, entry by entry."""
+    q = y_space.quantale
+    carrier = Carrier(map_label(f) for f in maps)
+    by_label = {map_label(f): f for f in maps}
+    b, c = ref_square(y_space), ref_square(z_space)
+    points = y_space.carrier.labels
+
+    def entry(gl, hl):
+        g, h = by_label[gl], by_label[hl]
+        return ref_function_space_join(
+            q, ((b.get(y1, y2), c.get(g(y1), h(y2)))
+                for y1 in points for y2 in points))
+
+    return VRel.build(carrier, carrier, q, entry), by_label
+
+
+def ref_exponential(y_space, z_space):
+    monad, q = y_space.monad, y_space.quantale
+    if y_space.monad is not z_space.monad:
+        raise CarrierMismatchError("spaces use different monads")
+    if y_space.quantale is not z_space.quantale:
+        raise CarrierMismatchError("spaces use different quantales")
+    if not monad.identity_isomorphic:
+        raise UnsupportedOperationError(
+            "exponentials need an identity-isomorphic monad")
+    witness = exponentiability_witness(y_space)
+    if witness is not None:
+        raise PreconditionError(
+            f"base space is not exponentiable, witness {witness}")
+    sq, by_label = ref_function_space(
+        y_space, z_space, continuous_maps(y_space, z_space))
+    return ref_from_square(sq.dom, monad, q, sq), by_label
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except TvsError as exc:
+        return (type(exc), str(exc))
+
+
+# -- quantales and seeded inputs -----------------------------------------------
+
+
+def diamond():
+    """0 < a, b < 1 with meet as tensor: a lattice that is not a chain."""
+    meet = [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]
+    leq = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
+    return finite_table(["0", "a", "b", "1"], leq, meet, unit_index=3)
+
+
+def nilpotent_diamond():
+    """The diamond with a tensor that sends a, b and their products to 0.
+
+    Not a quantale (the tensor does not distribute over a v b = 1), so it
+    tells ``a (x) a`` from ``a`` in the compactness join."""
+    nil = [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 2], [0, 1, 2, 3]]
+    leq = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
+    return finite_table(["0", "a", "b", "1"], leq, nil, unit_index=3)
+
+
+def no_join():
+    """z < x, y < u, v < t: x and y have two least upper bounds, u and v,
+    and u and v two greatest lower bounds; the tensor is idempotent."""
+    labels = ["z", "x", "y", "u", "v", "t"]
+    above = {"z": "zxyuvt", "x": "xuvt", "y": "yuvt", "u": "ut", "v": "vt",
+             "t": "t"}
+    leq = [[int(b in above[a]) for b in labels] for a in labels]
+    tensor = [[b if a == 5 else a if b in (a, 5) else 0 for b in range(6)]
+              for a in range(6)]
+    return finite_table(labels, leq, tensor, unit_index=5)
+
+
+def no_top():
+    """b < x, y with x and y incomparable: no top element, no join of x, y."""
+    leq = [[1, 1, 1], [0, 1, 0], [0, 0, 1]]
+    tensor = [[0, 0, 0], [0, 1, 0], [0, 0, 2]]
+    return finite_table(["b", "x", "y"], leq, tensor, unit_index=1)
+
+
+def no_bottom():
+    """x, y < t with x and y incomparable: no bottom element, no meet."""
+    leq = [[1, 0, 1], [0, 1, 1], [0, 0, 1]]
+    tensor = [[0, 2, 0], [2, 1, 1], [0, 1, 2]]
+    return finite_table(["x", "y", "t"], leq, tensor, unit_index=2)
+
+
+# the five shipped quantales, a lattice that is not a chain, four broken
+# tables and a chain whose unit is not its top
+QUANTALES = {
+    "bool2": bool2,
+    "chain4": lambda: chain(4),
+    "luk4": lambda: lukasiewicz_grid(4),
+    "cost-plus": cost_plus,
+    "cost-max": cost_max,
+    "diamond": diamond,
+    "nilpotent-diamond": nilpotent_diamond,
+    "no-join": no_join,
+    "no-top": no_top,
+    "no-bottom": no_bottom,
+    "non-integral": non_integral_quantale,
+}
+MONADS = (identity_monad, finite_ultrafilter_monad)
+SIZES = (0, 1, 2, 5, 12)
+# denominators 3, 7 and 12, so the common scale is their lcm (84)
+COSTS = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 12), Fraction(2),
+         Fraction(0), Fraction(11, 7), Fraction(7, 12)]
+
+
+def random_value(q, rng):
+    """Index 0 (the bottom of every table that has one) or inf, a third of
+    the time, so that bottom entries and separated points occur."""
+    if q.is_finite:
+        values = q.carrier_values()
+        return values[0] if rng.random() < 0.35 else rng.choice(values)
+    if rng.random() < 0.35:
+        return q.bottom
+    return q.value(rng.choice(COSTS))
+
+
+def carrier(prefix, n):
+    return Carrier([f"{prefix}{i}" for i in range(n)])
+
+
+def random_space(q, mon, c, rng, closed=False):
+    """A seeded structure on ``c``, closed when the closure exists."""
+    sq = VRel(c, c, q, [[random_value(q, rng) for _ in c] for _ in c])
+    if closed:
+        try:
+            sq = reflexive_transitive_closure(sq)
+        except TvsError:
+            pass
+    return Space.from_square(c, mon, q, sq)
+
+
+def random_map(dom, cod, rng):
+    return MapArrow(dom, cod, {x: rng.choice(cod.labels) for x in dom.labels})
+
+
+def cases(sizes=SIZES):
+    for qname in QUANTALES:
+        for monad in MONADS:
+            for n in sizes:
+                yield pytest.param(qname, monad, n,
+                                   id=f"{qname}-{monad().name}-{n}")
+
+
+def seeded(qname, monad, n, what):
+    q, mon = QUANTALES[qname](), monad()
+    return q, mon, random.Random(f"{what}/{qname}/{mon.name}/{n}")
+
+
+# -- differential tests ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("qname,monad,n", cases())
+def test_square_forms_and_subspaces_match_reference(qname, monad, n):
+    q, mon, rng = seeded(qname, monad, n, "square")
+    c = carrier("p", n)
+    for closed in (False, True):
+        sp = random_space(q, mon, c, rng, closed)
+        assert sp.square() == ref_square(sp)
+        assert (Space.from_square(c, mon, q, sp.square())
+                == ref_from_square(c, mon, q, ref_square(sp)) == sp)
+        picks = [[], list(c.labels), list(reversed(c.labels)),
+                 rng.sample(c.labels, n // 2)]
+        for labels in picks:
+            assert subspace(sp, labels) == ref_subspace(sp, labels)
+        for labels in (["nope"], ["p0", "p0"]):
+            assert outcome(subspace, sp, labels) == outcome(
+                ref_subspace, sp, labels)
+
+
+@pytest.mark.parametrize("qname,monad,n", cases())
+def test_initial_structures_match_reference(qname, monad, n):
+    q, mon, rng = seeded(qname, monad, n, "initial")
+    c = carrier("x", n)
+    targets = [random_space(q, mon, carrier(f"y{k}_", m), rng, closed)
+               for k, (m, closed) in enumerate(((3, True), (4, False),
+                                                (1, True)))]
+    if n:
+        # one target repeated many times, as in a space of continuous maps
+        repeated = [(random_map(c, targets[0].carrier, rng), targets[0])
+                    for _ in range(12)]
+        mixed = [(random_map(c, t.carrier, rng), t)
+                 for t in targets + targets]
+    else:
+        repeated = [(MapArrow(c, targets[0].carrier, {}), targets[0])]
+        mixed = [(MapArrow(c, t.carrier, {}), t) for t in targets]
+    for source in ([], repeated[:1], repeated, mixed):
+        assert outcome(initial_structure, c, source, mon, q) == outcome(
+            ref_initial_structure, c, source, mon, q)
+    if qname in ("bool2", "cost-plus") and n:
+        assert initial_structure(c, [], mon, q).structure.entries == tuple(
+            (q.top,) * n for _ in range(n))
+
+    x_space = random_space(q, mon, carrier("a", min(n, 5)), rng, True)
+    assert outcome(product, x_space, targets[1]) == outcome(
+        ref_product, x_space, targets[1])
+
+
+@pytest.mark.parametrize("qname,monad,n", cases())
+def test_final_structures_match_reference(qname, monad, n):
+    q, mon, rng = seeded(qname, monad, n, "final")
+    c = carrier("x", n)
+    objects = [random_space(q, mon, carrier(f"o{k}_", m), rng, closed)
+               for k, (m, closed) in enumerate(((2, True), (3, False),
+                                                (1, True), (0, True)))]
+    if n:
+        # one object repeated many times, as the probes of a coreflection
+        repeated = [(random_map(objects[0].carrier, c, rng), objects[0])
+                    for _ in range(30)]
+        mixed = [(random_map(o.carrier, c, rng), o) for o in objects * 3]
+    else:
+        repeated = [(MapArrow(objects[3].carrier, c, {}), objects[3])] * 3
+        mixed = repeated
+    for sink in ([], repeated, mixed):
+        assert outcome(final_structure, c, sink, mon, q) == outcome(
+            ref_final_structure, c, sink, mon, q)
+    if qname in ("bool2", "chain4", "cost-plus"):
+        assert final_structure(c, [], mon, q) == discrete_space(c, mon, q)
+
+
+def test_long_paths_in_a_final_structure_stay_finite():
+    """A 12-step path of 2s closes to 24, far above any single entry."""
+    q, mon = cost_plus(), identity_monad()
+    c, edge = carrier("p", 13), carrier("e", 2)
+    step = Space.from_square(edge, mon, q, VRel(edge, edge, q, [
+        [q.value(0), q.value(2)], [q.bottom, q.value(0)]]))
+    sink = [(MapArrow(edge, c, {"e0": f"p{i}", "e1": f"p{i + 1}"}), step)
+            for i in range(12)]
+    got = final_structure(c, sink, mon, q)
+    assert got == ref_final_structure(c, sink, mon, q)
+    assert got.structure.entries[0][12] == q.value(24)
+    assert got.structure.entries[12][0] == q.bottom
+
+
+@pytest.mark.parametrize("qname,monad,n", cases())
+def test_coproducts_match_reference(qname, monad, n):
+    q, mon, rng = seeded(qname, monad, n, "coproduct")
+    family = [random_space(q, mon, carrier("p", m), rng, closed)
+              for m, closed in ((n, True), (0, True), (2, False), (n, False))]
+    for spaces in (family[:1], family[:2], family):
+        assert outcome(coproduct_many, spaces) == outcome(
+            ref_coproduct_many, spaces)
+
+
+@pytest.mark.parametrize("qname,monad,n", cases())
+def test_witnesses_match_reference(qname, monad, n):
+    q, mon, rng = seeded(qname, monad, n, "witness")
+    c = carrier("p", n)
+    spaces = [random_space(q, mon, c, rng, closed)
+              for closed in (False, True, True)]
+    got = outcome(discrete_space, c, mon, q)
+    if got[0] == "ok":
+        discrete = got[1]
+        spaces.append(discrete)
+        if n:
+            # one extra entry makes a discrete space fail late
+            rows = [list(r) for r in discrete.structure.entries]
+            rows[n - 1][rng.randrange(n)] = random_value(q, rng)
+            spaces.append(Space.from_square(c, mon, q, VRel(c, c, q, rows)))
+    for sp in spaces:
+        for fn, ref in ((compactness_witness, ref_compactness_witness),
+                        (hausdorff_witness, ref_hausdorff_witness),
+                        (separatedness_witness, ref_separatedness_witness)):
+            assert outcome(fn, sp) == outcome(ref, sp)
+
+
+@pytest.mark.parametrize("qname,n", [
+    pytest.param(qname, n, id=f"{qname}-{n}")
+    for qname in QUANTALES for n in SIZES])
+def test_function_space_entries_match_reference(qname, n):
+    """The entries on seeded maps, continuous or not, Y up to 3 points."""
+    q, mon, rng = seeded(qname, identity_monad, n, "function-space")
+    y_space = random_space(q, mon, carrier("y", min(n, 3)), rng, True)
+    z_space = random_space(q, mon, carrier("z", n), rng)
+    if n or not len(y_space.carrier):
+        maps = [random_map(y_space.carrier, z_space.carrier, rng)
+                for _ in range(6)]
+    else:
+        maps = []
+    maps = list({map_label(f): f for f in maps}.values())
+
+    def payload_entries():
+        kernel, (b, c) = q.encode((y_space.structure.entries,
+                                   z_space.structure.entries))
+        images = [z_space.carrier.indices(f.table.values()) for f in maps]
+        return [tuple(r) for r in kernel.decode(
+            kernel.function_space(b, c, images))]
+
+    want = outcome(ref_function_space, y_space, z_space, maps)
+    if want[0] == "ok":
+        want = ("ok", list(want[1][0].entries))
+    assert outcome(payload_entries) == want
+
+
+@pytest.mark.parametrize("qname,monad,n", cases(sizes=(0, 1, 2)))
+def test_exponentials_match_reference(qname, monad, n):
+    q, mon, rng = seeded(qname, monad, n, "exponential")
+    for closed in (True, False):
+        y_space = random_space(q, mon, carrier("y", n), rng, closed)
+        z_space = random_space(q, mon, carrier("z", 2), rng, True)
+        assert outcome(exponential, y_space, z_space) == outcome(
+            ref_exponential, y_space, z_space)
+
+
+@pytest.mark.parametrize("qname", ["bool2", "chain4", "luk4", "cost-plus",
+                                   "cost-max", "diamond"])
+def test_coreflections_match_reference(qname):
+    """Coreflection is the final structure over every probe."""
+    q, mon = QUANTALES[qname](), identity_monad()
+    rng = random.Random(qname)
+    cls = ProbeClass.explicit([
+        random_space(q, mon, carrier("o", 2), rng, True),
+        discrete_space(carrier("d", 1), mon, q)])
+    for n in (1, 3, 4):
+        x_space = random_space(q, mon, carrier("x", n), rng, True)
+        probes = cls.probes_into(x_space)
+        assert cls.coreflect(x_space) == ref_final_structure(
+            x_space.carrier, probes, mon, q)
+
+
+def test_mismatches_match_reference():
+    b, ch = bool2(), chain(3)
+    ident, ultra = identity_monad(), finite_ultrafilter_monad()
+    c, other = carrier("p", 2), carrier("q", 2)
+    sp = discrete_space(c, ident, b)
+    ident_map = MapArrow.identity(c)
+    wrong_dom = MapArrow.identity(other)
+    for args in ((c, [(wrong_dom, sp)], ident, b),
+                 (c, [(ident_map, discrete_space(other, ident, b))], ident,
+                  b),
+                 (c, [(ident_map, sp)], ultra, b),
+                 (c, [(ident_map, sp)], ident, ch)):
+        for fn, ref in ((initial_structure, ref_initial_structure),
+                        (final_structure, ref_final_structure)):
+            got = outcome(fn, *args)
+            assert got[0] is CarrierMismatchError
+            assert got == outcome(ref, *args)
+
+
+def test_from_square_refuses_a_square_on_other_labels():
+    q, mon = bool2(), identity_monad()
+    ab, abc = Carrier(["a", "b"]), Carrier(["a", "b", "c"])
+    larger = VRel(abc, abc, q, [[q.top, q.bottom, q.bottom],
+                                [q.bottom, q.top, q.bottom],
+                                [q.top, q.top, q.top]])
+    reordered = VRel(Carrier(["b", "a"]), Carrier(["b", "a"]), q,
+                     [[q.top, q.bottom], [q.top, q.top]])
+    # the Value loop read the a,b block and re-indexed by label
+    assert ref_from_square(ab, mon, q, larger).structure.entries == (
+        (q.top, q.bottom), (q.bottom, q.top))
+    assert ref_from_square(ab, mon, q, reordered).structure.entries == (
+        (q.top, q.top), (q.bottom, q.top))
+    for square, shape in ((larger, "['a', 'b', 'c'] x ['a', 'b', 'c']"),
+                          (reordered, "['b', 'a'] x ['b', 'a']")):
+        with pytest.raises(StructuralError) as exc:
+            Space.from_square(ab, mon, q, square)
+        assert str(exc.value) == (f"square form on {shape} does not match "
+                                  "the carrier ['a', 'b']")
+
+
+def test_non_principal_monad_is_refused():
+    class Renamed(Monad):
+        name = "renamed"
+        identity_isomorphic = False
+
+        def apply_carrier(self, carrier):
+            return carrier
+
+    q = bool2()
+    c = carrier("p", 1)
+    sp = Space(c, Renamed(), q, VRel(c, c, q, [[q.top]]))
+    ident_map = MapArrow.identity(c)
+    for fn, args, message in (
+            (Space.square, (sp,), "the square form needs"),
+            (Space.from_square, (c, sp.monad, q, VRel(c, c, q, [[q.top]])),
+             "square transport needs"),
+            (subspace, (sp, ["p0"]), "restriction to a subspace needs"),
+            (initial_structure, (c, [(ident_map, sp)], sp.monad, q),
+             "the initial structure needs"),
+            (final_structure, (c, [(ident_map, sp)], sp.monad, q),
+             "final structures need"),
+            (coproduct_many, ([sp],), "coproducts need"),
+            (compactness_witness, (sp,), "compactness needs"),
+            (hausdorff_witness, (sp,), "Hausdorffness needs"),
+            (separatedness_witness, (sp,), "separatedness needs"),
+            (exponential, (sp, sp), "exponentials need")):
+        with pytest.raises(UnsupportedOperationError) as exc:
+            fn(*args)
+        assert str(exc.value) == f"{message} an identity-isomorphic monad"
