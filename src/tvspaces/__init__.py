@@ -47,8 +47,6 @@ from .monad import (
     finite_ultrafilter_monad,
     identity_monad,
     monad_by_name,
-    mult_map,
-    unit_rel,
 )
 from .space import (
     Space,

@@ -1,8 +1,7 @@
 """Exhaustive enumeration of structures, spaces and canonical forms.
 
-Only finite quantales can be enumerated; all helpers here assume a monad
-that is carrier-isomorphic to the identity, so a structure is determined by
-its square form.
+Only finite quantales can be enumerated.  A structure is a square (see
+:mod:`tvspaces.space`), whatever the monad tag.
 
 :func:`all_valid_spaces` is a depth-first search over the cells of the
 square, on carrier indices.  It assigns the cells in the order of the
@@ -63,9 +62,6 @@ def all_valid_spaces(quantale, monad, carrier):
     if not quantale.is_finite:
         raise UnsupportedOperationError(
             "cannot enumerate structures over an infinite quantale")
-    if not monad.identity_isomorphic:
-        raise UnsupportedOperationError(
-            "enumeration needs an identity-isomorphic monad")
     n = len(carrier)
     values = quantale.carrier_values()
     tensor, leq = quantale._tensor, quantale._leq
@@ -73,8 +69,6 @@ def all_valid_spaces(quantale, monad, carrier):
     diag = [v.payload for v in values if leq[unit][v.payload]]
     every = [v.payload for v in values]
     at, closes = _cell_order(n)
-    # the rows of TX are the points in carrier order (see space.py)
-    t_carrier = monad.apply_carrier(carrier)
     choices = [diag] * n + [every] * (n * n - n)
     # one DFS frame per cell: the index of its next choice to try
     a, nxt, depth, last = [0] * n * n, [0] * n * n, 0, n * n - 1
@@ -82,7 +76,7 @@ def all_valid_spaces(quantale, monad, carrier):
         if depth > last:                  # every cell is set: a structure
             rows = [[values[a[p]] for p in row] for row in at]
             yield Space(carrier, monad, quantale,
-                        VRel(t_carrier, carrier, quantale, rows))
+                        VRel(carrier, carrier, quantale, rows))
             depth -= 1
             continue
         k = nxt[depth]
@@ -107,7 +101,7 @@ def all_valid_spaces_upto(quantale, monad, max_size, include_empty=True):
 
 def iso_canonical_key(space):
     """Least token matrix of the square form over carrier permutations."""
-    sq = space.square().tokens()
+    sq = space.structure.tokens()
     n = len(space.carrier)
     best = None
     for perm in itertools.permutations(range(n)):

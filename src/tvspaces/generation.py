@@ -31,11 +31,13 @@ from .space import (
     initial_structure,
     is_continuous,
     map_label,
+    pair_label,
     product,
+    pair_carrier,
     sierpinski_space,
     validate_space,
 )
-from .vrel import Carrier, MapArrow, VRel
+from .vrel import Carrier, MapArrow
 
 DEFAULT_MAP_BUDGET = 2_000_000
 
@@ -265,8 +267,7 @@ def transpose_cmap(f, x_space, y_space, z_space, probe_class, cmap=None):
     if cmap is None:
         cmap = cmap_space(y_space, z_space, probe_class)
     cmap_sp, by_label = cmap
-    prod, _ = product(x_space, y_space)
-    if f.dom != prod.carrier:
+    if f.dom != pair_carrier(x_space.carrier, y_space.carrier):
         raise CarrierMismatchError(
             "transpose needs the canonical product carrier as domain")
     if f.cod != z_space.carrier:
@@ -275,7 +276,7 @@ def transpose_cmap(f, x_space, y_space, z_space, probe_class, cmap=None):
     for x in x_space.carrier.labels:
         slice_map = MapArrow(
             y_space.carrier, z_space.carrier,
-            {y: f(f"({x},{y})") for y in y_space.carrier.labels})
+            {y: f(pair_label(x, y)) for y in y_space.carrier.labels})
         label = map_label(slice_map)
         if label not in cmap_sp.carrier:
             raise StructuralError(
@@ -292,13 +293,13 @@ def untranspose_cmap(g, x_space, y_space, z_space, probe_class, cmap=None):
     cmap_sp, by_label = cmap
     if g.dom != x_space.carrier or g.cod != cmap_sp.carrier:
         raise CarrierMismatchError("untranspose endpoints mismatch")
-    prod, _ = product(x_space, y_space)
     table = {}
     for x in x_space.carrier.labels:
         slice_map = by_label[g(x)]
         for y in y_space.carrier.labels:
-            table[f"({x},{y})"] = slice_map(y)
-    return MapArrow(prod.carrier, z_space.carrier, table)
+            table[pair_label(x, y)] = slice_map(y)
+    return MapArrow(pair_carrier(x_space.carrier, y_space.carrier),
+                    z_space.carrier, table)
 
 
 # -- the specialization / expansion pair ----------------------------------------
@@ -307,24 +308,20 @@ def untranspose_cmap(g, x_space, y_space, z_space, probe_class, cmap=None):
 def specialization(space):
     """Restrict a monad space to the plain quantale space on its points."""
     return Space(space.carrier, identity_monad(), space.quantale,
-                 space.square())
+                 space.structure)
 
 
 def alexandroff_expansion(v_space, monad):
     """Freely expand a plain quantale space along a monad.
 
-    The structure is the lifted relation evaluated against the unit; for the
-    shipped principal instances this is inverse to :func:`specialization`.
+    The structure is the lifted relation evaluated against the unit, which
+    for the shipped principal monads is the square itself: the expansion
+    re-tags the space, and is inverse to :func:`specialization`.
     """
     if v_space.monad is not identity_monad():
         raise CarrierMismatchError(
             "expansion starts from an identity-monad space")
-    lifted = monad.lift_relation(v_space.structure)
-    e = monad.unit(v_space.carrier)
-    t_carrier = monad.apply_carrier(v_space.carrier)
-    structure = VRel.build(t_carrier, v_space.carrier, v_space.quantale,
-                           lambda ty, y: lifted.get(ty, e(y)))
-    return Space(v_space.carrier, monad, v_space.quantale, structure)
+    return Space(v_space.carrier, monad, v_space.quantale, v_space.structure)
 
 
 def is_alexandroff(space, grid=None, budget=DEFAULT_MAP_BUDGET):

@@ -1,180 +1,51 @@
-"""Monads with a lax extension to quantale-valued relations.
+"""The monads a space can be tagged with.
 
-Two instances ship: the identity monad, and the ultrafilter monad restricted
-to finite carriers, where every ultrafilter is principal so the functor is
-naturally isomorphic to the identity.  Both extensions are flat, commute with
-transposition, and admit a retraction inverse to the unit, which is what the
-final-structure and exponential machinery relies on.
+A (T,V)-space has a structure ``TX -/-> X``.  Both monads that ship are
+carrier-isomorphic to the identity: the identity monad, and the ultrafilter
+monad on finite carriers, where every ultrafilter is principal (Hofmann,
+Seal & Tholen, *Monoidal Topology*, ch. III).  Under that isomorphism the
+unit, the multiplication and the lax extension act as the identity on
+points, so every structure is a square ``X -/-> X`` and a monad is only a
+tag: its name, and the way witnesses write the point of ``TX`` or ``TTX``
+over a point ``x`` (``x`` itself, or ``U(x)`` and ``U(U(x))``).
 """
 
-from functools import lru_cache
-
 from .errors import UnsupportedOperationError
-from .vrel import Carrier, MapArrow, VRel, from_map
 
 
 class Monad:
-    """Base interface: action on carriers, maps and relations, unit, mult."""
+    """A monad tag: a name and the row labels of ``TX`` and ``TTX``."""
 
-    name = None
-    identity_isomorphic = True
+    __slots__ = ("name", "_wrapper")
 
-    def apply_carrier(self, carrier):
-        raise NotImplementedError
+    def __init__(self, name, wrapper=None):
+        self.name = name
+        self._wrapper = wrapper
 
-    def apply_map(self, f):
-        raise NotImplementedError
-
-    def lift_relation(self, r):
-        raise NotImplementedError
-
-    def unit(self, carrier):
-        """The unit component as a map ``X -> TX``."""
-        raise NotImplementedError
-
-    def mult(self, carrier):
-        """The multiplication component as a map ``TTX -> TX``."""
-        raise NotImplementedError
-
-    def retraction(self, carrier):
-        """Inverse of the unit, ``TX -> X``.
-
-        Exists because the shipped functors are carrier-isomorphic to the
-        identity; it doubles as the algebra structure on quantale carriers
-        (``xi``), which is the identity transported along that isomorphism.
-        """
-        raise NotImplementedError
+    def row_label(self, label, depth=1):
+        """The point of ``TX`` (depth 1) or ``TTX`` (depth 2) over a point."""
+        if self._wrapper is None:
+            return label
+        return f"{self._wrapper}(" * depth + label + ")" * depth
 
     def __repr__(self):
         return f"<monad {self.name}>"
 
 
-class IdentityMonad(Monad):
-    name = "identity"
-
-    def apply_carrier(self, carrier):
-        return carrier
-
-    def apply_map(self, f):
-        return f
-
-    def lift_relation(self, r):
-        return r
-
-    def unit(self, carrier):
-        return MapArrow.identity(carrier)
-
-    def mult(self, carrier):
-        return MapArrow.identity(carrier)
-
-    def retraction(self, carrier):
-        return MapArrow.identity(carrier)
+_MONADS = {m.name: m for m in (Monad("identity"),
+                               Monad("ultrafilter-finite", "U"))}
 
 
-class FiniteUltrafilterMonad(Monad):
-    """Ultrafilters on a finite carrier, materialized as principal points.
-
-    ``TX`` carries one label ``U(x)`` per point; unit sends a point to its
-    principal ultrafilter, multiplication strips one layer.  The lax
-    extension transports a relation along the principal bijection.
-    """
-
-    name = "ultrafilter-finite"
-
-    @staticmethod
-    def _wrap(label):
-        return f"U({label})"
-
-    @staticmethod
-    def _unwrap(label):
-        if not (label.startswith("U(") and label.endswith(")")):
-            raise UnsupportedOperationError(
-                f"label {label!r} is not a principal-ultrafilter label")
-        return label[2:-1]
-
-    def apply_carrier(self, carrier):
-        return Carrier(self._wrap(x) for x in carrier.labels)
-
-    def apply_map(self, f):
-        return MapArrow(self.apply_carrier(f.dom), self.apply_carrier(f.cod),
-                        {self._wrap(x): self._wrap(y)
-                         for x, y in f.table.items()})
-
-    def lift_relation(self, r):
-        return VRel(self.apply_carrier(r.dom), self.apply_carrier(r.cod),
-                    r.quantale, r.entries)
-
-    def unit(self, carrier):
-        return MapArrow(carrier, self.apply_carrier(carrier),
-                        {x: self._wrap(x) for x in carrier.labels})
-
-    def mult(self, carrier):
-        t = self.apply_carrier(carrier)
-        tt = self.apply_carrier(t)
-        return MapArrow(tt, t, {self._wrap(y): y for y in t.labels})
-
-    def retraction(self, carrier):
-        return MapArrow(self.apply_carrier(carrier), carrier,
-                        {self._wrap(x): x for x in carrier.labels})
-
-
-@lru_cache(maxsize=None)
 def identity_monad():
-    return IdentityMonad()
+    return _MONADS["identity"]
 
 
-@lru_cache(maxsize=None)
 def finite_ultrafilter_monad():
-    return FiniteUltrafilterMonad()
+    return _MONADS["ultrafilter-finite"]
 
 
 def monad_by_name(name):
-    if name == "identity":
-        return identity_monad()
-    if name == "ultrafilter-finite":
-        return finite_ultrafilter_monad()
-    raise UnsupportedOperationError(f"unknown monad {name!r}")
-
-
-def unit_rel(monad, carrier, quantale):
-    """The unit embedded as a relation ``X -/-> TX``."""
-    return from_map(monad.unit(carrier), quantale)
-
-
-def mult_map(monad, carrier):
-    return monad.mult(carrier)
-
-
-def check_monad_laws(monad, carrier):
-    """Unit and associativity squares on one carrier; returns failures."""
-    failures = []
-    t = monad.apply_carrier(carrier)
-    tt = monad.apply_carrier(t)
-    m = monad.mult(carrier)
-    m_t = monad.mult(t)
-    e_t = monad.unit(t)
-    te = monad.apply_map(monad.unit(carrier))
-    tm = monad.apply_map(m)
-    ident = MapArrow.identity(t)
-    if e_t.then(m) != ident:
-        failures.append("m . e_T != id")
-    if te.then(m) != ident:
-        failures.append("m . Te != id")
-    if tm.then(m) != m_t.then(m):
-        failures.append("m . Tm != m . m_T")
-    return failures
-
-
-def check_extension_laws(monad, relation):
-    """Flatness and involution compatibility on one relation."""
-    from .vrel import identity_rel, transpose
-
-    failures = []
-    lifted = monad.lift_relation(relation)
-    if monad.lift_relation(transpose(relation)) != transpose(lifted):
-        failures.append("T(r^t) != (Tr)^t")
-    ident = identity_rel(relation.dom, relation.quantale)
-    if monad.lift_relation(ident) != identity_rel(
-            monad.apply_carrier(relation.dom), relation.quantale):
-        failures.append("T(1) != 1 (extension not flat)")
-    return failures
+    try:
+        return _MONADS[name]
+    except KeyError:
+        raise UnsupportedOperationError(f"unknown monad {name!r}") from None

@@ -927,25 +927,6 @@ def finite_table(labels, leq_table, tensor_table, unit_index):
                           leq_table, tensor_table, unit_index)
 
 
-# -- spec-level operation wrappers -------------------------------------------
-
-
-def tensor(u, v):
-    return u.quantale.tensor(u, v)
-
-
-def join(quantale, values):
-    return quantale.join(values)
-
-
-def hom(u, v):
-    return u.quantale.hom(u, v)
-
-
-def leq(u, v):
-    return u.quantale.leq(u, v)
-
-
 # -- generated value sets -----------------------------------------------------
 
 

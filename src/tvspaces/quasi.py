@@ -28,6 +28,7 @@ from .space import (
     is_continuous,
     is_hausdorff,
     map_label,
+    pair_label,
     product,
     subspace,
     validate_space,
@@ -554,7 +555,7 @@ def evaluation_quasi(exp_quasi, by_label, qx, qy):
     for gl in exp_quasi.carrier.labels:
         g = by_label[gl]
         for x in qx.carrier.labels:
-            table[f"({gl},{x})"] = g(x)
+            table[pair_label(gl, x)] = g(x)
     return prod, MapArrow(prod.carrier, qy.carrier, table)
 
 
@@ -566,7 +567,7 @@ def transpose_quasi(f, qz, qx, qy, exp=None):
     table = {}
     for z in qz.carrier.labels:
         slice_map = MapArrow(qx.carrier, qy.carrier,
-                             {x: f(f"({z},{x})")
+                             {x: f(pair_label(z, x))
                               for x in qx.carrier.labels})
         label = map_label(slice_map)
         if label not in exp_quasi.carrier:

@@ -1,12 +1,14 @@
 """Generalized spaces on finite carriers and their structural operations.
 
-A space is a carrier together with a structure relation from the monad image
-of the carrier back to the carrier, satisfying the lax reflexivity and
-transitivity inequalities.  This module validates those axioms, decides
-continuity, builds subspaces, products, coproducts, initial and final
-liftings, and decides the compactness, Hausdorff, separatedness and
-exponentiability predicates, plus function spaces for instances whose monad
-is carrier-isomorphic to the identity.
+A space is a carrier, a monad tag and a square structure relation
+``a : X -/-> X`` satisfying the lax reflexivity and transitivity
+inequalities.  Both shipped monads are carrier-isomorphic to the identity
+(see :mod:`tvspaces.monad`), so the paper's structure ``TX -/-> X`` has the
+rows of the square in carrier order, and ``TTX`` does too; the tag only
+names the points of ``TX`` and ``TTX`` in witnesses.  This module validates
+the axioms, decides continuity, builds subspaces, products, coproducts,
+initial and final liftings and function spaces, and decides the
+compactness, Hausdorff, separatedness and exponentiability predicates.
 
 Structure equality is exact entrywise value equality; there are no
 tolerances anywhere.
@@ -24,81 +26,38 @@ every entry of the operation over one common scale, so two entries have the
 same payload exactly when they are the same value, and the kernel's order,
 tensor, join, meet and implication agree with the ``Value`` ones.  Encoding
 a matrix again for every map that refers to it would give the same payloads.
-
-All of them read a structure ``TX -/-> X`` as its square form, which needs a
-monad isomorphic to the identity (both shipped monads are); any other monad
-is refused with ``UnsupportedOperationError``.
 """
 
 import itertools
 
-from .errors import (
-    CarrierMismatchError,
-    PreconditionError,
-    StructuralError,
-    UnsupportedOperationError,
-)
+from .errors import CarrierMismatchError, PreconditionError, StructuralError
 from .quantale import generated_values
 from .validation import ValidationReport
-from .vrel import (
-    Carrier,
-    MapArrow,
-    VRel,
-    from_map,
-    transpose,
-)
+from .vrel import Carrier, MapArrow, VRel, identity_rel
 
 
 class Space:
-    """A finite carrier with a reflexive, transitive structure relation."""
+    """A finite carrier, a monad tag and a reflexive, transitive square."""
 
-    __slots__ = ("carrier", "monad", "quantale", "structure", "_t_carrier")
+    __slots__ = ("carrier", "monad", "quantale", "structure")
 
     def __init__(self, carrier, monad, quantale, structure):
-        t_carrier = monad.apply_carrier(carrier)
-        if structure.dom != t_carrier or structure.cod != carrier:
+        if structure.dom != carrier or structure.cod != carrier:
             raise StructuralError(
-                "structure shape does not match the monad image of the "
-                f"carrier: expected {len(t_carrier)}x{len(carrier)}")
+                f"square form on {list(structure.dom.labels)} x "
+                f"{list(structure.cod.labels)} does not match the carrier "
+                f"{list(carrier.labels)}")
         if structure.quantale is not quantale:
             raise StructuralError("structure uses a different quantale")
         self.carrier = carrier
         self.monad = monad
         self.quantale = quantale
         self.structure = structure
-        self._t_carrier = t_carrier
-
-    @property
-    def t_carrier(self):
-        return self._t_carrier
-
-    def square(self):
-        """The structure restricted along the unit, as a square relation.
-
-        For an identity-isomorphic monad the structure's rows are already
-        those of the square form, in carrier order.
-        """
-        _require_square(self.monad, "the square form")
-        return VRel(self.carrier, self.carrier, self.quantale,
-                    self.structure.entries)
 
     @staticmethod
     def from_square(carrier, monad, quantale, square):
-        """Rebuild a structure from its square form along the retraction.
-
-        Only meaningful for monads isomorphic to the identity, where the
-        unit is a bijection on points.  The square must be indexed by the
-        carrier itself on both sides, in carrier order.
-        """
-        if not monad.identity_isomorphic:
-            raise UnsupportedOperationError(
-                "square transport needs an identity-isomorphic monad")
-        if square.dom != carrier or square.cod != carrier:
-            raise StructuralError(
-                f"square form on {list(square.dom.labels)} x "
-                f"{list(square.cod.labels)} does not match the carrier "
-                f"{list(carrier.labels)}")
-        return _square_space(carrier, monad, quantale, square.entries)
+        """The space with this square structure; the constructor, by name."""
+        return Space(carrier, monad, quantale, square)
 
     def cache_key(self):
         return (self.quantale.cache_key(), self.monad.name,
@@ -117,25 +76,6 @@ class Space:
     def __repr__(self):
         return (f"Space({list(self.carrier.labels)}, {self.monad.name}, "
                 f"{self.structure!r})")
-
-
-def _require_square(monad, what):
-    """Refuse monads whose structures are not index-wise square matrices.
-
-    For the identity-isomorphic monads the structure ``TX -/-> X`` has the
-    rows of the square form in carrier order, the lifted structure has the
-    same entries and unit, multiplication and ``Tf`` act as the identity on
-    indices; the kernels below rely on exactly that.
-    """
-    if not monad.identity_isomorphic:
-        raise UnsupportedOperationError(
-            f"{what} needs an identity-isomorphic monad")
-
-
-def _square_space(carrier, monad, quantale, rows):
-    """The space whose square form has these rows of Values."""
-    return Space(carrier, monad, quantale,
-                 VRel(monad.apply_carrier(carrier), carrier, quantale, rows))
 
 
 def _encode_distinct(quantale, spaces, steps=1):
@@ -164,11 +104,9 @@ def _check_compatible(*spaces):
 def validate_space(space):
     """Check lax reflexivity and transitivity entrywise, with witnesses.
 
-    With the structure read as its square ``a``, reflexivity is
-    ``k <= a(x, x)`` and transitivity is ``a . a <= a``; a transitivity
-    witness names the point of ``TTX`` of its row.
+    Reflexivity is ``k <= a(x, x)`` and transitivity is ``a . a <= a``; a
+    transitivity witness names the point of ``TTX`` of its row.
     """
-    _require_square(space.monad, "validation")
     entries = space.structure.entries
     labels = space.carrier.labels
     kernel, (a,) = space.quantale.encode((entries,), steps=2)
@@ -178,13 +116,12 @@ def validate_space(space):
             violations.append(("reflexivity", (x, entries[i][i].token)))
 
     lhs = kernel.compose(a, a, len(labels))
-    failures = list(kernel.failures(lhs, a))
-    if failures:
-        big = space.monad.apply_carrier(space.t_carrier).labels
-        for i, j in failures:
-            lhs_token = kernel.value(lhs[i][j]).token
-            violations.append(("transitivity", (big[i], labels[j], lhs_token,
-                                                entries[i][j].token)))
+    row_label = space.monad.row_label
+    for i, j in kernel.failures(lhs, a):
+        lhs_token = kernel.value(lhs[i][j]).token
+        violations.append(("transitivity", (row_label(labels[i], 2),
+                                            labels[j], lhs_token,
+                                            entries[i][j].token)))
     return ValidationReport.collect(violations)
 
 
@@ -196,7 +133,6 @@ def continuity_witness(f, x_space, y_space):
     _check_compatible(x_space, y_space)
     if f.dom != x_space.carrier or f.cod != y_space.carrier:
         raise CarrierMismatchError("map endpoints do not match the spaces")
-    _require_square(x_space.monad, "continuity")
     a, b = x_space.structure.entries, y_space.structure.entries
     kernel = x_space.quantale.kernel((a, b))
     row, row_below = kernel.row, kernel.row_below
@@ -210,7 +146,8 @@ def continuity_witness(f, x_space, y_space):
         ra = row(a[i])
         if not row_below(ra, rb):
             j = kernel.row_failures(ra, rb)[0]
-            return (x_space.t_carrier.labels[i], x_space.carrier.labels[j])
+            labels = x_space.carrier.labels
+            return (x_space.monad.row_label(labels[i]), labels[j])
     return None
 
 
@@ -223,7 +160,6 @@ def is_fully_faithful(f, x_space, y_space):
     _check_compatible(x_space, y_space)
     if f.dom != x_space.carrier or f.cod != y_space.carrier:
         raise CarrierMismatchError("map endpoints do not match the spaces")
-    _require_square(x_space.monad, "full faithfulness")
     a, b = x_space.structure.entries, y_space.structure.entries
     row = x_space.quantale.kernel((a, b)).row
     indices = f.cod.indices(f.table.values())
@@ -249,7 +185,6 @@ def _continuous_map_search(x_space, y_space):
     if n and not m:
         return []
     _check_compatible(x_space, y_space)
-    _require_square(x_space.monad, "continuity")
     a, b = x_space.structure.entries, y_space.structure.entries
     kernel = x_space.quantale.kernel((a, b))
     row, below = kernel.row, kernel.below
@@ -326,11 +261,11 @@ def subspace(space, labels):
             raise StructuralError(f"label {x!r} is not in the carrier")
     sub = Carrier(labels)
     incl = MapArrow(sub, space.carrier, {x: x for x in labels})
-    _require_square(space.monad, "restriction to a subspace")
     a = space.structure.entries
     indices = space.carrier.indices(labels)
     rows = [[a[i][j] for j in indices] for i in indices]
-    return _square_space(sub, space.monad, space.quantale, rows), incl
+    return Space(sub, space.monad, space.quantale,
+                 VRel(sub, sub, space.quantale, rows)), incl
 
 
 def initial_structure(carrier, source, monad, quantale):
@@ -350,7 +285,6 @@ def initial_structure(carrier, source, monad, quantale):
             raise CarrierMismatchError("source map codomain mismatch")
         if y.monad is not monad or y.quantale is not quantale:
             raise CarrierMismatchError("source space monad/quantale mismatch")
-    _require_square(monad, "the initial structure")
     kernel, payloads = _encode_distinct(quantale, [y for _, y in source])
     pulled = []                       # per map, row x of b pulled back
     for f, y in source:
@@ -361,22 +295,20 @@ def initial_structure(carrier, source, monad, quantale):
     n = len(carrier)
     meets = [kernel.meet_rows([rows[i] for rows in pulled], n)
              for i in range(n)]
-    return _square_space(carrier, monad, quantale, kernel.decode(meets))
+    return Space(carrier, monad, quantale,
+                 VRel(carrier, carrier, quantale, kernel.decode(meets)))
 
 
 def final_structure(carrier, sink, monad, quantale):
     """Least structure making every map of the sink continuous.
 
     Computed as the reflexive-transitive closure of the joined pushforward
-    relations; restricted to identity-isomorphic monads and integral
-    quantales, where the closure is exact.  The empty sink gives the
-    discrete space.  Each distinct domain structure is encoded once, with
-    room for the closure's sums; every map then joins its domain's square
-    into the rows and columns of its images, in the order of the sink.
+    relations; restricted to integral quantales, where the closure is exact.
+    The empty sink gives the discrete space.  Each distinct domain structure
+    is encoded once, with room for the closure's sums; every map then joins
+    its domain's square into the rows and columns of its images, in the
+    order of the sink.
     """
-    if not monad.identity_isomorphic:
-        raise UnsupportedOperationError(
-            "final structures need an identity-isomorphic monad")
     for f, x in sink:
         if f.cod != carrier:
             raise CarrierMismatchError("sink map codomain mismatch")
@@ -394,33 +326,40 @@ def final_structure(carrier, sink, monad, quantale):
         for fi, row in zip(indices, payloads[id(x.structure)]):
             kernel.join_at(joined[fi], indices, row)
     closed = kernel.close(joined)
-    return _square_space(carrier, monad, quantale, kernel.decode(closed))
+    return Space(carrier, monad, quantale,
+                 VRel(carrier, carrier, quantale, kernel.decode(closed)))
+
+
+def pair_label(x, y):
+    """The label of the point ``(x, y)`` of a product carrier."""
+    return f"({x},{y})"
+
+
+def pair_carrier(x_carrier, y_carrier):
+    """The carrier of ``X x Y``: the pairs in row-major order."""
+    return Carrier(pair_label(x, y) for x in x_carrier.labels
+                   for y in y_carrier.labels)
 
 
 def product(x_space, y_space):
     """Binary product: initial lifting along the two projections."""
     _check_compatible(x_space, y_space)
-    labels = [f"({x},{y})" for x in x_space.carrier.labels
-              for y in y_space.carrier.labels]
-    carrier = Carrier(labels)
-    table1, table2 = {}, {}
-    for x in x_space.carrier.labels:
-        for y in y_space.carrier.labels:
-            table1[f"({x},{y})"] = x
-            table2[f"({x},{y})"] = y
-    p1 = MapArrow(carrier, x_space.carrier, table1)
-    p2 = MapArrow(carrier, y_space.carrier, table2)
+    carrier = pair_carrier(x_space.carrier, y_space.carrier)
+    pairs = list(zip(carrier.labels, itertools.product(
+        x_space.carrier.labels, y_space.carrier.labels)))
+    p1 = MapArrow(carrier, x_space.carrier, {p: x for p, (x, _) in pairs})
+    p2 = MapArrow(carrier, y_space.carrier, {p: y for p, (_, y) in pairs})
     space = initial_structure(carrier, [(p1, x_space), (p2, y_space)],
                               x_space.monad, x_space.quantale)
     return space, (p1, p2)
 
 
-def pairing(f, g, product_carrier):
+def pairing(f, g, carrier):
     """The map ``x -> (f(x), g(x))`` into a product carrier."""
     if f.dom != g.dom:
         raise CarrierMismatchError("pairing needs a shared domain")
-    return MapArrow(f.dom, product_carrier,
-                    {x: f"({f(x)},{g(x)})" for x in f.dom.labels})
+    return MapArrow(f.dom, carrier,
+                    {x: pair_label(f(x), g(x)) for x in f.dom.labels})
 
 
 def coproduct_many(spaces):
@@ -429,9 +368,6 @@ def coproduct_many(spaces):
         raise PreconditionError("coproduct of an empty family: use a carrier")
     _check_compatible(*spaces)
     monad, quantale = spaces[0].monad, spaces[0].quantale
-    if not monad.identity_isomorphic:
-        raise UnsupportedOperationError(
-            "coproducts need an identity-isomorphic monad")
     labels = [f"{i}:{x}" for i, s in enumerate(spaces)
               for x in s.carrier.labels]
     carrier = Carrier(labels)
@@ -445,7 +381,8 @@ def coproduct_many(spaces):
         rows.extend([bot] * before + list(row) + [bot] * after
                     for row in s.structure.entries)
         before += len(s.carrier)
-    return _square_space(carrier, monad, quantale, rows), injections
+    return Space(carrier, monad, quantale,
+                 VRel(carrier, carrier, quantale, rows)), injections
 
 
 def coproduct(x_space, y_space):
@@ -453,13 +390,13 @@ def coproduct(x_space, y_space):
     return space, (injections[0], injections[1])
 
 
-def copairing(maps, coproduct_carrier):
+def copairing(maps, carrier):
     """The map out of a disjoint union induced by one map per summand."""
     table = {}
     for i, f in enumerate(maps):
         for x in f.dom.labels:
             table[f"{i}:{x}"] = f(x)
-    return MapArrow(coproduct_carrier, maps[0].cod, table) if maps else None
+    return MapArrow(carrier, maps[0].cod, table) if maps else None
 
 
 # -- predicates ----------------------------------------------------------------
@@ -471,13 +408,12 @@ def compactness_witness(space):
     Row tx is compact when the unit is below the join over x of
     ``a(tx, x) (x) a(tx, x)``; rows are tested in order.
     """
-    _require_square(space.monad, "compactness")
     kernel, (a,) = space.quantale.encode((space.structure.entries,), steps=2)
     tensor, unit = kernel.tensor, kernel.unit
-    for tx, row in zip(space.t_carrier.labels, a):
+    for x, row in zip(space.carrier.labels, a):
         total = kernel.join_all([tensor(v, v) for v in row])
         if not kernel.below(unit, total):
-            return (tx,)
+            return (space.monad.row_label(x),)
     return None
 
 
@@ -491,17 +427,17 @@ def hausdorff_witness(space):
     ``a(tx, x) (x) a(tx, y)`` must be bottom for x != y and below the unit
     for x = y; pairs are tested with x outermost and tx innermost.
     """
-    _require_square(space.monad, "Hausdorffness")
     kernel, (a,) = space.quantale.encode((space.structure.entries,),
                                          steps=2)
     bot, unit = kernel.bottom, kernel.unit
     tensor, below = kernel.tensor, kernel.below
-    for i, x in enumerate(space.carrier.labels):
-        for j, y in enumerate(space.carrier.labels):
-            for tx, row in zip(space.t_carrier.labels, a):
+    labels = space.carrier.labels
+    for i, x in enumerate(labels):
+        for j, y in enumerate(labels):
+            for t, row in zip(labels, a):
                 value = tensor(row[i], row[j])
                 if value != bot if i != j else not below(value, unit):
-                    return (x, y, tx)
+                    return (x, y, space.monad.row_label(t))
     return None
 
 
@@ -510,10 +446,9 @@ def is_hausdorff(space):
 
 
 def point_order_leq(space, y1, y2):
-    """The induced preorder on points: unit below the unit-restricted value."""
-    e = space.monad.unit(space.carrier)
+    """The induced preorder on points: the unit below ``a(y1, y2)``."""
     return space.quantale.leq(space.quantale.unit,
-                              space.structure.get(e(y1), y2))
+                              space.structure.get(y1, y2))
 
 
 def separatedness_witness(space):
@@ -521,7 +456,6 @@ def separatedness_witness(space):
 
     Pairs ``(y1, y2)`` of distinct points are tested in row-major order.
     """
-    _require_square(space.monad, "separatedness")
     kernel, (a,) = space.quantale.encode((space.structure.entries,))
     unit, below = kernel.unit, kernel.below
     up = [[below(unit, p) for p in row] for row in a]
@@ -544,9 +478,8 @@ def map_order_leq(f, g, x_space, y_space):
     if f.dom != x_space.carrier or f.cod != y_space.carrier:
         raise CarrierMismatchError("map endpoints do not match the spaces")
     q = y_space.quantale
-    e = y_space.monad.unit(y_space.carrier)
     b = y_space.structure
-    return all(q.leq(q.unit, b.get(e(f(x)), g(x)))
+    return all(q.leq(q.unit, b.get(f(x), g(x)))
                for x in x_space.carrier.labels)
 
 
@@ -554,16 +487,14 @@ def map_order_leq(f, g, x_space, y_space):
 
 
 def discrete_space(carrier, monad, quantale):
-    """The least structure: the transposed unit embedding."""
-    e_rel = from_map(monad.unit(carrier), quantale)
-    return Space(carrier, monad, quantale, transpose(e_rel))
+    """The least structure: the unit on the diagonal, bottom elsewhere."""
+    return Space(carrier, monad, quantale, identity_rel(carrier, quantale))
 
 
 def indiscrete_space(carrier, monad, quantale):
     """The greatest structure: constantly top."""
-    t_carrier = monad.apply_carrier(carrier)
     return Space(carrier, monad, quantale,
-                 VRel.constant(t_carrier, carrier, quantale, quantale.top))
+                 VRel.constant(carrier, carrier, quantale, quantale.top))
 
 
 def sierpinski_space(quantale, monad, grid=None):
@@ -571,8 +502,8 @@ def sierpinski_space(quantale, monad, grid=None):
 
     For finite quantales the carrier is the whole quantale; analytic kinds
     need an explicit finite ``grid`` of values.  The structure entry at
-    ``(tu, v)`` is ``hom(xi(tu), v)``, where the algebra ``xi`` is the
-    retraction of the principal identification.
+    ``(u, v)`` is ``hom(u, v)``: the algebra ``TV -> V`` is the identity on
+    points, as the monad is carrier-isomorphic to the identity.
     """
     if quantale.is_finite:
         values = quantale.carrier_values()
@@ -590,45 +521,43 @@ def sierpinski_space(quantale, monad, grid=None):
     by_token = dict(zip(tokens, values))
     sq = VRel.build(carrier, carrier, quantale,
                     lambda u, v: quantale.hom(by_token[u], by_token[v]))
-    return Space.from_square(carrier, monad, quantale, sq)
+    return Space(carrier, monad, quantale, sq)
 
 
 # -- exponentiability and exponentials ------------------------------------------
 
 
-def exponentiability_witness(space, cap=10000):
+def exponentiability_witness(space):
     """Search the exponentiability inequality for a counterexample.
 
     Quantifies the pair of free values over the whole carrier when the
     quantale is finite, and over the meet/join/hom closure of the structure
-    entries otherwise.  Returns ``(big, x, u, v)`` on failure, else None.
+    entries otherwise.  The point ``big`` of ``TTX`` over x_i multiplies to
+    the point of ``TX`` over x_i, and the lifted structure gives it row i of
+    the square, so the inequality at ``(big, x)`` reads ``a(x_i, x)`` and
+    the pairs ``(a(x_i, x_k), a(x_k, x))``.  Returns ``(big, x, u, v)`` on
+    failure, else None.
     """
     q = space.quantale
-    a = space.structure
-    monad = space.monad
-    entries = [v for row in a.entries for v in row]
-    values = generated_values(q, entries, cap)
-    t_carrier = space.t_carrier
-    tt_carrier = monad.apply_carrier(t_carrier)
-    lifted = monad.lift_relation(a)
-    m = monad.mult(space.carrier)
-    for big in tt_carrier.labels:
-        for x in space.carrier.labels:
-            base = a.get(m(big), x)
-            pairs = [(lifted.get(big, tx), a.get(tx, x))
-                     for tx in t_carrier.labels]
+    a = space.structure.entries
+    labels = space.carrier.labels
+    values = generated_values(q, [v for row in a for v in row])
+    for i, xi in enumerate(labels):
+        for j, x in enumerate(labels):
+            base = a[i][j]
+            pairs = [(a[i][k], a[k][j]) for k in range(len(labels))]
             for u in values:
                 for v in values:
                     rhs = q.meet(base, q.tensor(u, v))
                     lhs = q.join(q.tensor(q.meet(p, u), q.meet(s, v))
                                  for p, s in pairs)
                     if not q.leq(rhs, lhs):
-                        return (big, x, u, v)
+                        return (space.monad.row_label(xi, 2), x, u, v)
     return None
 
 
-def is_exponentiable(space, cap=10000):
-    return exponentiability_witness(space, cap) is None
+def is_exponentiable(space):
+    return exponentiability_witness(space) is None
 
 
 def map_label(f):
@@ -640,17 +569,13 @@ def exponential(y_space, z_space):
     """Function space on the continuous maps, for exponentiable ``y_space``.
 
     The structure between maps g, h is the largest value v such that
-    ``b(y, y') /\\ v <= c(g(y), h(y'))`` for all points; only available for
-    identity-isomorphic monads, where the defining condition collapses to
-    point pairs.  That value is the meet of the Heyting implications
-    ``b(y, y') => c(g(y), h(y'))``, because meet distributes over joins
-    here; the kernel computes the whole matrix from the two squares.
+    ``b(y, y') /\\ v <= c(g(y), h(y'))`` for all points.  That value is the
+    meet of the Heyting implications ``b(y, y') => c(g(y), h(y'))``,
+    because meet distributes over joins here; the kernel computes the whole
+    matrix from the two squares.
     """
     _check_compatible(y_space, z_space)
     monad, q = y_space.monad, y_space.quantale
-    if not monad.identity_isomorphic:
-        raise UnsupportedOperationError(
-            "exponentials need an identity-isomorphic monad")
     witness = exponentiability_witness(y_space)
     if witness is not None:
         raise PreconditionError(
@@ -662,7 +587,8 @@ def exponential(y_space, z_space):
                                z_space.structure.entries))
     images = [z_space.carrier.indices(f.table.values()) for f in maps]
     rows = kernel.function_space(b, c, images)
-    return _square_space(carrier, monad, q, kernel.decode(rows)), by_label
+    return Space(carrier, monad, q,
+                 VRel(carrier, carrier, q, kernel.decode(rows))), by_label
 
 
 def evaluation_map(exp_space, by_label, y_space, z_space):
@@ -672,5 +598,5 @@ def evaluation_map(exp_space, by_label, y_space, z_space):
     for gl in exp_space.carrier.labels:
         g = by_label[gl]
         for y in y_space.carrier.labels:
-            table[f"({gl},{y})"] = g(y)
+            table[pair_label(gl, y)] = g(y)
     return prod, MapArrow(prod.carrier, z_space.carrier, table)

@@ -58,6 +58,7 @@ from .space import (
     is_compact,
     is_continuous,
     is_hausdorff,
+    pair_label,
     product,
     sierpinski_space,
     validate_space,
@@ -515,7 +516,7 @@ def battery_quasi_cartesian_closed(level="full"):
                                      "quasi transpose not quasi-continuous")
                         back = MapArrow(
                             zprod.carrier, qy.carrier,
-                            {f"({z},{x})": by_label[g(z)](x)
+                            {pair_label(z, x): by_label[g(z)](x)
                              for z in qz.carrier.labels
                              for x in qx.carrier.labels})
                         result.check(back == f,

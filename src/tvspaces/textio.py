@@ -232,10 +232,9 @@ def _parse_space(name, statements, block_tok, ws):
     if len(toks) != n * n:
         raise ParseError(f"matrix needs {n * n} entries",
                          matrix_stmt[0].line, matrix_stmt[0].column)
-    t_carrier = monad.apply_carrier(carrier)
     entries = [[_parse_value(quantale, toks[i * n + j]) for j in range(n)]
                for i in range(n)]
-    structure = VRel(t_carrier, carrier, quantale, entries)
+    structure = VRel(carrier, carrier, quantale, entries)
     return Space(carrier, monad, quantale, structure), q_name
 
 

@@ -2,6 +2,7 @@ import pytest
 
 from tvspaces import (
     BudgetExceededError,
+    CarrierMismatchError,
     StructuralError,
     bool2,
     chain,
@@ -156,7 +157,7 @@ class TestCMap:
         for z in all_valid_spaces_upto(B, IM, 2, include_empty=False):
             cm, by_label = cmap_space(point, z, CH2_CLASS)
             assert len(cm.carrier) == len(z.carrier)
-            sq, zsq = cm.square(), z.square()
+            sq, zsq = cm.structure, z.structure
             for gl in cm.carrier.labels:
                 for hl in cm.carrier.labels:
                     assert sq.get(gl, hl) == zsq.get(
@@ -219,6 +220,32 @@ class TestCMap:
                      {"(*,u)": "v", "(*,v)": "u"})
         with pytest.raises(StructuralError):
             transpose_cmap(f, point, ORD_CHAIN2, ORD_CHAIN2, SIERP_CLASS)
+
+    def test_transposes_check_the_product_carrier(self):
+        point = b_space(["*"], [[1]])
+        cm = cmap_space(ORD_CHAIN2, ORD_CHAIN2, SIERP_CLASS)
+        canonical = product(point, ORD_CHAIN2)[0].carrier
+        swapped = product(ORD_CHAIN2, point)[0].carrier
+        for f, message in (
+                (MapArrow.constant(swapped, ORD_CHAIN2.carrier, "u"),
+                 "transpose needs the canonical product carrier as domain"),
+                (MapArrow.constant(canonical, point.carrier, "*"),
+                 "transpose codomain mismatch")):
+            with pytest.raises(CarrierMismatchError) as exc:
+                transpose_cmap(f, point, ORD_CHAIN2, ORD_CHAIN2, SIERP_CLASS,
+                               cmap=cm)
+            assert str(exc.value) == message
+        g = transpose_cmap(MapArrow.constant(canonical, ORD_CHAIN2.carrier,
+                                             "v"),
+                           point, ORD_CHAIN2, ORD_CHAIN2, SIERP_CLASS,
+                           cmap=cm)
+        back = untranspose_cmap(g, point, ORD_CHAIN2, ORD_CHAIN2, SIERP_CLASS,
+                                cmap=cm)
+        assert back.dom == canonical and set(back.graph()) == {"v"}
+        with pytest.raises(CarrierMismatchError) as exc:
+            untranspose_cmap(MapArrow.identity(point.carrier), point,
+                             ORD_CHAIN2, ORD_CHAIN2, SIERP_CLASS, cmap=cm)
+        assert str(exc.value) == "untranspose endpoints mismatch"
 
 
 class TestSpecializationExpansion:

@@ -16,7 +16,6 @@ import pytest
 from tvspaces import (
     INF,
     StructuralError,
-    UnsupportedOperationError,
     bool2,
     chain,
     cost_max,
@@ -24,7 +23,7 @@ from tvspaces import (
     finite_table,
     lukasiewicz_grid,
 )
-from tvspaces.monad import Monad, finite_ultrafilter_monad, identity_monad
+from tvspaces.monad import finite_ultrafilter_monad, identity_monad
 from tvspaces.space import (
     Space,
     continuity_witness,
@@ -71,43 +70,38 @@ def ref_closure(r):
 
 def ref_validate(space):
     q = space.quantale
-    a = space.structure
-    monad = space.monad
+    a = space.structure.entries
+    labels = space.carrier.labels
+    n = len(labels)
     violations = []
-    e = monad.unit(space.carrier)
-    for x in space.carrier.labels:
-        if not q.leq(q.unit, a.get(e(x), x)):
-            violations.append(("reflexivity", (x, a.get(e(x), x).token)))
-    t_carrier = space.t_carrier
-    lifted = monad.lift_relation(a)
-    m = monad.mult(space.carrier)
-    for big in monad.apply_carrier(t_carrier).labels:
-        for x in space.carrier.labels:
-            lhs = q.join(q.tensor(lifted.get(big, tx), a.get(tx, x))
-                         for tx in t_carrier.labels)
-            rhs = a.get(m(big), x)
+    for i, x in enumerate(labels):
+        if not q.leq(q.unit, a[i][i]):
+            violations.append(("reflexivity", (x, a[i][i].token)))
+    for i, big in enumerate(labels):
+        for j, x in enumerate(labels):
+            lhs = q.join(q.tensor(a[i][k], a[k][j]) for k in range(n))
+            rhs = a[i][j]
             if not q.leq(lhs, rhs):
                 violations.append(("transitivity",
-                                   (big, x, lhs.token, rhs.token)))
+                                   (space.monad.row_label(big, 2), x,
+                                    lhs.token, rhs.token)))
     return ValidationReport.collect(violations)
 
 
 def ref_continuity_witness(f, x_space, y_space):
     q = x_space.quantale
     a, b = x_space.structure, y_space.structure
-    tf = x_space.monad.apply_map(f)
-    for tx in x_space.t_carrier.labels:
+    for tx in x_space.carrier.labels:
         for x in x_space.carrier.labels:
-            if not q.leq(a.get(tx, x), b.get(tf(tx), f(x))):
-                return (tx, x)
+            if not q.leq(a.get(tx, x), b.get(f(tx), f(x))):
+                return (x_space.monad.row_label(tx), x)
     return None
 
 
 def ref_fully_faithful(f, x_space, y_space):
     a, b = x_space.structure, y_space.structure
-    tf = x_space.monad.apply_map(f)
-    return all(a.get(tx, x) == b.get(tf(tx), f(x))
-               for tx in x_space.t_carrier.labels
+    return all(a.get(tx, x) == b.get(f(tx), f(x))
+               for tx in x_space.carrier.labels
                for x in x_space.carrier.labels)
 
 
@@ -389,23 +383,3 @@ def test_cost_kernel_results_are_canonical():
                       (kernel.close([list(x) for x in a]), ref_closure(r))):
         assert all(p <= kernel.inf for row in rows for p in row)
         assert kernel.decode(rows) == [list(row) for row in ref.entries]
-
-
-def test_non_principal_monad_is_refused():
-    class Renamed(Monad):
-        name = "renamed"
-        identity_isomorphic = False
-
-        def apply_carrier(self, carrier):
-            return carrier
-
-    q = bool2()
-    c = carrier("p", 1)
-    sp = Space(c, Renamed(), q, VRel(c, c, q, [[q.top]]))
-    with pytest.raises(UnsupportedOperationError):
-        validate_space(sp)
-    ident = MapArrow.identity(c)
-    with pytest.raises(UnsupportedOperationError):
-        continuity_witness(ident, sp, sp)
-    with pytest.raises(UnsupportedOperationError):
-        is_fully_faithful(ident, sp, sp)

@@ -1,18 +1,13 @@
 import itertools
 
-from tvspaces import bool2, cost_plus
+import pytest
+
+from tvspaces import UnsupportedOperationError
 from tvspaces.monad import (
-    check_extension_laws,
-    check_monad_laws,
     finite_ultrafilter_monad,
     identity_monad,
     monad_by_name,
-    mult_map,
-    unit_rel,
 )
-from tvspaces.vrel import Carrier, MapArrow, VRel, from_map, identity_rel
-
-B = bool2()
 
 
 def brute_force_ultrafilters(points):
@@ -50,75 +45,10 @@ def test_every_ultrafilter_on_three_points_is_principal():
         assert len(smallest) == 1  # generated by one point
 
 
-class TestIdentityInstance:
-    def test_lift_is_identity(self):
-        m = identity_monad()
-        c = Carrier(["a", "b"])
-        r = identity_rel(c, B)
-        assert m.lift_relation(r) is r
-
-    def test_unit_and_mult_are_identities(self):
-        m = identity_monad()
-        c = Carrier(["a", "b"])
-        assert m.unit(c) == MapArrow.identity(c)
-        assert m.mult(c) == MapArrow.identity(c)
-        assert unit_rel(m, c, B) == from_map(MapArrow.identity(c), B)
-
-
-class TestUltrafilterInstance:
-    def test_unit_is_principal(self):
-        m = finite_ultrafilter_monad()
-        c = Carrier(["x", "y"])
-        e = m.unit(c)
-        assert e("x") == "U(x)" and e("y") == "U(y)"
-
-    def test_lift_transports_along_bijection(self):
-        m = finite_ultrafilter_monad()
-        c = Carrier(["x", "y", "z"])
-        r = VRel(c, c, B, [[B.top, B.bottom, B.top],
-                           [B.bottom, B.top, B.bottom],
-                           [B.top, B.top, B.top]])
-        lifted = m.lift_relation(r)
-        for x in c.labels:
-            for y in c.labels:
-                assert lifted.get(f"U({x})", f"U({y})") == r.get(x, y)
-
-    def test_flatness_and_involution(self):
-        m = finite_ultrafilter_monad()
-        c = Carrier(["x", "y"])
-        r = VRel(c, c, B, [[B.top, B.top], [B.bottom, B.top]])
-        assert check_extension_laws(m, r) == []
-
-    def test_monad_laws(self):
-        for m in (identity_monad(), finite_ultrafilter_monad()):
-            for size in range(0, 4):
-                c = Carrier([f"p{i}" for i in range(size)])
-                assert check_monad_laws(m, c) == []
-
-    def test_mult_after_unit_image(self):
-        m = finite_ultrafilter_monad()
-        c = Carrier(["x", "y"])
-        te = m.apply_map(m.unit(c))
-        assert te.then(mult_map(m, c)) == MapArrow.identity(
-            m.apply_carrier(c))
-
-
-class TestAlgebraStructure:
-    def test_retraction_is_unit_inverse(self):
-        for m in (identity_monad(), finite_ultrafilter_monad()):
-            for q in (B, cost_plus()):
-                carrier = Carrier(["u", "v", "w"])
-                e = m.unit(carrier)
-                xi = m.retraction(carrier)
-                assert e.then(xi) == MapArrow.identity(carrier)
-
-    def test_algebra_square(self):
-        # xi . T(xi) == xi . mult, the associativity of the algebra
-        for m in (identity_monad(), finite_ultrafilter_monad()):
-            carrier = Carrier(["u", "v"])
-            xi = m.retraction(carrier)
-            t_xi = m.apply_map(xi)
-            assert t_xi.then(xi) == m.mult(carrier).then(xi)
+def test_names():
+    assert identity_monad().name == "identity"
+    assert finite_ultrafilter_monad().name == "ultrafilter-finite"
+    assert repr(finite_ultrafilter_monad()) == "<monad ultrafilter-finite>"
 
 
 def test_monad_by_name():
@@ -126,33 +56,15 @@ def test_monad_by_name():
     assert monad_by_name("ultrafilter-finite") is finite_ultrafilter_monad()
 
 
-class TestNaturality:
-    def test_unit_and_mult_naturality_on_maps(self):
-        dom = Carrier(["x", "y", "z"])
-        cod = Carrier(["p", "q"])
-        maps = [MapArrow(dom, cod, dict(zip(dom.labels, images)))
-                for images in itertools.product(cod.labels,
-                                                repeat=len(dom))]
-        for m in (identity_monad(), finite_ultrafilter_monad()):
-            for f in maps:
-                tf = m.apply_map(f)
-                assert f.then(m.unit(cod)) == m.unit(dom).then(tf)
-                ttf = m.apply_map(tf)
-                assert ttf.then(m.mult(cod)) == m.mult(dom).then(tf)
+def test_unknown_monad_name_is_refused():
+    with pytest.raises(UnsupportedOperationError) as exc:
+        monad_by_name("ultrafilter")
+    assert str(exc.value) == "unknown monad 'ultrafilter'"
 
-    def test_oplax_squares_for_the_extension(self):
-        # unit: r ; e_cod <= e_dom ; Tr   and   mult: TTr ; m_cod <= m_dom ; Tr
-        from tvspaces.vrel import compose, from_map, rel_leq
 
-        dom = Carrier(["x", "y"])
-        cod = Carrier(["p", "q"])
-        r = VRel(dom, cod, B, [[B.top, B.bottom], [B.top, B.top]])
-        for m in (identity_monad(), finite_ultrafilter_monad()):
-            tr = m.lift_relation(r)
-            left = compose(r, from_map(m.unit(cod), B))
-            right = compose(from_map(m.unit(dom), B), tr)
-            assert rel_leq(left, right)
-            ttr = m.lift_relation(tr)
-            left = compose(ttr, from_map(m.mult(cod), B))
-            right = compose(from_map(m.mult(dom), B), tr)
-            assert rel_leq(left, right)
+def test_row_labels():
+    ident, ultra = identity_monad(), finite_ultrafilter_monad()
+    assert ident.row_label("x") == ident.row_label("x", 2) == "x"
+    assert ultra.row_label("x") == "U(x)"
+    assert ultra.row_label("x", 2) == "U(U(x))"
+    assert ultra.row_label("(a,b)", 2) == "U(U((a,b)))"

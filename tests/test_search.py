@@ -31,7 +31,7 @@ from tvspaces import (
 )
 from tvspaces.enumeration import all_valid_spaces, standard_carrier
 from tvspaces.generation import DEFAULT_MAP_BUDGET, ProbeClass
-from tvspaces.monad import Monad, finite_ultrafilter_monad, identity_monad
+from tvspaces.monad import finite_ultrafilter_monad, identity_monad
 from tvspaces.space import (
     Space,
     all_maps,
@@ -62,9 +62,6 @@ def ref_all_valid_spaces(quantale, monad, carrier):
     if not quantale.is_finite:
         raise UnsupportedOperationError(
             "cannot enumerate structures over an infinite quantale")
-    if not monad.identity_isomorphic:
-        raise UnsupportedOperationError(
-            "enumeration needs an identity-isomorphic monad")
     labels = carrier.labels
     values = quantale.carrier_values()
     diag_choices = [v for v in values if quantale.leq(quantale.unit, v)]
@@ -159,20 +156,12 @@ def test_structure_counts():
 
 
 def test_enumeration_refusals_are_lazy():
-    class Renamed(Monad):
-        name = "renamed"
-        identity_isomorphic = False
-
-    carrier = standard_carrier(2)
-    for q, mon, message in (
-            (cost_plus(), identity_monad(),
-             "cannot enumerate structures over an infinite quantale"),
-            (bool2(), Renamed(),
-             "enumeration needs an identity-isomorphic monad")):
-        search = all_valid_spaces(q, mon, carrier)    # nothing raised yet
-        with pytest.raises(UnsupportedOperationError) as exc:
-            next(search)
-        assert str(exc.value) == message
+    search = all_valid_spaces(cost_plus(), identity_monad(),
+                              standard_carrier(2))    # nothing raised yet
+    with pytest.raises(UnsupportedOperationError) as exc:
+        next(search)
+    assert str(exc.value) == (
+        "cannot enumerate structures over an infinite quantale")
 
 
 def test_enumeration_is_lazy():
@@ -331,27 +320,6 @@ def test_mismatches_raise_the_reference_error():
         assert got == outcome(ref_continuous_maps, x, y)
         if expected is not None:
             assert got == expected
-
-
-def test_non_principal_monad_is_refused_like_the_reference():
-    class Renamed(Monad):
-        name = "renamed"
-        identity_isomorphic = False
-
-        def apply_carrier(self, carrier):
-            return carrier
-
-    q = bool2()
-    for n, m in ((1, 1), (0, 2), (2, 0)):
-        x = Space(Carrier("ab"[:n]), Renamed(), q,
-                  VRel(Carrier("ab"[:n]), Carrier("ab"[:n]), q,
-                       [[q.top] * n for _ in range(n)]))
-        y = Space(Carrier("pq"[:m]), x.monad, q,
-                  VRel(Carrier("pq"[:m]), Carrier("pq"[:m]), q,
-                       [[q.top] * m for _ in range(m)]))
-        expected = outcome(ref_continuous_maps, x, y)
-        assert outcome(continuous_maps, x, y) == expected
-    assert outcome(continuous_maps, x, x)[0] is UnsupportedOperationError
 
 
 def test_probe_mismatch_and_budget_errors_match_the_reference():

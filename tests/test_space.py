@@ -37,6 +37,8 @@ from tvspaces.space import (
     is_separated,
     map_label,
     map_order_leq,
+    pair_carrier,
+    pairing,
     product,
     separatedness_witness,
     sierpinski_space,
@@ -97,6 +99,14 @@ class TestValidate:
         with pytest.raises(StructuralError):
             Space(c, IM, B, VRel(Carrier(["x"]), c, B,
                                  [[B.top, B.top]]))
+        # the structure is a square whatever the monad tag
+        tc = Carrier(["U(x)", "U(y)"])
+        with pytest.raises(StructuralError) as exc:
+            Space(c, finite_ultrafilter_monad(), B,
+                  VRel(tc, c, B, [[B.top, B.top], [B.top, B.top]]))
+        assert str(exc.value) == (
+            "square form on ['U(x)', 'U(y)'] x ['x', 'y'] does not match "
+            "the carrier ['x', 'y']")
 
     def test_triangle_violation_caught(self):
         bad = Space.from_square(
@@ -252,13 +262,12 @@ class TestProductCoproduct:
         prod, (p1, _) = product(ORD_CHAIN2, point)
         for x in ORD_CHAIN2.carrier.labels:
             for y in ORD_CHAIN2.carrier.labels:
-                assert prod.structure.get(
-                    prod.monad.unit(prod.carrier)(f"({x},*)"),
-                    f"({y},*)") == ORD_CHAIN2.structure.get(x, y)
+                assert prod.structure.get(f"({x},*)", f"({y},*)") \
+                    == ORD_CHAIN2.structure.get(x, y)
 
     def test_ord_product_is_componentwise_order(self):
         prod, _ = product(ORD_CHAIN2, ORD_CHAIN2)
-        sq = prod.square()
+        sq = prod.structure
         for x1 in ("u", "v"):
             for y1 in ("u", "v"):
                 for x2 in ("u", "v"):
@@ -268,11 +277,22 @@ class TestProductCoproduct:
                         assert sq.get(f"({x1},{y1})", f"({x2},{y2})") \
                             == expected
 
+    def test_pairing_lands_in_the_product(self):
+        prod, (p1, p2) = product(ORD_CHAIN2, ORD_CHAIN2)
+        assert pair_carrier(ORD_CHAIN2.carrier,
+                            ORD_CHAIN2.carrier) == prod.carrier
+        f = MapArrow.identity(ORD_CHAIN2.carrier)
+        g = MapArrow.constant(ORD_CHAIN2.carrier, ORD_CHAIN2.carrier, "v")
+        h = pairing(f, g, prod.carrier)
+        assert h.graph() == ("(u,v)", "(v,v)")
+        assert h.then(p1) == f and h.then(p2) == g
+        assert is_continuous(h, ORD_CHAIN2, prod)
+
     def test_coproduct_of_points_in_met(self):
         a = cp_space(["x"], [[0]])
         b = cp_space(["x"], [[0]])
         summed, _ = coproduct(a, b)
-        assert summed.square().get("0:x", "1:x") == CP.bottom
+        assert summed.structure.get("0:x", "1:x") == CP.bottom
 
     def test_coproduct_injections_fully_faithful(self):
         x = b_space(["a", "b"], [[1, 1], [0, 1]])
@@ -360,12 +380,12 @@ class TestSierpinski:
     def test_bool2_gives_two_chain(self):
         s = sierpinski_space(B, IM)
         assert s.carrier.labels == ("0", "1")
-        assert s.square().tokens() == (("1", "1"), ("0", "1"))
+        assert s.structure.tokens() == (("1", "1"), ("0", "1"))
 
     def test_cost_plus_grid(self):
         grid = [CP.value(0), CP.value(1), CP.value(2), CP.bottom]
         s = sierpinski_space(CP, IM, grid)
-        sq = s.square()
+        sq = s.structure
         for u in grid:
             for v in grid:
                 assert sq.get(u.token, v.token) == CP.hom(u, v)
@@ -375,7 +395,7 @@ class TestSierpinski:
     def test_lukasiewicz_grid(self):
         q = lukasiewicz_grid(4)
         s = sierpinski_space(q, IM)
-        sq = s.square()
+        sq = s.structure
         for u in q.carrier_values():
             for v in q.carrier_values():
                 assert sq.get(u.token, v.token) == q.hom(u, v)
@@ -439,12 +459,10 @@ class TestExponentiability:
         # confirm the witness by evaluating the inequality directly
         q = CP
         a = space.structure
-        lifted = IM.lift_relation(a)
-        m = IM.mult(space.carrier)
         lhs = q.join(
-            q.tensor(q.meet(lifted.get(big, t), u), q.meet(a.get(t, x), v))
-            for t in space.t_carrier.labels)
-        rhs = q.meet(a.get(m(big), x), q.tensor(u, v))
+            q.tensor(q.meet(a.get(big, t), u), q.meet(a.get(t, x), v))
+            for t in space.carrier.labels)
+        rhs = q.meet(a.get(big, x), q.tensor(u, v))
         assert not q.leq(rhs, lhs)
 
 
@@ -463,13 +481,13 @@ class TestExponential:
             for gl in exp.carrier.labels:
                 for hl in exp.carrier.labels:
                     g, h = by_label[gl], by_label[hl]
-                    assert exp.square().get(gl, hl) == z.square().get(
+                    assert exp.structure.get(gl, hl) == z.structure.get(
                         g("*"), h("*"))
 
     def test_two_chain_self_power(self):
         exp, _ = exponential(ORD_CHAIN2, ORD_CHAIN2)
         assert exp.carrier.labels == ("[u,u]", "[u,v]", "[v,v]")
-        assert exp.square().tokens() == (
+        assert exp.structure.tokens() == (
             ("1", "1", "1"), ("0", "1", "1"), ("0", "0", "1"))
 
     def test_structure_matches_join_oracle(self):
@@ -477,7 +495,7 @@ class TestExponential:
             for y in small_battery(q, IM):
                 for z in small_battery(q, IM):
                     exp, by_label = exponential(y, z)
-                    ysq, zsq = y.square(), z.square()
+                    ysq, zsq = y.structure, z.structure
                     for gl in exp.carrier.labels:
                         for hl in exp.carrier.labels:
                             g, h = by_label[gl], by_label[hl]
@@ -485,7 +503,7 @@ class TestExponential:
                                 (ysq.get(y1, y2), zsq.get(g(y1), h(y2)))
                                 for y1 in y.carrier.labels
                                 for y2 in y.carrier.labels]
-                            assert exp.square().get(gl, hl) == \
+                            assert exp.structure.get(gl, hl) == \
                                 exponential_join_oracle(q, pairs)
 
     def test_currying_bijection(self):
@@ -543,7 +561,7 @@ class TestUltrafilterInstance:
     def test_predicates_transport(self):
         mu = finite_ultrafilter_monad()
         for space in all_valid_spaces_upto(B, mu, 2, include_empty=False):
-            square = Space(space.carrier, IM, B, space.square())
+            square = Space(space.carrier, IM, B, space.structure)
             assert is_compact(space) == is_compact(square)
             assert is_hausdorff(space) == is_hausdorff(square)
             assert is_separated(space) == is_separated(square)
@@ -595,7 +613,7 @@ def test_product_of_residuation_spaces_is_the_meet_of_residuals():
     q = chain(3)
     s = sierpinski_space(q, IM)
     squared, _ = product(s, s)
-    sq = squared.square()
+    sq = squared.structure
     for u1 in q.carrier_values():
         for v1 in q.carrier_values():
             for u2 in q.carrier_values():

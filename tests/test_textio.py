@@ -36,7 +36,9 @@ class TestRoundTrip:
         ws = parse_workspace(fixture_text("workspace.txt"))
         space = ws.space("UDisc2")
         assert space.monad.name == "ultrafilter-finite"
-        assert space.t_carrier.labels == ("U(m)", "U(n)")
+        assert space.structure.dom == space.carrier
+        assert tuple(map(space.monad.row_label, space.carrier.labels)) == (
+            "U(m)", "U(n)")
 
 
 class TestParseErrors:

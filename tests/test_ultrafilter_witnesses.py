@@ -9,6 +9,7 @@ from tvspaces import bool2, lukasiewicz_grid
 from tvspaces.monad import finite_ultrafilter_monad
 from tvspaces.space import (
     Space,
+    compactness_witness,
     continuity_witness,
     discrete_space,
     exponentiability_witness,
@@ -53,3 +54,9 @@ def test_exponentiability_witness():
     big, x, u, v = exponentiability_witness(
         uf_space(q, [["1", "0"], ["1/3", "1"]]))
     assert (big, x, u.token, v.token) == ("U(U(b))", "a", "2/3", "2/3")
+
+
+def test_compactness_witness():
+    space = uf_space(bool2(), [["0", "0"], ["0", "1"]])
+    assert compactness_witness(space) == ("U(a)",)
+
