@@ -47,7 +47,12 @@ class ProbeClass:
 
     Objects are validated at construction and deduplicated up to carrier
     relabeling, which leaves every final structure unchanged.  Probes
-    and coreflections are cached per target space.
+    and coreflections are cached per target space.  Each object's
+    exponentiability witness and the (EP) report of :func:`check_ep` are
+    computed once per class and cached on it.  Both depend on the objects
+    alone, an immutable tuple, so these two caches are safe to share: a
+    cached value never goes stale, and callers that race on an empty entry
+    at worst compute it twice and store equal values.
     """
 
     def __init__(self, objects, mode="explicit", param=None):
@@ -81,6 +86,8 @@ class ProbeClass:
         self._coreflect_cache = {}
         self._exp_cache = {}
         self._hom_cache = {}
+        self._witness_cache = {}
+        self._ep = None
 
     # -- constructors -------------------------------------------------------
 
@@ -147,6 +154,12 @@ class ProbeClass:
                                                    self.objects[j])
         return self._hom_cache[key]
 
+    def exponentiability_witness(self, i):
+        """The exponentiability witness of object i, cached."""
+        if i not in self._witness_cache:
+            self._witness_cache[i] = exponentiability_witness(self.objects[i])
+        return self._witness_cache[i]
+
     def coreflect(self, space, budget=DEFAULT_MAP_BUDGET):
         key = space.cache_key()
         cached = self._coreflect_cache.get(key)
@@ -204,18 +217,21 @@ def check_ep(probe_class):
     Returns ``(non_exponentiable, non_generated_products)`` where the first
     lists indices of class objects that fail the exponentiability criterion
     and the second lists pairs whose binary product is not class-generated.
+    The report is computed once per class and cached on it.
     """
-    non_expo = []
-    for i, obj in enumerate(probe_class.objects):
-        if exponentiability_witness(obj) is not None:
-            non_expo.append(i)
-    bad_products = []
-    for i in range(len(probe_class.objects)):
-        for j in range(i, len(probe_class.objects)):
-            prod, _ = product(probe_class.objects[i], probe_class.objects[j])
-            if not is_c_generated(prod, probe_class):
-                bad_products.append((i, j))
-    return non_expo, bad_products
+    if probe_class._ep is None:
+        objects = probe_class.objects
+        non_expo = [i for i in range(len(objects))
+                    if probe_class.exponentiability_witness(i) is not None]
+        bad_products = []
+        for i in range(len(objects)):
+            for j in range(i, len(objects)):
+                prod, _ = product(objects[i], objects[j])
+                if not is_c_generated(prod, probe_class):
+                    bad_products.append((i, j))
+        probe_class._ep = (tuple(non_expo), tuple(bad_products))
+    non_expo, bad_products = probe_class._ep
+    return list(non_expo), list(bad_products)
 
 
 def cmap_space(y_space, z_space, probe_class, budget=DEFAULT_MAP_BUDGET):
@@ -226,7 +242,7 @@ def cmap_space(y_space, z_space, probe_class, budget=DEFAULT_MAP_BUDGET):
     space together with a label-to-map dictionary for its carrier.
     """
     for i, obj in enumerate(probe_class.objects):
-        witness = exponentiability_witness(obj)
+        witness = probe_class.exponentiability_witness(i)
         if witness is not None:
             raise PreconditionError(
                 f"class object #{i} ({list(obj.carrier.labels)}) is not "

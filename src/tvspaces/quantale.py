@@ -16,8 +16,8 @@ Scalars cross the public API as :class:`Value` objects, and every scalar
 operation checks its arguments with ``_check``.  The matrix kernels behind
 ``vrel.compose``, the closure and the space predicates and constructions
 (validation, continuity, initial and final structures, function spaces,
-compactness, Hausdorffness, separatedness) instead work on raw payloads, and
-this module alone decides their encoding:
+compactness, Hausdorffness, separatedness, exponentiability) instead work
+on raw payloads, and this module alone decides their encoding:
 :meth:`Quantale.encode` turns ``Value`` matrices into payload matrices plus
 a kernel object for one operation (``Quantale.kernel`` and the kernel's
 ``row`` do the same one row at a time, for scans that may stop early), and
@@ -503,6 +503,10 @@ def _rows_by(fold, rows, width, empty):
     return list(map(fold, *rows))
 
 
+# the most composite entries one block of the exponentiability scan holds
+_EXP_BLOCK = 1 << 16
+
+
 class _Kernel:
     """Matrix operations on the payloads of one quantale.
 
@@ -511,13 +515,16 @@ class _Kernel:
     ``row(values, indices=None)`` (the payloads of a row of Values, or of
     ``values[j]`` for j in ``indices``), ``value(p)`` (the Value of a
     payload), ``below(a, b)`` and ``row_below(ra, rb)`` (the quantale order
-    on entries and on whole rows), ``tensor(a, b)`` and ``heyting(a, b)``
-    on entries, ``compose(left, right, width)``, ``close(rows)``, and three
-    folds: ``meet_rows(rows, width)`` (the entrywise meet of some rows,
-    starting from top), ``join_all(payloads)`` (the join of a sequence,
-    starting from bottom) and ``join_at(acc, cols, row)`` (``acc[cols[j]]``
-    joined with ``row[j]`` in place, for j in order).  Matrices are lists of
-    rows.
+    on entries and on whole rows), ``tensor(a, b)``, ``meet(a, b)`` and
+    ``heyting(a, b)`` on entries, ``compose(left, right, width)``,
+    ``close(rows)``, and three folds: ``meet_rows(rows, width)`` (the
+    entrywise meet of some rows, starting from top), ``join_all(payloads)``
+    (the join of a sequence, starting from bottom) and
+    ``join_at(acc, cols, row)`` (``acc[cols[j]]`` joined with ``row[j]`` in
+    place, for j in order).  Matrices are lists of rows.  Built on these,
+    ``function_space`` gives the function-space matrix on some maps and
+    ``exponentiability_witness`` the first failure of the exponentiability
+    inequality.
     """
 
     def decode(self, rows):
@@ -566,6 +573,40 @@ class _Kernel:
             out.append(self.meet_rows(rows, width))
         return out
 
+    def exponentiability_witness(self, a, values):
+        """The first ``(i, j, ui, vi)`` where exponentiability fails, or None.
+
+        ``a`` is the square and ``values`` the payloads of the free values.
+        Row i is one ``compose`` of ``M[u][k] = a(i, k) /\\ u`` with
+        ``N[k][(j, v)] = a(k, j) /\\ v`` (see
+        ``space.exponentiability_witness``), and failures rank by j, then u,
+        then v.  M is composed in blocks of at most ``_EXP_BLOCK`` result
+        entries, so a large value set costs time, not memory.  Meet and join
+        are taken to be total; the finite kernel overrides this for tables
+        where they may not be.
+        """
+        meet, tensor, row_below = self.meet, self.tensor, self.row_below
+        nv = len(values)
+        width = len(a) * nv
+        right = [[meet(p, v) for p in row for v in values] for row in a]
+        step = max(1, _EXP_BLOCK // max(width, 1))
+        for i, row in enumerate(a):
+            hits = []
+            for start in range(0, nv, step):
+                us = range(start, min(start + step, nv))
+                lhs = self.compose(
+                    [[meet(p, values[ui]) for p in row] for ui in us],
+                    right, width)
+                for ui, left in zip(us, lhs):
+                    t = [tensor(values[ui], v) for v in values]
+                    rhs = [meet(b, x) for b in row for x in t]
+                    if not row_below(rhs, left):
+                        c = self.row_failures(rhs, left)[0]
+                        hits.append((c // nv, ui, c % nv))
+            if hits:
+                return (i,) + min(hits)
+        return None
+
 
 class _FiniteKernel(_Kernel):
     """Compose and closure on carrier indices, read from the tables.
@@ -590,6 +631,8 @@ class _FiniteKernel(_Kernel):
         self._max_join = all(q._join2[a][b] == max(a, b)
                              for a in range(n) for b in range(n))
         self._skip = 0 if self._max_join and not any(q._tensor[0]) else None
+        # a max join makes the order the index order, so the meet is min
+        self.meet = min if self._max_join else self._meet2
 
     @property
     def bottom(self):
@@ -678,6 +721,26 @@ class _FiniteKernel(_Kernel):
                 row.append(acc)
             out.append(row)
         return out
+
+    def exponentiability_witness(self, a, values):
+        if self._max_join:
+            return super().exponentiability_witness(a, values)
+        # entry by entry, in the order of the Value operations, so that an
+        # undefined meet or join raises at the same point
+        meet, join = self._meet2, self._join2
+        tensor, leq = self._tensor, self._leq
+        for i, ai in enumerate(a):
+            for j, base in enumerate(ai):
+                pairs = [(p, a[k][j]) for k, p in enumerate(ai)]
+                for ui, u in enumerate(values):
+                    for vi, v in enumerate(values):
+                        rhs = meet(base, tensor[u][v])
+                        lhs = self.bottom
+                        for p, s in pairs:
+                            lhs = join(lhs, tensor[meet(p, u)][meet(s, v)])
+                        if not leq[rhs][lhs]:
+                            return i, j, ui, vi
+        return None
 
     def compose(self, left, right, width):
         if not (left and width):
@@ -802,6 +865,9 @@ class _CostKernel(_Kernel):
     def heyting(a, b):
         # meet is the numeric max, so the implication is the cost-max hom
         return 0 if b <= a else b
+
+    # the meet is the numeric max
+    meet = staticmethod(max)
 
     @staticmethod
     def meet_rows(rows, width):

@@ -534,26 +534,29 @@ def exponentiability_witness(space):
     quantale is finite, and over the meet/join/hom closure of the structure
     entries otherwise.  The point ``big`` of ``TTX`` over x_i multiplies to
     the point of ``TX`` over x_i, and the lifted structure gives it row i of
-    the square, so the inequality at ``(big, x)`` reads ``a(x_i, x)`` and
-    the pairs ``(a(x_i, x_k), a(x_k, x))``.  Returns ``(big, x, u, v)`` on
+    the square, so the inequality at ``(big, x_j)`` reads
+    ``a(x_i, x_j) /\\ (u (x) v) <= join_k (a(x_i, x_k) /\\ u) (x)
+    (a(x_k, x_j) /\\ v)``.  Fixing i, the right side is entry
+    ``(u, (j, v))`` of one composite ``M . N`` with
+    ``M[u][k] = a(x_i, x_k) /\\ u`` and ``N[k][(j, v)] = a(x_k, x_j) /\\ v``,
+    so the kernel composes once per row i (see
+    ``_Kernel.exponentiability_witness``) and scans j, u and v in that
+    order.  The entries and the values are encoded together, so the cost
+    kernel puts both over one scale, and each side sums at most two of them
+    below the ``inf`` sentinel.  Returns ``(big, x, u, v)`` for the first
     failure, else None.
     """
     q = space.quantale
-    a = space.structure.entries
+    entries = space.structure.entries
+    values = generated_values(q, [v for row in entries for v in row])
+    kernel, (a, (payloads,)) = q.encode((entries, [values]), steps=2)
+    hit = kernel.exponentiability_witness(a, payloads)
+    if hit is None:
+        return None
+    i, j, ui, vi = hit
     labels = space.carrier.labels
-    values = generated_values(q, [v for row in a for v in row])
-    for i, xi in enumerate(labels):
-        for j, x in enumerate(labels):
-            base = a[i][j]
-            pairs = [(a[i][k], a[k][j]) for k in range(len(labels))]
-            for u in values:
-                for v in values:
-                    rhs = q.meet(base, q.tensor(u, v))
-                    lhs = q.join(q.tensor(q.meet(p, u), q.meet(s, v))
-                                 for p, s in pairs)
-                    if not q.leq(rhs, lhs):
-                        return (space.monad.row_label(xi, 2), x, u, v)
-    return None
+    return (space.monad.row_label(labels[i], 2), labels[j],
+            values[ui], values[vi])
 
 
 def is_exponentiable(space):

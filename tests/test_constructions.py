@@ -2,9 +2,8 @@
 
 Initial and final structures (and so products, coreflections and the
 reflection of a quasi-space), subspaces, coproducts, the compactness,
-Hausdorff and separatedness witnesses and the function-space entries of
-``exponential`` run on kernel payloads; ``exponentiability_witness`` reads
-the square by index.
+Hausdorff, separatedness and exponentiability witnesses and the
+function-space entries of ``exponential`` run on kernel payloads.
 The functions prefixed ``ref_`` below are the entrywise ``Value``
 implementations they replaced, kept as the oracle: every answer must equal
 theirs, with witnesses in the same order, and every error must have the same
@@ -28,6 +27,7 @@ from tvspaces import (
     finite_table,
     lukasiewicz_grid,
 )
+from tvspaces import quantale as quantale_module
 from tvspaces.generation import ProbeClass
 from tvspaces.quantale import generated_values
 from tvspaces.monad import finite_ultrafilter_monad, identity_monad
@@ -510,6 +510,106 @@ def test_exponentiability_witnesses_match_reference(qname, monad, n):
         sp = random_space(q, mon, c, rng, closed)
         assert outcome(exponentiability_witness, sp) == outcome(
             ref_exponentiability_witness, sp)
+
+
+def exponentiability_spaces(q, mon, c, rng):
+    """An open and a closed seeded space, and the closed one with one entry
+    of its last row changed, so that a failure can come late."""
+    spaces = [random_space(q, mon, c, rng, closed) for closed in (False, True)]
+    if len(c):
+        rows = [list(r) for r in spaces[1].structure.entries]
+        rows[-1][rng.randrange(len(c))] = random_value(q, rng)
+        spaces.append(Space.from_square(c, mon, q, VRel(c, c, q, rows)))
+    return spaces
+
+
+@pytest.mark.parametrize("qname,monad,n", [
+    pytest.param(qname, monad, n, id=f"{qname}-{monad().name}-{n}")
+    for qname in ("bool2", "chain4", "luk4") for monad in MONADS
+    for n in (8, 12)])
+def test_exponentiability_witnesses_match_reference_on_larger_spaces(
+        qname, monad, n):
+    q, mon, rng = seeded(qname, monad, n, "exponentiability-large")
+    for sp in exponentiability_spaces(q, mon, carrier("p", n), rng):
+        assert exponentiability_witness(sp) == ref_exponentiability_witness(
+            sp)
+
+
+# entries over one denominator, or over the three of COSTS together
+COST_POOLS = {
+    "integers": [Fraction(k) for k in range(4)],
+    "thirds": [Fraction(k, 3) for k in range(5)],
+    "sevenths": [Fraction(k, 7) for k in range(9)],
+    "twelfths": [Fraction(k, 12) for k in range(14)],
+    "mixed": [Fraction(0)] + COSTS[:3],
+}
+
+
+@pytest.mark.parametrize("qname,monad,pool", [
+    pytest.param(qname, monad, pool, id=f"{qname}-{monad().name}-{pool}")
+    for qname in ("cost-plus", "cost-max") for monad in MONADS
+    for pool in COST_POOLS])
+def test_cost_exponentiability_witnesses_match_reference(qname, monad, pool):
+    """Open and closed spaces on 2-4 points, with inf a third of the time."""
+    q, mon = QUANTALES[qname](), monad()
+    rng = random.Random(f"exponentiability-cost/{qname}/{mon.name}/{pool}")
+    for n in (2, 3, 4):
+        c = carrier("p", n)
+        for _ in range(3):
+            sq = VRel(c, c, q, [[q.bottom if rng.random() < 0.3
+                                 else q.value(rng.choice(COST_POOLS[pool]))
+                                 for _ in c] for _ in c])
+            # closed spaces are often exponentiable: scans that run through
+            closed = [] if n == 4 else [reflexive_transitive_closure(sq)]
+            for sq in [sq] + closed:
+                sp = Space.from_square(c, mon, q, sq)
+                assert exponentiability_witness(sp) == \
+                    ref_exponentiability_witness(sp)
+
+
+def test_cost_exponentiability_witness_on_a_three_point_metric():
+    """x-y 1, x-z 3, y-z inf fails at u = v = 1, with a value set that needs
+    one scale for the entries and the generated values."""
+    q, mon = cost_plus(), identity_monad()
+    c, v = carrier("p", 3), q.value
+    sp = Space.from_square(c, mon, q, VRel(c, c, q, [
+        [v(0), v(1), v(3)], [v(1), v(0), q.bottom], [v(3), q.bottom, v(0)]]))
+    assert exponentiability_witness(sp) == ("p0", "p2", v(1), v(1))
+    assert exponentiability_witness(sp) == ref_exponentiability_witness(sp)
+
+
+@pytest.mark.parametrize("qname,monad", [
+    pytest.param(qname, monad, id=f"{qname}-{monad().name}")
+    for qname in ("diamond", "nilpotent-diamond", "no-join", "no-top",
+                  "no-bottom") for monad in MONADS])
+def test_exponentiability_on_tables_without_a_max_join(qname, monad):
+    """The same witness, or the same error at the same point."""
+    for n in (4, 6):
+        q, mon, rng = seeded(qname, monad, n, "exponentiability-tables")
+        for sp in exponentiability_spaces(q, mon, carrier("p", n), rng):
+            assert outcome(exponentiability_witness, sp) == outcome(
+                ref_exponentiability_witness, sp)
+
+
+@pytest.mark.parametrize("block", [1, 50, 75])
+def test_exponentiability_blocks_keep_the_scan_order(monkeypatch, block):
+    """Composed in blocks of one, two or three rows of M (the composites
+    here are 20 to 25 entries wide), the first witness is the same."""
+    monkeypatch.setattr(quantale_module, "_EXP_BLOCK", block)
+    for qname in ("luk4", "chain4"):
+        q, mon, rng = seeded(qname, identity_monad, 5, "exponentiability")
+        for sp in exponentiability_spaces(q, mon, carrier("p", 5), rng):
+            assert exponentiability_witness(sp) == \
+                ref_exponentiability_witness(sp)
+    q, mon = cost_plus(), identity_monad()
+    rng = random.Random("exponentiability-blocks")
+    c = carrier("p", 4)
+    for _ in range(4):
+        sp = Space.from_square(c, mon, q, VRel(c, c, q, [
+            [q.value(rng.choice(COST_POOLS["thirds"])) for _ in c]
+            for _ in c]))
+        assert exponentiability_witness(sp) == ref_exponentiability_witness(
+            sp)
 
 
 @pytest.mark.parametrize("qname,n", [

@@ -3,11 +3,14 @@ import pytest
 from tvspaces import (
     BudgetExceededError,
     CarrierMismatchError,
+    PreconditionError,
     StructuralError,
     bool2,
     chain,
     cost_plus,
+    lukasiewicz_grid,
 )
+from tvspaces import generation
 from tvspaces.enumeration import all_valid_spaces_upto
 from tvspaces.generation import (
     ProbeClass,
@@ -174,6 +177,49 @@ class TestCMap:
         for cls in (SIERP_CLASS, CH2_CLASS):
             non_expo, bad_products = check_ep(cls)
             assert non_expo == [] and bad_products == []
+
+    def test_ep_runs_once_per_class(self, monkeypatch):
+        """Two cmap_space calls and a check_ep compute each object's
+        witness once and each pairwise product once."""
+        calls = {"exponentiability_witness": 0, "product": 0}
+        for name in calls:
+            def counted(*args, fn=getattr(generation, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(generation, name, counted)
+        cls = ProbeClass.compact_hausdorff_upto(2, B, IM)
+        k = len(cls.objects)
+        for _ in range(2):
+            cmap_space(ORD_CHAIN2, ORD_CHAIN2, cls)
+        assert check_ep(cls) == ([], [])
+        assert calls == {"exponentiability_witness": k,
+                         "product": k * (k + 1) // 2}
+
+    def test_ep_refusal_and_warning_repeat_from_the_cache(self):
+        L = lukasiewicz_grid(3)
+
+        def l_space(labels, rows):
+            c = Carrier(labels)
+            return Space.from_square(c, IM, L, VRel(c, c, L, [
+                [L.parse_value(t) for t in row] for row in rows]))
+
+        point = discrete_space(Carrier(["*"]), IM, L)
+        refused = ProbeClass.explicit([
+            point, l_space("ab", [["1", "0"], ["1/3", "1"]])])
+        warned = ProbeClass.explicit([l_space("abc", [
+            ["1", "0", "0"], ["2/3", "1", "0"], ["1", "2/3", "1"]])])
+        for _ in range(2):
+            with pytest.raises(PreconditionError) as exc:
+                cmap_space(point, point, refused)
+            assert str(exc.value) == (
+                "class object #1 (['a', 'b']) is not exponentiable, "
+                "witness ('b', 'a', 2/3, 2/3)")
+            with pytest.warns(UserWarning) as record:
+                cmap_space(point, point, warned)
+            assert [str(w.message) for w in record] == [
+                "products of class objects [(0, 0)] are not "
+                "class-generated; the currying bijection may fail"]
+        assert check_ep(refused)[0] == [1]
 
     def test_transpose_round_trip(self):
         spaces = list(all_valid_spaces_upto(B, IM, 2, include_empty=False))

@@ -576,6 +576,38 @@ def test_coproducts_of_compact_hausdorff_are_compact_hausdorff():
                 assert is_compact(summed) and is_hausdorff(summed)
 
 
+@pytest.mark.parametrize("q", [B, chain(3), lukasiewicz_grid(3)],
+                         ids=["bool2", "chain3", "luk3"])
+@pytest.mark.parametrize("monad", [identity_monad, finite_ultrafilter_monad])
+def test_compact_hausdorff_spaces_skip_compactness_soundly(q, monad):
+    """Every valid structure over an integral quantale is compact, so the
+    compact Hausdorff spaces are the Hausdorff ones, up to isomorphism."""
+    from tvspaces.enumeration import iso_canonical_key
+
+    mon = monad()
+    expected, seen = [], set()
+    for space in all_valid_spaces_upto(q, mon, 3, include_empty=False):
+        assert is_compact(space)
+        key = iso_canonical_key(space)
+        if is_hausdorff(space) and key not in seen:
+            seen.add(key)
+            expected.append(space)
+    assert compact_hausdorff_spaces(q, mon, 3) == expected
+
+
+def test_compact_hausdorff_spaces_keep_compactness_on_broken_tables():
+    """An integral table whose unit tensors itself to bottom has Hausdorff
+    structures that are not compact, and none of them is kept."""
+    from tvspaces import finite_table
+
+    broken = finite_table(["0", "1"], [[1, 1], [0, 1]], [[0, 0], [0, 0]],
+                          unit_index=1)
+    assert broken.integral
+    for space in all_valid_spaces_upto(broken, IM, 2, include_empty=False):
+        assert is_hausdorff(space) and not is_compact(space)
+    assert compact_hausdorff_spaces(broken, IM, 2) == []
+
+
 def test_enumeration_sizes_above_ten_points_raise():
     # the standard carriers have at most ten points; a larger size is an
     # error, never a silently smaller carrier
