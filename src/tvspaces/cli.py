@@ -5,9 +5,13 @@ a file), ``check`` (decide a predicate of one space, printing a witness on
 false), ``compute`` (construct a derived object and print or write it in the
 text format), and ``suite`` (run the built-in law batteries).
 
-Exit codes: 0 for pass/true/success, 1 for violation/false/precondition
-failure, 2 for parse or structural errors.  Output is deterministic:
-identical inputs give byte-identical reports.
+Exit codes: 0 for pass/true/success; 1 for violation/false and for
+``precondition failed: ...``; 2 for ``parse error: ...``, ``io error: ...``,
+``error: ...``, for the refusals printed without a prefix (``check`` on an
+invalid space, missing operand names, an invalid result name) and for
+argparse usage errors.  ``main`` is the one place that turns an exception
+into a message and an exit code.  Output is deterministic: identical inputs
+give byte-identical reports.
 """
 
 import argparse
@@ -15,6 +19,7 @@ import sys
 
 from .errors import ParseError, PreconditionError, StructuralError, TvsError
 from .generation import (
+    DEFAULT_MAP_BUDGET,
     alexandroff_expansion,
     c_generated_structure,
     cmap_space,
@@ -22,9 +27,11 @@ from .generation import (
     is_c_generated,
     specialization,
 )
-from .monad import finite_ultrafilter_monad, monad_by_name
+from .monad import monad_by_name
 from .quantale import validate_quantale
 from .quasi import (
+    DEFAULT_COVER_BUDGET,
+    QuasiSpace,
     associated_quasi,
     discrete_quasi,
     indiscrete_quasi,
@@ -51,12 +58,26 @@ from .textio import (
 )
 
 
+class Refusal(TvsError):
+    """An input a command refuses with a message of its own (exit 2)."""
+
+
 def _load(paths):
     ws = Workspace()
     for path in paths:
         with open(path, "r", encoding="utf-8") as handle:
-            parse_workspace(handle.read(), ws)
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: byte {exc.start} is not UTF-8 "
+                                 f"({exc.reason})") from None
+        parse_workspace(text, ws)
     return ws
+
+
+def _require_valid(what, report, error=StructuralError):
+    if not report.passed:
+        raise error(f"{what} is not valid: {report.violations[0]}")
 
 
 def _class_for(ws, space, args):
@@ -68,32 +89,23 @@ def _class_for(ws, space, args):
 
 
 def _probe_budget(args):
-    from .generation import DEFAULT_MAP_BUDGET
-
     return args.budget if args.budget else DEFAULT_MAP_BUDGET
 
 
 def cmd_validate(args, out):
-    try:
-        ws = _load(args.files)
-    except ParseError as exc:
-        out.write(f"parse error: {exc}\n")
-        return 2
-    except OSError as exc:
-        out.write(f"io error: {exc}\n")
-        return 2
+    ws = _load(args.files)
+    validators = {
+        "quantale": validate_quantale,
+        "space": validate_space,
+        "quasi": lambda quasi: validate_quasi(quasi,
+                                              cover_budget=args.budget),
+    }
     failed = False
     for kind, name in ws.order:
-        if kind == "quantale":
-            report = validate_quantale(ws.quantales[name])
-        elif kind == "space":
-            report = validate_space(ws.spaces[name])
-        elif kind == "quasi":
-            report = validate_quasi(ws.quasis[name],
-                                    cover_budget=args.budget)
-        else:
+        if kind == "map":
             out.write(f"map {name}: ok\n")
             continue
+        report = validators[kind](getattr(ws, kind + "s")[name])
         status = "ok" if report.passed else "violation"
         out.write(f"{kind} {name}: {status}\n")
         for law, witness in report.violations:
@@ -102,168 +114,142 @@ def cmd_validate(args, out):
     return 1 if failed else 0
 
 
-_PREDICATES = ("compact", "hausdorff", "separated", "exponentiable",
-               "c-generated", "alexandroff")
+# -- check: each predicate maps (workspace, space, args) to a witness or None
+
+_NOT_COREFLECTIVE = ("structure differs from its coreflection",)
+
+
+def _exponentiable(ws, space, args):
+    witness = exponentiability_witness(space)
+    return None if witness is None else tuple(
+        getattr(x, "token", x) for x in witness)
+
+
+def _c_generated(ws, space, args):
+    cls = _class_for(ws, space, args)
+    return (None if is_c_generated(space, cls, _probe_budget(args))
+            else _NOT_COREFLECTIVE)
+
+
+def _alexandroff(ws, space, args):
+    grid = ([space.quantale.parse_value(tok) for tok in args.grid.split(",")]
+            if args.grid else None)
+    return (None if is_alexandroff(space, grid, _probe_budget(args))
+            else _NOT_COREFLECTIVE)
+
+
+PREDICATES = {
+    "compact": lambda ws, space, args: compactness_witness(space),
+    "hausdorff": lambda ws, space, args: hausdorff_witness(space),
+    "separated": lambda ws, space, args: separatedness_witness(space),
+    "exponentiable": _exponentiable,
+    "c-generated": _c_generated,
+    "alexandroff": _alexandroff,
+}
 
 
 def cmd_check(args, out):
-    try:
-        ws = _load(args.files)
-        space = ws.space(args.space)
-        report = validate_space(space)
-        if not report.passed:
-            out.write(f"space {args.space} is not valid: "
-                      f"{report.violations[0]}\n")
-            return 2
-        witness = None
-        if args.predicate == "compact":
-            witness = compactness_witness(space)
-        elif args.predicate == "hausdorff":
-            witness = hausdorff_witness(space)
-        elif args.predicate == "separated":
-            witness = separatedness_witness(space)
-        elif args.predicate == "exponentiable":
-            witness = exponentiability_witness(space)
-            if witness is not None:
-                witness = tuple(
-                    x.token if hasattr(x, "token") else x for x in witness)
-        elif args.predicate == "c-generated":
-            cls = _class_for(ws, space, args)
-            if not is_c_generated(space, cls, _probe_budget(args)):
-                witness = ("structure differs from its coreflection",)
-        elif args.predicate == "alexandroff":
-            grid = args.grid.split(",") if args.grid else None
-            grid_values = ([space.quantale.parse_value(tok) for tok in grid]
-                           if grid else None)
-            if not is_alexandroff(space, grid_values, _probe_budget(args)):
-                witness = ("structure differs from its coreflection",)
-        else:
-            out.write(f"unknown predicate {args.predicate!r}\n")
-            return 2
-    except ParseError as exc:
-        out.write(f"parse error: {exc}\n")
-        return 2
-    except OSError as exc:
-        out.write(f"io error: {exc}\n")
-        return 2
-    except PreconditionError as exc:
-        out.write(f"precondition failed: {exc}\n")
-        return 1
-    except TvsError as exc:
-        out.write(f"error: {exc}\n")
-        return 2
+    ws = _load(args.files)
+    space = ws.space(args.space)
+    _require_valid(f"space {args.space}", validate_space(space), Refusal)
+    witness = PREDICATES[args.predicate](ws, space, args)
     if witness is None:
         out.write("true\n")
         return 0
-    out.write("false\n")
-    out.write(f"witness: {witness!r}\n")
+    out.write(f"false\nwitness: {witness!r}\n")
     return 1
 
 
+# -- compute: each operation maps (workspace, args) to a space or quasi-space
+
+
+def _operand(args, i):
+    if i >= len(args.args):
+        raise Refusal("missing operand names")
+    return args.args[i]
+
+
+def _space(ws, args, i):
+    name = _operand(args, i)
+    space = ws.space(name)
+    _require_valid(f"space {name}", validate_space(space))
+    return space
+
+
+def _quasi(ws, args, i):
+    name = _operand(args, i)
+    quasi = ws.quasi(name)
+    _require_valid(f"quasi-space {name}", validate_quasi(quasi))
+    return quasi
+
+
+def _spaces(ws, args, count):
+    return [_space(ws, args, i) for i in range(count)]
+
+
+def _space_and_class(ws, args):
+    x = _space(ws, args, 0)
+    return x, _class_for(ws, x, args)
+
+
+def _carrier_and_class(ws, args):
+    x, cls = _space_and_class(ws, args)
+    return x.carrier, cls
+
+
+def _cmap(ws, args):
+    y, z = _spaces(ws, args, 2)
+    return cmap_space(y, z, _class_for(ws, y, args), _probe_budget(args))[0]
+
+
+def _subspace(ws, args):
+    if not args.elements:
+        raise PreconditionError("subspace needs --elements")
+    return subspace(_space(ws, args, 0), args.elements.split(","))[0]
+
+
+def _aup(ws, args):
+    monad = monad_by_name(args.monad or "ultrafilter-finite")
+    return alexandroff_expansion(_space(ws, args, 0), monad)
+
+
+OPERATIONS = {
+    "coreflect": lambda ws, args: c_generated_structure(
+        *_space_and_class(ws, args), _probe_budget(args)),
+    "exponential": lambda ws, args: exponential(*_spaces(ws, args, 2))[0],
+    "cmap": _cmap,
+    "product": lambda ws, args: product(*_spaces(ws, args, 2))[0],
+    "coproduct": lambda ws, args: coproduct(*_spaces(ws, args, 2))[0],
+    "subspace": _subspace,
+    "reflect-quasi": lambda ws, args: reflect_to_cgenerated(
+        _quasi(ws, args, 0)),
+    "Ae": lambda ws, args: specialization(_space(ws, args, 0)),
+    "Aup": _aup,
+    "associate": lambda ws, args: associated_quasi(
+        *_space_and_class(ws, args)),
+    "discrete-quasi": lambda ws, args: discrete_quasi(
+        *_carrier_and_class(ws, args)),
+    "indiscrete-quasi": lambda ws, args: indiscrete_quasi(
+        *_carrier_and_class(ws, args)),
+}
+
+
 def _result_quantale_name(ws, space):
-    for name, q in ws.quantales.items():
-        if q is space.quantale:
-            return name
-    return "Q"
+    return next((name for name, q in ws.quantales.items()
+                 if q is space.quantale), "Q")
 
 
 def cmd_compute(args, out):
-    try:
-        ws = _load(args.files)
-        op = args.op
-        names = args.args
-        result_space = None
-        result_quasi = None
-
-        def checked_space(name):
-            space = ws.space(name)
-            report = validate_space(space)
-            if not report.passed:
-                raise StructuralError(
-                    f"space {name} is not valid: {report.violations[0]}")
-            return space
-
-        def checked_quasi(name):
-            quasi = ws.quasi(name)
-            report = validate_quasi(quasi)
-            if not report.passed:
-                raise StructuralError(
-                    f"quasi-space {name} is not valid: "
-                    f"{report.violations[0]}")
-            return quasi
-        if op == "coreflect":
-            x = checked_space(names[0])
-            cls = _class_for(ws, x, args)
-            result_space = c_generated_structure(x, cls,
-                                                 _probe_budget(args))
-        elif op == "exponential":
-            y, z = checked_space(names[0]), checked_space(names[1])
-            result_space, _ = exponential(y, z)
-        elif op == "cmap":
-            y, z = checked_space(names[0]), checked_space(names[1])
-            cls = _class_for(ws, y, args)
-            result_space, _ = cmap_space(y, z, cls, _probe_budget(args))
-        elif op == "product":
-            result_space, _ = product(checked_space(names[0]), checked_space(names[1]))
-        elif op == "coproduct":
-            result_space, _ = coproduct(checked_space(names[0]),
-                                        checked_space(names[1]))
-        elif op == "subspace":
-            if not args.elements:
-                raise PreconditionError("subspace needs --elements")
-            result_space, _ = subspace(checked_space(names[0]),
-                                       args.elements.split(","))
-        elif op == "reflect-quasi":
-            result_space = reflect_to_cgenerated(checked_quasi(names[0]))
-        elif op == "Ae":
-            result_space = specialization(checked_space(names[0]))
-        elif op == "Aup":
-            monad = (monad_by_name(args.monad) if args.monad
-                     else finite_ultrafilter_monad())
-            result_space = alexandroff_expansion(checked_space(names[0]), monad)
-        elif op == "associate":
-            x = checked_space(names[0])
-            cls = _class_for(ws, x, args)
-            result_quasi = associated_quasi(x, cls)
-        elif op == "discrete-quasi":
-            x = checked_space(names[0])
-            cls = _class_for(ws, x, args)
-            result_quasi = discrete_quasi(x.carrier, cls)
-        elif op == "indiscrete-quasi":
-            x = checked_space(names[0])
-            cls = _class_for(ws, x, args)
-            result_quasi = indiscrete_quasi(x.carrier, cls)
-        else:
-            out.write(f"unknown operation {op!r}\n")
-            return 2
-    except ParseError as exc:
-        out.write(f"parse error: {exc}\n")
-        return 2
-    except OSError as exc:
-        out.write(f"io error: {exc}\n")
-        return 2
-    except (PreconditionError,) as exc:
-        out.write(f"precondition failed: {exc}\n")
-        return 1
-    except TvsError as exc:
-        out.write(f"error: {exc}\n")
-        return 2
-    except IndexError:
-        out.write("missing operand names\n")
-        return 2
-
-    result_name = args.name or (op.replace("-", "_") + "_" + "_".join(names))
-    if any(ch in result_name for ch in " \t\n{};#"):
-        out.write(f"invalid result name {result_name!r}\n")
-        return 2
-    if result_space is not None:
-        q_name = _result_quantale_name(ws, result_space)
-        text = print_space(result_name, result_space, q_name)
+    ws = _load(args.files)
+    result = OPERATIONS[args.op](ws, args)
+    name = args.name or (args.op.replace("-", "_") + "_" + "_".join(args.args))
+    if any(ch in name for ch in " \t\n{};#"):
+        raise Refusal(f"invalid result name {name!r}")
+    if isinstance(result, QuasiSpace):
+        text = print_quasi(name, result, _result_quantale_name(
+            ws, result.cls.objects[0]), args.probe_class)
     else:
-        q_name = _result_quantale_name(
-            ws, result_quasi.cls.objects[0])
-        text = print_quasi(result_name, result_quasi, q_name,
-                           args.probe_class)
+        text = print_space(name, result, _result_quantale_name(ws, result))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -285,53 +271,63 @@ def build_parser():
         prog="tvspaces",
         description="Exact computations with quantale-enriched spaces")
     sub = parser.add_subparsers(dest="command", required=True)
+    on_a_space = argparse.ArgumentParser(add_help=False)
+    on_a_space.add_argument("--in", dest="files", action="append",
+                            required=True)
+    on_a_space.add_argument("--class", dest="probe_class", default=None)
+    on_a_space.add_argument("--grid", default=None)
+    on_a_space.add_argument("--budget", type=int, default=None,
+                            help="probe enumeration budget")
 
     p_validate = sub.add_parser("validate", help="validate a workspace file")
+    p_validate.set_defaults(run=cmd_validate)
     p_validate.add_argument("files", nargs="+")
-    p_validate.add_argument("--budget", type=int, default=None,
+    p_validate.add_argument("--budget", type=int,
+                            default=DEFAULT_COVER_BUDGET,
                             help="cover-family budget for quasi validation")
 
-    p_check = sub.add_parser("check", help="decide a predicate of a space")
-    p_check.add_argument("predicate", choices=_PREDICATES)
+    p_check = sub.add_parser("check", parents=[on_a_space],
+                             help="decide a predicate of a space")
+    p_check.set_defaults(run=cmd_check)
+    p_check.add_argument("predicate", choices=PREDICATES)
     p_check.add_argument("space")
-    p_check.add_argument("--in", dest="files", action="append", required=True)
-    p_check.add_argument("--class", dest="probe_class", default=None)
-    p_check.add_argument("--grid", default=None)
-    p_check.add_argument("--budget", type=int, default=None,
-                         help="probe enumeration budget")
 
-    p_compute = sub.add_parser("compute", help="construct a derived object")
-    p_compute.add_argument("op", choices=(
-        "coreflect", "exponential", "cmap", "product", "coproduct",
-        "subspace", "reflect-quasi", "Ae", "Aup", "associate",
-        "discrete-quasi", "indiscrete-quasi"))
+    p_compute = sub.add_parser("compute", parents=[on_a_space],
+                               help="construct a derived object")
+    p_compute.set_defaults(run=cmd_compute)
+    p_compute.add_argument("op", choices=OPERATIONS)
     p_compute.add_argument("args", nargs="*")
-    p_compute.add_argument("--in", dest="files", action="append",
-                           required=True)
-    p_compute.add_argument("--class", dest="probe_class", default=None)
-    p_compute.add_argument("--grid", default=None)
     p_compute.add_argument("--elements", default=None)
     p_compute.add_argument("--monad", default=None)
     p_compute.add_argument("--name", default=None)
     p_compute.add_argument("--out", default=None)
-    p_compute.add_argument("--budget", type=int, default=None,
-                           help="probe enumeration budget")
 
     p_suite = sub.add_parser("suite", help="run the built-in law batteries")
+    p_suite.set_defaults(run=cmd_suite)
     p_suite.add_argument("--level", choices=("fast", "full"), default="fast")
     return parser
+
+
+# (exception type, message prefix, exit code); the first match wins
+_FAILURES = (
+    (ParseError, "parse error: ", 2),
+    (OSError, "io error: ", 2),
+    (PreconditionError, "precondition failed: ", 1),
+    (Refusal, "", 2),
+    (TvsError, "error: ", 2),
+)
 
 
 def main(argv=None, out=None):
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    if args.command == "validate":
-        return cmd_validate(args, out)
-    if args.command == "check":
-        return cmd_check(args, out)
-    if args.command == "compute":
-        return cmd_compute(args, out)
-    return cmd_suite(args, out)
+    try:
+        return args.run(args, out)
+    except (OSError, TvsError) as exc:
+        for kind, prefix, code in _FAILURES:
+            if isinstance(exc, kind):
+                out.write(f"{prefix}{exc}\n")
+                return code
 
 
 if __name__ == "__main__":

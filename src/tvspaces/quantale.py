@@ -362,9 +362,6 @@ class FiniteQuantale(Quantale):
                 f"{token!r} is not an element of quantale {self.describe()}"
             ) from None
 
-    def by_label(self, label):
-        return self.parse_value(label)
-
     def cache_key(self):
         return (self.kind, self.labels, self._tensor, self._leq,
                 self._unit_index)

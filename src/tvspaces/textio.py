@@ -7,7 +7,9 @@ canonical, so ``parse(print(x)) == x`` and repeated prints are
 byte-identical.
 """
 
-from .errors import ParseError, StructuralError
+import re
+
+from .errors import ParseError, StructuralError, UnsupportedOperationError
 from .generation import ProbeClass
 from .monad import monad_by_name
 from .quantale import bool2, cost_max, cost_plus, finite_table, lukasiewicz_grid
@@ -25,50 +27,26 @@ class Token:
         self.column = column
 
 
+_TOKEN = re.compile(r"(#[^\n]*)?\n|#[^\n]*|[{};]|[^ \t\r\n{};#]+")
+
+
 def tokenize(text):
+    """Words, braces, semicolons and newlines, each with its 1-based position.
+
+    Blanks (space, tab, carriage return) match no alternative of
+    ``_TOKEN`` and comments are matched and dropped.  A newline that ends a
+    comment reports the column of its ``#``.
+    """
     tokens = []
-    line, col = 1, 1
-    i = 0
-    current = ""
-    start = (1, 1)
-
-    def flush():
-        nonlocal current
-        if current:
-            tokens.append(Token(current, *start))
-            current = ""
-
-    while i < len(text):
-        ch = text[i]
-        if ch == "#":
-            flush()
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            flush()
-            tokens.append(Token("\n", line, col))
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        tok, start = match.group(), match.start()
+        if tok[-1] == "\n":
+            tokens.append(Token("\n", line, start - line_start + 1))
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            flush()
-            col += 1
-            i += 1
-            continue
-        if ch in "{};":
-            flush()
-            tokens.append(Token(ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if not current:
-            start = (line, col)
-        current += ch
-        col += 1
-        i += 1
-    flush()
+            line_start = match.end()
+        elif tok[0] != "#":
+            tokens.append(Token(tok, line, start - line_start + 1))
     return tokens
 
 
@@ -80,16 +58,17 @@ class Workspace:
         self.spaces = {}
         self.maps = {}
         self.quasis = {}
-        self.space_quantale = {}
-        self.quasi_meta = {}
         self.order = []
+        # (kind, name) -> the names a printed block refers to
+        self.references = {}
 
-    def add(self, kind, name, obj):
-        store = getattr(self, kind + "s" if kind != "quasi" else "quasis")
+    def add(self, kind, name, obj, *references):
+        store = getattr(self, kind + "s")
         if name in store:
             raise StructuralError(f"duplicate {kind} name {name!r}")
         store[name] = obj
         self.order.append((kind, name))
+        self.references[kind, name] = references
 
     def space(self, name):
         if name not in self.spaces:
@@ -100,6 +79,10 @@ class Workspace:
         if name not in self.quasis:
             raise StructuralError(f"unknown quasi-space {name!r}")
         return self.quasis[name]
+
+
+def _error(message, tok):
+    return ParseError(message, tok.line, tok.column)
 
 
 def _statements(tokens, pos):
@@ -119,32 +102,61 @@ def _statements(tokens, pos):
             pos += 1
             continue
         if tok.text == "{":
-            raise ParseError("unexpected '{'", tok.line, tok.column)
+            raise _error("unexpected '{'", tok)
         current.append(tok)
         pos += 1
     last = tokens[-1] if tokens else Token("", 1, 1)
-    raise ParseError("missing closing '}'", last.line, last.column)
+    raise _error("missing closing '}'", last)
 
 
 def _fields(statements):
     out = {}
     for stmt in statements:
-        key = stmt[0].text
-        out.setdefault(key, []).append(stmt)
+        out.setdefault(stmt[0].text, []).append(stmt)
     return out
 
 
 def _single(fields, key, block_tok):
     if key not in fields:
-        raise ParseError(f"missing field {key!r}", block_tok.line,
-                         block_tok.column)
+        raise _error(f"missing field {key!r}", block_tok)
     if len(fields[key]) > 1:
         dup = fields[key][1][0]
-        raise ParseError(f"duplicate field {key!r}", dup.line, dup.column)
+        raise _error(f"duplicate field {key!r}", dup)
     return fields[key][0]
 
 
-def _parse_quantale(name, statements, block_tok):
+def _square(fields, key, block_tok, n, entry):
+    """An n-by-n field in row-major order, each token read by ``entry``."""
+    stmt = _single(fields, key, block_tok)
+    if len(stmt) != n * n + 1:
+        raise _error(f"{key} needs {n * n} entries", stmt[0])
+    return [[entry(stmt[1 + i * n + j]) for j in range(n)] for i in range(n)]
+
+
+def _value(fields, key, block_tok):
+    """The first value token of a single-valued field."""
+    stmt = _single(fields, key, block_tok)
+    if len(stmt) < 2:
+        raise _error(f"field {key!r} needs a value", stmt[0])
+    return stmt[1]
+
+
+def _header(fields, block_tok, ws):
+    """The quantale, monad and carrier fields of a space or quasi block."""
+    q_tok = _value(fields, "quantale", block_tok)
+    if q_tok.text not in ws.quantales:
+        raise _error(f"unknown quantale {q_tok.text!r}", q_tok)
+    m_tok = _value(fields, "monad", block_tok)
+    try:
+        monad = monad_by_name(m_tok.text)
+    except UnsupportedOperationError:
+        raise _error(f"unknown monad {m_tok.text!r}", m_tok) from None
+    carrier_stmt = _single(fields, "carrier", block_tok)
+    carrier = Carrier(t.text for t in carrier_stmt[1:])
+    return q_tok.text, ws.quantales[q_tok.text], monad, carrier
+
+
+def _parse_quantale(statements, block_tok):
     fields = _fields(statements)
     kind_stmt = _single(fields, "kind", block_tok)
     kind = kind_stmt[1].text if len(kind_stmt) > 1 else ""
@@ -156,50 +168,34 @@ def _parse_quantale(name, statements, block_tok):
         return cost_max()
     if kind == "lukasiewicz-grid":
         if len(kind_stmt) < 3:
-            raise ParseError("lukasiewicz-grid needs a resolution",
-                             kind_stmt[0].line, kind_stmt[0].column)
+            raise _error("lukasiewicz-grid needs a resolution", kind_stmt[0])
         try:
             n = int(kind_stmt[2].text)
         except ValueError:
-            raise ParseError(f"bad grid resolution {kind_stmt[2].text!r}",
-                             kind_stmt[2].line, kind_stmt[2].column) from None
+            raise _error(f"bad grid resolution {kind_stmt[2].text!r}",
+                         kind_stmt[2]) from None
         return lukasiewicz_grid(n)
     if kind != "finite-table":
-        raise ParseError(f"unknown quantale kind {kind!r}",
-                         kind_stmt[0].line, kind_stmt[0].column)
+        raise _error(f"unknown quantale kind {kind!r}", kind_stmt[0])
     carrier_stmt = _single(fields, "carrier", block_tok)
     labels = [t.text for t in carrier_stmt[1:]]
     n = len(labels)
     unit_stmt = _single(fields, "unit", block_tok)
     if len(unit_stmt) != 2 or unit_stmt[1].text not in labels:
-        raise ParseError("unit must name one carrier element",
-                         unit_stmt[0].line, unit_stmt[0].column)
-    order_stmt = _single(fields, "order", block_tok)
-    order_toks = order_stmt[1:]
-    if len(order_toks) != n * n:
-        raise ParseError(f"order needs {n * n} entries",
-                         order_stmt[0].line, order_stmt[0].column)
-    for t in order_toks:
-        if t.text not in ("0", "1"):
-            raise ParseError(f"order entries are 0 or 1, got {t.text!r}",
-                             t.line, t.column)
-    leq = [[int(order_toks[i * n + j].text) for j in range(n)]
-           for i in range(n)]
-    tensor_stmt = _single(fields, "tensor", block_tok)
-    tensor_toks = tensor_stmt[1:]
-    if len(tensor_toks) != n * n:
-        raise ParseError(f"tensor needs {n * n} entries",
-                         tensor_stmt[0].line, tensor_stmt[0].column)
-    tens = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            t = tensor_toks[i * n + j]
-            if t.text not in labels:
-                raise ParseError(f"tensor entry {t.text!r} not in carrier",
-                                 t.line, t.column)
-            row.append(labels.index(t.text))
-        tens.append(row)
+        raise _error("unit must name one carrier element", unit_stmt[0])
+
+    def bit(tok):
+        if tok.text not in ("0", "1"):
+            raise _error(f"order entries are 0 or 1, got {tok.text!r}", tok)
+        return int(tok.text)
+
+    def label_index(tok):
+        if tok.text not in labels:
+            raise _error(f"tensor entry {tok.text!r} not in carrier", tok)
+        return labels.index(tok.text)
+
+    leq = _square(fields, "order", block_tok, n, bit)
+    tens = _square(fields, "tensor", block_tok, n, label_index)
     return finite_table(labels, leq, tens, labels.index(unit_stmt[1].text))
 
 
@@ -207,38 +203,19 @@ def _parse_value(quantale, token):
     try:
         return quantale.parse_value(token.text)
     except StructuralError as exc:
-        raise ParseError(str(exc), token.line, token.column) from None
+        raise _error(str(exc), token) from None
 
 
-def _parse_space(name, statements, block_tok, ws):
+def _parse_space(statements, block_tok, ws):
     fields = _fields(statements)
-    q_stmt = _single(fields, "quantale", block_tok)
-    q_name = q_stmt[1].text
-    if q_name not in ws.quantales:
-        raise ParseError(f"unknown quantale {q_name!r}",
-                         q_stmt[1].line, q_stmt[1].column)
-    quantale = ws.quantales[q_name]
-    m_stmt = _single(fields, "monad", block_tok)
-    try:
-        monad = monad_by_name(m_stmt[1].text)
-    except Exception:
-        raise ParseError(f"unknown monad {m_stmt[1].text!r}",
-                         m_stmt[1].line, m_stmt[1].column) from None
-    carrier_stmt = _single(fields, "carrier", block_tok)
-    carrier = Carrier(t.text for t in carrier_stmt[1:])
-    matrix_stmt = _single(fields, "matrix", block_tok)
-    toks = matrix_stmt[1:]
-    n = len(carrier)
-    if len(toks) != n * n:
-        raise ParseError(f"matrix needs {n * n} entries",
-                         matrix_stmt[0].line, matrix_stmt[0].column)
-    entries = [[_parse_value(quantale, toks[i * n + j]) for j in range(n)]
-               for i in range(n)]
+    q_name, quantale, monad, carrier = _header(fields, block_tok, ws)
+    entries = _square(fields, "matrix", block_tok, len(carrier),
+                      lambda tok: _parse_value(quantale, tok))
     structure = VRel(carrier, carrier, quantale, entries)
     return Space(carrier, monad, quantale, structure), q_name
 
 
-def _parse_map(name, statements, block_tok):
+def _parse_map(statements, block_tok):
     fields = _fields(statements)
     dom_stmt = _single(fields, "dom", block_tok)
     cod_stmt = _single(fields, "cod", block_tok)
@@ -250,17 +227,17 @@ def _parse_map(name, statements, block_tok):
             continue
         for tok in stmt:
             if "->" not in tok.text:
-                raise ParseError(f"expected x->y assignment, got {tok.text!r}",
-                                 tok.line, tok.column)
+                raise _error(f"expected x->y assignment, got {tok.text!r}",
+                             tok)
             left, right = tok.text.split("->", 1)
             if left not in dom or right not in cod:
-                raise ParseError(f"assignment {tok.text!r} uses foreign "
-                                 "labels", tok.line, tok.column)
+                raise _error(f"assignment {tok.text!r} uses foreign labels",
+                             tok)
             table[left] = right
     try:
         return MapArrow(dom, cod, table)
     except StructuralError as exc:
-        raise ParseError(str(exc), block_tok.line, block_tok.column) from None
+        raise _error(str(exc), block_tok) from None
 
 
 def resolve_class(spec, quantale, monad, ws=None, grid=None):
@@ -290,43 +267,41 @@ def resolve_class(spec, quantale, monad, ws=None, grid=None):
     raise StructuralError(f"unknown class specifier {spec!r}")
 
 
-def _parse_quasi(name, statements, block_tok, ws):
+def _parse_quasi(statements, block_tok, ws):
     fields = _fields(statements)
-    q_stmt = _single(fields, "quantale", block_tok)
-    if q_stmt[1].text not in ws.quantales:
-        raise ParseError(f"unknown quantale {q_stmt[1].text!r}",
-                         q_stmt[1].line, q_stmt[1].column)
-    quantale = ws.quantales[q_stmt[1].text]
-    m_stmt = _single(fields, "monad", block_tok)
-    monad = monad_by_name(m_stmt[1].text)
-    carrier_stmt = _single(fields, "carrier", block_tok)
-    carrier = Carrier(t.text for t in carrier_stmt[1:])
-    class_stmt = _single(fields, "class", block_tok)
-    cls = resolve_class(class_stmt[1].text, quantale, monad, ws)
+    q_name, quantale, monad, carrier = _header(fields, block_tok, ws)
+    class_spec = _value(fields, "class", block_tok).text
+    cls = resolve_class(class_spec, quantale, monad, ws)
     sets = [set() for _ in cls.objects]
     for stmt in fields.get("admissible", []):
         if len(stmt) < 2:
-            raise ParseError("admissible needs an object index",
-                             stmt[0].line, stmt[0].column)
+            raise _error("admissible needs an object index", stmt[0])
         try:
             idx = int(stmt[1].text)
         except ValueError:
-            raise ParseError(f"bad object index {stmt[1].text!r}",
-                             stmt[1].line, stmt[1].column) from None
+            raise _error(f"bad object index {stmt[1].text!r}",
+                         stmt[1]) from None
         if not 0 <= idx < len(cls.objects):
-            raise ParseError(f"object index {idx} out of range",
-                             stmt[1].line, stmt[1].column)
+            raise _error(f"object index {idx} out of range", stmt[1])
         graph = tuple(t.text for t in stmt[2:])
         if len(graph) != len(cls.objects[idx].carrier):
-            raise ParseError("admissible graph has the wrong arity",
-                             stmt[0].line, stmt[0].column)
+            raise _error("admissible graph has the wrong arity", stmt[0])
         for tok in stmt[2:]:
             if tok.text not in carrier:
-                raise ParseError(f"label {tok.text!r} not in carrier",
-                                 tok.line, tok.column)
+                raise _error(f"label {tok.text!r} not in carrier", tok)
         sets[idx].add(graph)
     quasi = QuasiSpace(carrier, cls, sets, check_class=False)
-    return quasi, q_stmt[1].text, class_stmt[1].text
+    return quasi, q_name, class_spec
+
+
+# each parser returns the object and the names its printed block refers to
+_PARSERS = {
+    "quantale": lambda statements, tok, ws: (
+        _parse_quantale(statements, tok),),
+    "space": _parse_space,
+    "map": lambda statements, tok, ws: (_parse_map(statements, tok),),
+    "quasi": _parse_quasi,
+}
 
 
 def parse_workspace(text, ws=None):
@@ -339,35 +314,21 @@ def parse_workspace(text, ws=None):
             pos += 1
             continue
         kind = tok.text
-        if kind not in ("quantale", "space", "map", "quasi"):
-            raise ParseError(f"unknown block kind {kind!r}", tok.line,
-                             tok.column)
+        if kind not in _PARSERS:
+            raise _error(f"unknown block kind {kind!r}", tok)
         if pos + 1 >= len(tokens):
-            raise ParseError("missing block name", tok.line, tok.column)
+            raise _error("missing block name", tok)
         name_tok = tokens[pos + 1]
         if name_tok.text in ("{", "}", ";", "\n"):
-            raise ParseError("missing block name", name_tok.line,
-                             name_tok.column)
+            raise _error("missing block name", name_tok)
         pos += 2
         while pos < len(tokens) and tokens[pos].text == "\n":
             pos += 1
         if pos >= len(tokens) or tokens[pos].text != "{":
-            raise ParseError("expected '{'", name_tok.line, name_tok.column)
+            raise _error("expected '{'", name_tok)
         statements, pos = _statements(tokens, pos + 1)
-        name = name_tok.text
-        if kind == "quantale":
-            ws.add("quantale", name, _parse_quantale(name, statements, tok))
-        elif kind == "space":
-            space, q_name = _parse_space(name, statements, tok, ws)
-            ws.add("space", name, space)
-            ws.space_quantale[name] = q_name
-        elif kind == "map":
-            ws.add("map", name, _parse_map(name, statements, tok))
-        else:
-            quasi, q_name, class_spec = _parse_quasi(name, statements, tok,
-                                                     ws)
-            ws.add("quasi", name, quasi)
-            ws.quasi_meta[name] = (q_name, class_spec)
+        parsed = _PARSERS[kind](statements, tok, ws)
+        ws.add(kind, name_tok.text, *parsed)
     return ws
 
 
@@ -399,11 +360,14 @@ def print_quantale(name, q):
     return "\n".join(lines) + "\n"
 
 
+def _header_lines(kind, name, quantale_name, monad, carrier):
+    return [f"{kind} {name} {{", f"  quantale {quantale_name}",
+            f"  monad {monad.name}", _line("  carrier", carrier.labels)]
+
+
 def print_space(name, space, quantale_name):
-    lines = [f"space {name} {{"]
-    lines.append(f"  quantale {quantale_name}")
-    lines.append(f"  monad {space.monad.name}")
-    lines.append(_line("  carrier", space.carrier.labels))
+    lines = _header_lines("space", name, quantale_name, space.monad,
+                          space.carrier)
     flat = [tok for row in space.structure.tokens() for tok in row]
     lines.append(_line("  matrix", flat))
     lines.append("}")
@@ -421,10 +385,8 @@ def print_map(name, f):
 
 
 def print_quasi(name, quasi, quantale_name, class_spec):
-    lines = [f"quasi {name} {{"]
-    lines.append(f"  quantale {quantale_name}")
-    lines.append(f"  monad {quasi.cls.monad.name}")
-    lines.append(_line("  carrier", quasi.carrier.labels))
+    lines = _header_lines("quasi", name, quantale_name, quasi.cls.monad,
+                          quasi.carrier)
     lines.append(f"  class {class_spec}")
     for i, graphs in enumerate(quasi.admissible):
         for graph in sorted(graphs):
@@ -434,17 +396,9 @@ def print_quasi(name, quasi, quantale_name, class_spec):
 
 
 def print_workspace(ws):
-    chunks = []
-    for kind, name in ws.order:
-        if kind == "quantale":
-            chunks.append(print_quantale(name, ws.quantales[name]))
-        elif kind == "space":
-            chunks.append(print_space(name, ws.spaces[name],
-                                      ws.space_quantale[name]))
-        elif kind == "map":
-            chunks.append(print_map(name, ws.maps[name]))
-        else:
-            q_name, class_spec = ws.quasi_meta[name]
-            chunks.append(print_quasi(name, ws.quasis[name], q_name,
-                                      class_spec))
-    return "\n".join(chunks)
+    printers = {"quantale": print_quantale, "space": print_space,
+                "map": print_map, "quasi": print_quasi}
+    return "\n".join(
+        printers[kind](name, getattr(ws, kind + "s")[name],
+                       *ws.references[kind, name])
+        for kind, name in ws.order)

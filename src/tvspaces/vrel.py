@@ -107,9 +107,6 @@ class MapArrow:
     def is_surjective(self):
         return set(self.table.values()) == set(self.cod.labels)
 
-    def is_injective(self):
-        return len(set(self.table.values())) == len(self.dom)
-
     def __eq__(self, other):
         return (isinstance(other, MapArrow) and self.dom == other.dom
                 and self.cod == other.cod and self.table == other.table)
@@ -158,9 +155,6 @@ class VRel:
 
     def get(self, x_label, y_label):
         return self.entries[self.dom.index(x_label)][self.cod.index(y_label)]
-
-    def at(self, i, j):
-        return self.entries[i][j]
 
     def __eq__(self, other):
         return (isinstance(other, VRel) and self.dom == other.dom
