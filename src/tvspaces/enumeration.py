@@ -12,6 +12,33 @@ sequence of that loop.  Transitivity is the inequality
 ``a(x, y) (x) a(y, z) <= a(x, z)`` for every triangle ``(x, y, z)``; each
 triangle is tested once, when the last of its three cells is set, so a
 partial square that already breaks it is abandoned with every completion.
+
+:func:`compact_hausdorff_spaces` runs the same search with the Hausdorff
+conditions as further constraints, read off the tables as they stand: in
+every row ``t``, ``a(t, i) (x) a(t, j)`` is bottom for ``i != j``, in both
+orders, and ``a(t, i) (x) a(t, i) <= k``.  A value breaking the second is
+never tried, and a pair is tested when the later of its two cells is set.
+Each constraint reads only cells already set, and the Hausdorff test checks
+the same conditions on the finished square, so pruning abandons exactly the
+completions the test would reject.  The surviving leaves are the squares
+that pass, met in the order of the full search; so the filtered sequence,
+and the first structure seen of each isomorphism class, are unchanged.
+
+:func:`iso_canonical_key` refines a colouring of the points to a fixed
+point (McKay & Piperno, "Practical graph isomorphism II", J. Symb. Comput.
+2014).  A point starts with its diagonal token; each round its colour
+becomes the rank, among the sorted signatures of all points, of its colour
+and the sorted multiset of ``(colour of y, a(x, y), a(y, x))`` over the
+points y, until the number of colours stops growing.  The ranks are
+computed from tokens and earlier ranks alone, so an isomorphism carries
+each point to a point of the same colour, and each cell (the points of one
+colour) onto the cell of the same rank.  The key is the least token matrix
+over the orders that list the cells by rank, each cell in any order.  An
+isomorphism maps the orders of one space one to one onto the orders of the
+other with equal matrices, so isomorphic spaces get equal keys; and each
+matrix is the square of a relabelling, so equal keys mean isomorphic
+spaces.  The key reads tokens, never kernel payloads: the cost kernel's
+scale is chosen per call, so payloads from different calls do not compare.
 """
 
 import itertools
@@ -36,11 +63,12 @@ def standard_carrier(size):
 
 @lru_cache(maxsize=None)
 def _cell_order(n):
-    """The positions of the cells in assignment order, and the triangles.
+    """The positions of the cells in assignment order, triangles and rows.
 
     ``at[x][y]`` is the position of cell ``(x, y)``.  A triangle is the
     position triple of ``(x, y)``, ``(y, z)``, ``(x, z)``; ``closes[p]``
-    lists the triangles whose last cell is at position ``p``.
+    lists the triangles whose last cell is at position ``p``, and
+    ``mates[p]`` the earlier positions in the row of the cell at ``p``.
     """
     cells = [(x, x) for x in range(n)]
     cells += [(x, y) for x in range(n) for y in range(n) if x != y]
@@ -50,7 +78,61 @@ def _cell_order(n):
     for x, y, z in itertools.product(range(n), repeat=3):
         triangle = (pos[x, y], pos[y, z], pos[x, z])
         closes[max(triangle)].append(triangle)
-    return at, tuple(map(tuple, closes))
+    mates = tuple(tuple(q for q in at[x] if q < p)
+                  for p, (x, _) in enumerate(cells))
+    return at, tuple(map(tuple, closes)), mates
+
+
+def _valid_squares(quantale, n, bottom=None):
+    """The squares of :func:`all_valid_spaces`, as rows of values, in order.
+
+    With a ``bottom`` payload, only the squares that meet the Hausdorff
+    conditions on the tables (see the module docstring).
+    """
+    if not quantale.is_finite:
+        raise UnsupportedOperationError(
+            "cannot enumerate structures over an infinite quantale")
+    tensor, leq = quantale._tensor, quantale._leq
+    unit = quantale.unit.payload
+    values = quantale.carrier_values()
+    every = [v.payload for v in values]
+    at, closes, mates = _cell_order(n)
+    if bottom is None:
+        mates = ((),) * (n * n)
+    else:
+        apart = [[tensor[u][v] == bottom == tensor[v][u] for v in every]
+                 for u in every]
+        every = [v for v in every if leq[tensor[v][v]][unit]]
+    diag = [v for v in every if leq[unit][v]]
+    choices = [diag] * n + [every] * (n * n - n)
+    # one DFS frame per cell: the index of its next choice to try
+    a, nxt, depth, last = [0] * n * n, [0] * n * n, 0, n * n - 1
+    while depth >= 0:
+        if depth > last:                  # every cell is set: a structure
+            yield [[values[a[p]] for p in row] for row in at]
+            depth -= 1
+            continue
+        k = nxt[depth]
+        if k == len(choices[depth]):
+            nxt[depth] = 0
+            depth -= 1
+            continue
+        nxt[depth] = k + 1
+        v = a[depth] = choices[depth][k]
+        for p, q, r in closes[depth]:
+            if not leq[tensor[a[p]][a[q]]][a[r]]:
+                break
+        else:
+            for p in mates[depth]:
+                if not apart[v][a[p]]:
+                    break
+            else:
+                depth += 1
+
+
+def _space(carrier, monad, quantale, rows):
+    return Space(carrier, monad, quantale,
+                 VRel(carrier, carrier, quantale, rows))
 
 
 def all_valid_spaces(quantale, monad, carrier):
@@ -60,38 +142,8 @@ def all_valid_spaces(quantale, monad, carrier):
     cells in row-major order, each ranging over ``carrier_values()`` (see
     the module docstring for why the search keeps it).
     """
-    if not quantale.is_finite:
-        raise UnsupportedOperationError(
-            "cannot enumerate structures over an infinite quantale")
-    n = len(carrier)
-    values = quantale.carrier_values()
-    tensor, leq = quantale._tensor, quantale._leq
-    unit = quantale.unit.payload
-    diag = [v.payload for v in values if leq[unit][v.payload]]
-    every = [v.payload for v in values]
-    at, closes = _cell_order(n)
-    choices = [diag] * n + [every] * (n * n - n)
-    # one DFS frame per cell: the index of its next choice to try
-    a, nxt, depth, last = [0] * n * n, [0] * n * n, 0, n * n - 1
-    while depth >= 0:
-        if depth > last:                  # every cell is set: a structure
-            rows = [[values[a[p]] for p in row] for row in at]
-            yield Space(carrier, monad, quantale,
-                        VRel(carrier, carrier, quantale, rows))
-            depth -= 1
-            continue
-        k = nxt[depth]
-        if k == len(choices[depth]):
-            nxt[depth] = 0
-            depth -= 1
-            continue
-        nxt[depth] = k + 1
-        a[depth] = choices[depth][k]
-        for p, q, r in closes[depth]:
-            if not leq[tensor[a[p]][a[q]]][a[r]]:
-                break
-        else:
-            depth += 1
+    for square in _valid_squares(quantale, len(carrier)):
+        yield _space(carrier, monad, quantale, square)
 
 
 def all_valid_spaces_upto(quantale, monad, max_size, include_empty=True):
@@ -100,17 +152,38 @@ def all_valid_spaces_upto(quantale, monad, max_size, include_empty=True):
         yield from all_valid_spaces(quantale, monad, standard_carrier(size))
 
 
+def _refined_cells(sq):
+    """The points of a token square grouped by refined colour, by rank."""
+    pairs = list(zip(sq, zip(*sq)))           # row x and column x
+    colour, count = [row[x] for x, row in enumerate(sq)], -1
+    while True:
+        rank = {c: r for r, c in enumerate(sorted(set(colour)))}
+        colour = [rank[c] for c in colour]
+        if len(rank) in (count, len(sq)):     # stable, or all singletons
+            break
+        count = len(rank)
+        colour = [(c, tuple(sorted(zip(colour, row, col))))
+                  for c, (row, col) in zip(colour, pairs)]
+    cells = [[] for _ in rank]
+    for x, c in enumerate(colour):
+        cells[c].append(x)
+    return cells
+
+
 def iso_canonical_key(space):
-    """Least token matrix of the square form over carrier permutations."""
+    """Least token matrix of the square over the orders of its refined cells.
+
+    See the module docstring for why it is a canonical form.
+    """
     sq = space.structure.tokens()
-    n = len(space.carrier)
     best = None
-    for perm in itertools.permutations(range(n)):
-        candidate = tuple(tuple(sq[perm[i]][perm[j]] for j in range(n))
-                          for i in range(n))
+    for parts in itertools.product(
+            *map(itertools.permutations, _refined_cells(sq))):
+        order = [x for part in parts for x in part]
+        candidate = tuple(tuple(sq[x][y] for y in order) for x in order)
         if best is None or candidate < best:
             best = candidate
-    return (n, best)
+    return (len(sq), best)
 
 
 @lru_cache(maxsize=16)
@@ -121,35 +194,43 @@ def _lawful(quantale):
 def compact_hausdorff_spaces(quantale, monad, max_size):
     """All compact Hausdorff spaces on 1..max_size points, up to isomorphism.
 
-    Finite quantales are enumerated honestly and filtered; the analytic cost
-    quantales use the fact that over an integral quantale with a principal
-    monad the compact Hausdorff spaces are exactly the discrete ones.
+    Finite quantales are enumerated honestly and filtered, the search
+    pruned with the Hausdorff conditions (see the module docstring); the
+    analytic cost quantales use the fact that over an integral quantale
+    with a principal monad the compact Hausdorff spaces are exactly the
+    discrete ones.
     """
     if max_size > len(_LETTERS):
         raise StructuralError(
             f"compact Hausdorff spaces are enumerated on at most "
             f"{len(_LETTERS)} points, not {max_size}")
-    result = []
-    if quantale.is_finite:
-        # On an integral quantale row x of a valid structure has
-        # a(x, x) >= k = top, so its join reaches top (x) top = k (x) k = k
-        # and the structure is compact.  A table that breaks a quantale law
-        # may fail that argument, so it keeps the test.
-        test_compact = not (quantale.integral and _lawful(quantale))
-        seen = set()
-        for size in range(1, max_size + 1):
-            for space in all_valid_spaces(quantale, monad,
-                                          standard_carrier(size)):
-                if test_compact and not is_compact(space):
-                    continue
-                if not is_hausdorff(space):
-                    continue
-                key = iso_canonical_key(space)
-                if key not in seen:
-                    seen.add(key)
-                    result.append(space)
-    else:
-        for size in range(1, max_size + 1):
-            result.append(discrete_space(standard_carrier(size), monad,
-                                         quantale))
+    if not quantale.is_finite:
+        return [discrete_space(standard_carrier(size), monad, quantale)
+                for size in range(1, max_size + 1)]
+    # On an integral quantale row x of a valid structure has
+    # a(x, x) >= k = top, so its join reaches top (x) top = k (x) k = k
+    # and the structure is compact.  A table that breaks a quantale law
+    # may fail that argument, so it keeps the test.
+    test_compact = not (quantale.integral and _lawful(quantale))
+    # The two tests can raise only on a table without a bottom or with an
+    # undefined join.  Elsewhere the search prunes with the Hausdorff
+    # conditions, so the tests below see exactly the squares that pass
+    # them; on such a table it yields every square, so an error comes from
+    # the same structure as without pruning.
+    bottom = quantale._bottom_index
+    if None in itertools.chain.from_iterable(quantale._join2):
+        bottom = None
+    result, seen = [], set()
+    for size in range(1, max_size + 1):
+        carrier = standard_carrier(size)
+        for square in _valid_squares(quantale, size, bottom):
+            space = _space(carrier, monad, quantale, square)
+            if test_compact and not is_compact(space):
+                continue
+            if not is_hausdorff(space):
+                continue
+            key = iso_canonical_key(space)
+            if key not in seen:
+                seen.add(key)
+                result.append(space)
     return result

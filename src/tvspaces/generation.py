@@ -115,13 +115,14 @@ class ProbeClass:
     # -- probes -------------------------------------------------------------
 
     def probes_into(self, space, budget=DEFAULT_MAP_BUDGET):
-        """All probes over a space, deduplicated, in deterministic order.
+        """All probes over a space, in deterministic order.
 
         Returns a tuple of ``(map, object)`` pairs: the continuous maps out
-        of each class object in turn, in :func:`all_maps` order.  The
-        candidate count |Y|^|X| over the objects is checked against the
-        budget before anything is searched; overflowing raises instead of
-        truncating.
+        of each class object in turn, in :func:`all_maps` order.  They are
+        pairwise distinct: the objects are pairwise non-isomorphic and the
+        search yields each map once.  The candidate count |Y|^|X| over the
+        objects is checked against the budget before anything is searched;
+        overflowing raises instead of truncating.
         """
         key = space.cache_key()
         cached = self._probe_cache.get(key)
@@ -133,16 +134,8 @@ class ProbeClass:
             raise BudgetExceededError(
                 f"probe enumeration needs {total} candidate maps, "
                 f"budget is {budget}")
-        probes = []
-        seen = set()
-        for obj in self.objects:
-            obj_key = obj.cache_key()
-            for f in _continuous_map_search(obj, space):
-                dedup = (obj_key, f.graph())
-                if dedup not in seen:
-                    seen.add(dedup)
-                    probes.append((f, obj))
-        probes = tuple(probes)
+        probes = tuple((f, obj) for obj in self.objects
+                       for f in _continuous_map_search(obj, space))
         self._probe_cache[key] = probes
         return probes
 

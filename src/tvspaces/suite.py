@@ -355,12 +355,10 @@ def battery_cmap_cartesian_closed(level="full"):
                         prod_space = get_product(x_space, y_space)
                         prod_core = cls.coreflect(prod_space)
                         x_core = cls.coreflect(x_space)
-                        f_set = {f.graph(): f for f in all_maps(
-                            prod_space.carrier, z_space.carrier)
-                            if is_continuous(f, prod_core, z_space)}
-                        g_all = {g.graph() for g in all_maps(
-                            x_space.carrier, cm.carrier)
-                            if is_continuous(g, x_core, cm)}
+                        f_set = {f.graph(): f for f in
+                                 continuous_maps(prod_core, z_space)}
+                        g_all = {g.graph() for g in
+                                 continuous_maps(x_core, cm)}
                         transposed = set()
                         for f in f_set.values():
                             g = transpose_cmap(f, x_space, y_space, z_space,

@@ -81,6 +81,21 @@ class TestEnumerateProbes:
         for _, src in enumerate_probes(CH2_CLASS, ORD_CHAIN2):
             assert validate_space(src).passed
 
+    @pytest.mark.parametrize("q", [B, chain(3), lukasiewicz_grid(4)],
+                             ids=["bool2", "chain3", "luk4"])
+    def test_probes_of_shipped_classes_are_pairwise_distinct(self, q):
+        classes = [ProbeClass.compact_hausdorff_upto(3, q, IM),
+                   ProbeClass.sierpinski(q, IM),
+                   ProbeClass.explicit([sierpinski_space(q, IM),
+                                        discrete_space(Carrier("xy"), IM, q),
+                                        sierpinski_space(q, IM)])]
+        targets = list(all_valid_spaces_upto(q, IM, 3 if q is B else 2))
+        for cls in classes:
+            for target in targets:
+                probes = cls.probes_into(target)
+                graphs = {(id(obj), f.graph()) for f, obj in probes}
+                assert len(graphs) == len(probes)
+
 
 class TestCoreflection:
     def test_generated_space_is_fixed(self):

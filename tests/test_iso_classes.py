@@ -1,0 +1,273 @@
+"""Differential tests of the canonical key and the compact Hausdorff search.
+
+``iso_canonical_key`` permutes only inside the cells of a refined colouring,
+and ``compact_hausdorff_spaces`` prunes its search with the Hausdorff
+conditions.  The functions prefixed ``ref_`` below are the code they
+replaced, kept as the oracle: the least token matrix over every permutation
+of the carrier, and the Hausdorff filter over every valid structure.  The
+keys may differ from the oracle's, but they must split the structures into
+the same classes; the class lists must be equal, in equal order, and raise
+the same errors.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tvspaces import (
+    StructuralError,
+    TvsError,
+    bool2,
+    chain,
+    cost_plus,
+    finite_table,
+    lukasiewicz_grid,
+)
+from tvspaces.enumeration import (
+    _valid_squares,
+    all_valid_spaces,
+    compact_hausdorff_spaces,
+    iso_canonical_key,
+    standard_carrier,
+)
+from tvspaces.monad import finite_ultrafilter_monad, identity_monad
+from tvspaces.quantale import validate_quantale
+from tvspaces.space import Space, discrete_space, is_compact, is_hausdorff
+from tvspaces.suite import non_integral_quantale
+from tvspaces.vrel import VRel, reflexive_transitive_closure
+
+IM = identity_monad()
+
+# -- the replaced code --------------------------------------------------------
+
+
+def ref_iso_canonical_key(space):
+    """Least token matrix of the square form over carrier permutations."""
+    sq = space.structure.tokens()
+    n = len(space.carrier)
+    best = None
+    for perm in itertools.permutations(range(n)):
+        candidate = tuple(tuple(sq[perm[i]][perm[j]] for j in range(n))
+                          for i in range(n))
+        if best is None or candidate < best:
+            best = candidate
+    return (n, best)
+
+
+def ref_compact_hausdorff_spaces(quantale, monad, max_size):
+    """The filter over every valid structure, deduplicated by the n! key."""
+    if not quantale.is_finite:
+        return [discrete_space(standard_carrier(size), monad, quantale)
+                for size in range(1, max_size + 1)]
+    test_compact = not (quantale.integral
+                        and validate_quantale(quantale).passed)
+    result, seen = [], set()
+    for size in range(1, max_size + 1):
+        for space in all_valid_spaces(quantale, monad,
+                                      standard_carrier(size)):
+            if test_compact and not is_compact(space):
+                continue
+            if not is_hausdorff(space):
+                continue
+            key = ref_iso_canonical_key(space)
+            if key not in seen:
+                seen.add(key)
+                result.append(space)
+    return result
+
+
+def outcome(fn, *args):
+    """The result of a call, or the type and message of its error."""
+    try:
+        return fn(*args)
+    except TvsError as exc:
+        return (type(exc), str(exc))
+
+
+def first_seen(spaces, keys):
+    reps = {}
+    for space, key in zip(spaces, keys):
+        reps.setdefault(key, space)
+    return list(reps.values())
+
+
+def relabelled(space, perm):
+    """The same space with point i moved to position perm[i]."""
+    n = len(space.carrier)
+    moved = [[None] * n for _ in range(n)]
+    for i, row in enumerate(space.structure.entries):
+        for j, v in enumerate(row):
+            moved[perm[i]][perm[j]] = v
+    carrier, q = space.carrier, space.quantale
+    return Space.from_square(carrier, space.monad, q,
+                             VRel(carrier, carrier, q, moved))
+
+
+# -- the canonical key --------------------------------------------------------
+
+
+@pytest.mark.parametrize("q,sizes", [
+    (bool2(), range(5)),
+    (chain(3), range(4)),
+    (lukasiewicz_grid(4), range(3)),
+], ids=["bool2", "chain3", "luk4"])
+def test_key_gives_the_reference_classes(q, sizes):
+    for n in sizes:
+        spaces = list(all_valid_spaces(q, IM, standard_carrier(n)))
+        new = [iso_canonical_key(s) for s in spaces]
+        old = [ref_iso_canonical_key(s) for s in spaces]
+        # the pairing of the two keys is one to one: the same partition
+        assert len(set(new)) == len(set(old)) == len(set(zip(new, old)))
+        assert first_seen(spaces, new) == first_seen(spaces, old)
+
+
+def test_preorder_counts_match_oeis():
+    labelled, classes = [], []
+    for n in range(6):
+        spaces = list(all_valid_spaces(bool2(), IM, standard_carrier(n)))
+        labelled.append(len(spaces))
+        classes.append(len({iso_canonical_key(s) for s in spaces}))
+    assert labelled == [1, 1, 4, 29, 355, 6942]         # OEIS A000798
+    assert classes == [1, 1, 3, 9, 33, 139]             # OEIS A001930
+
+
+@st.composite
+def closed_spaces(draw):
+    """A closed square on up to 5 points over bool2, chain(3) or cost-plus."""
+    q = draw(st.sampled_from([bool2(), chain(3), cost_plus()]))
+    if q.is_finite:
+        value = st.sampled_from(q.carrier_values())
+    else:
+        value = st.one_of(st.just(q.bottom), st.builds(
+            lambda k, d: q.value(Fraction(k, d)),
+            st.integers(0, 4), st.sampled_from([1, 2, 3])))
+    n = draw(st.integers(0, 5))
+    carrier = standard_carrier(n)
+    raw = VRel(carrier, carrier, q,
+               [[draw(value) for _ in range(n)] for _ in range(n)])
+    return Space.from_square(carrier, IM, q,
+                             reflexive_transitive_closure(raw))
+
+
+@settings(max_examples=150, deadline=None)
+@given(closed_spaces(), st.data())
+def test_key_is_invariant_under_relabelling(space, data):
+    n = len(space.carrier)
+    perm = data.draw(st.permutations(range(n)))
+    other = relabelled(space, perm)
+    assert iso_canonical_key(other) == iso_canonical_key(space)
+    # and it separates exactly what the n! key separates
+    third = data.draw(closed_spaces())
+    if third.quantale is space.quantale:
+        assert ((iso_canonical_key(third) == iso_canonical_key(space))
+                == (ref_iso_canonical_key(third)
+                    == ref_iso_canonical_key(space)))
+
+
+# -- the compact Hausdorff class ----------------------------------------------
+
+
+def _broken_integral():
+    """An integral lattice whose unit tensors itself to bottom."""
+    return finite_table(["0", "1"], [[1, 1], [0, 1]], [[0, 0], [0, 0]],
+                        unit_index=1)
+
+
+def _no_bottom():
+    """a, b incomparable below c: no bottom element, so no empty join."""
+    return finite_table(["a", "b", "c"], [[1, 0, 1], [0, 1, 1], [0, 0, 1]],
+                        [[0, 2, 0], [2, 1, 1], [0, 1, 2]], unit_index=2)
+
+
+def _no_top():
+    """b < x, y with x and y incomparable: no join of x and y."""
+    return finite_table(["b", "x", "y"], [[1, 1, 1], [0, 1, 0], [0, 0, 1]],
+                        [[0, 0, 0], [0, 1, 0], [0, 0, 2]], unit_index=1)
+
+
+def _no_join():
+    """z < x, y < u, v < t: x and y have two least upper bounds."""
+    labels = ["z", "x", "y", "u", "v", "t"]
+    above = {"z": "zxyuvt", "x": "xuvt", "y": "yuvt", "u": "ut", "v": "vt",
+             "t": "t"}
+    leq = [[int(b in above[a]) for b in labels] for a in labels]
+    tensor = [[b if a == 5 else a if b in (a, 5) else 0 for b in range(6)]
+              for a in range(6)]
+    return finite_table(labels, leq, tensor, unit_index=5)
+
+
+def _one_sided():
+    """A four-chain whose tensor is bottom but for 3 (x) 3, 1 (x) 3, 3 (x) 2.
+
+    Its pairs of unit and c1 or c2 are bottom in one order only, so it
+    tells whether both orders of a pair are tested.
+    """
+    tensor = [[0] * 4 for _ in range(4)]
+    tensor[3][3], tensor[1][3], tensor[3][2] = 3, 1, 2
+    return finite_table(["c0", "c1", "c2", "c3"],
+                        [[int(a <= b) for b in range(4)] for a in range(4)],
+                        tensor, unit_index=3)
+
+
+# the finite quantales of the suite, then tables that break a law; the
+# Lukasiewicz grid on eleven values stops at 2 points, as its 603,877
+# three-point structures take the oracle about 15 s
+CLASS_CASES = [
+    ("bool2", bool2, 3),
+    ("chain2", lambda: chain(2), 3),
+    ("chain3", lambda: chain(3), 3),
+    ("chain4", lambda: chain(4), 3),
+    ("chain5", lambda: chain(5), 3),
+    ("luk4", lambda: lukasiewicz_grid(4), 3),
+    ("luk10", lambda: lukasiewicz_grid(10), 2),
+    ("non-integral", non_integral_quantale, 3),
+    ("broken-integral", _broken_integral, 3),
+    ("no-bottom", _no_bottom, 3),
+    ("no-top", _no_top, 3),
+    ("no-join", _no_join, 2),
+    ("one-sided", _one_sided, 3),
+]
+
+
+# the search prunes only with a bottom to compare against
+PRUNED_CASES = [c for c in CLASS_CASES if c[0] != "no-bottom"]
+
+
+@pytest.mark.parametrize("name,make,max_size", PRUNED_CASES,
+                         ids=[c[0] for c in PRUNED_CASES])
+def test_pruning_keeps_exactly_the_hausdorff_squares(name, make, max_size):
+    q = make()
+    for n in range(max_size + 1):
+        carrier = standard_carrier(n)
+        pruned = [tuple(map(tuple, rows))
+                  for rows in _valid_squares(q, n, q._bottom_index)]
+        assert pruned == [s.structure.entries
+                          for s in all_valid_spaces(q, IM, carrier)
+                          if is_hausdorff(s)]
+
+
+@pytest.mark.parametrize("monad", [identity_monad, finite_ultrafilter_monad])
+@pytest.mark.parametrize("name,make,max_size", CLASS_CASES,
+                         ids=[c[0] for c in CLASS_CASES])
+def test_class_search_matches_the_filter(name, make, max_size, monad):
+    q, mon = make(), monad()
+    for size in range(max_size + 1):
+        want = outcome(ref_compact_hausdorff_spaces, q, mon, size)
+        assert outcome(compact_hausdorff_spaces, q, mon, size) == want
+
+
+
+def test_broken_tables_still_raise():
+    assert outcome(compact_hausdorff_spaces, _no_bottom(), IM, 1) == (
+        StructuralError, "order has no bottom element")
+    kind, message = outcome(compact_hausdorff_spaces, _no_top(), IM, 2)
+    assert kind is StructuralError
+    assert message.startswith("join undefined in quantale")
+
+
+def test_size_bound_comes_before_the_search():
+    with pytest.raises(StructuralError, match="at most 10 points, not 11"):
+        compact_hausdorff_spaces(_no_bottom(), IM, 11)

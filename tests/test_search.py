@@ -90,16 +90,9 @@ def ref_probes_into(probe_class, space, budget=DEFAULT_MAP_BUDGET):
         raise BudgetExceededError(
             f"probe enumeration needs {total} candidate maps, "
             f"budget is {budget}")
-    probes = []
-    seen = set()
-    for obj in probe_class.objects:
-        for f in all_maps(obj.carrier, space.carrier):
-            if is_continuous(f, obj, space):
-                dedup = (obj.cache_key(), f.graph())
-                if dedup not in seen:
-                    seen.add(dedup)
-                    probes.append((f, obj))
-    return tuple(probes)
+    return tuple((f, obj) for obj in probe_class.objects
+                 for f in all_maps(obj.carrier, space.carrier)
+                 if is_continuous(f, obj, space))
 
 
 def outcome(fn, *args):
