@@ -15,6 +15,7 @@ give byte-identical reports.
 """
 
 import argparse
+import functools
 import sys
 
 from .errors import ParseError, PreconditionError, StructuralError, TvsError
@@ -266,6 +267,8 @@ def cmd_suite(args, out):
     return 0 if all(r.passed for r in results) else 1
 
 
+# parsing reads the tree and never changes it, so one serves every call
+@functools.lru_cache(maxsize=None)
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tvspaces",

@@ -37,8 +37,8 @@ over the orders that list the cells by rank, each cell in any order.  An
 isomorphism maps the orders of one space one to one onto the orders of the
 other with equal matrices, so isomorphic spaces get equal keys; and each
 matrix is the square of a relabelling, so equal keys mean isomorphic
-spaces.  The key reads tokens, never kernel payloads: the cost kernel's
-scale is chosen per call, so payloads from different calls do not compare.
+spaces.  The key reads tokens, not the stored payloads, because a cost
+payload ``INF`` has no order against a ``Fraction``.
 """
 
 import itertools
@@ -84,7 +84,7 @@ def _cell_order(n):
 
 
 def _valid_squares(quantale, n, bottom=None):
-    """The squares of :func:`all_valid_spaces`, as rows of values, in order.
+    """The squares of :func:`all_valid_spaces`, as index rows, in order.
 
     With a ``bottom`` payload, only the squares that meet the Hausdorff
     conditions on the tables (see the module docstring).
@@ -93,9 +93,8 @@ def _valid_squares(quantale, n, bottom=None):
         raise UnsupportedOperationError(
             "cannot enumerate structures over an infinite quantale")
     tensor, leq = quantale._tensor, quantale._leq
-    unit = quantale.unit.payload
-    values = quantale.carrier_values()
-    every = [v.payload for v in values]
+    unit = quantale._unit_index
+    every = list(range(len(quantale.labels)))
     at, closes, mates = _cell_order(n)
     if bottom is None:
         mates = ((),) * (n * n)
@@ -109,7 +108,7 @@ def _valid_squares(quantale, n, bottom=None):
     a, nxt, depth, last = [0] * n * n, [0] * n * n, 0, n * n - 1
     while depth >= 0:
         if depth > last:                  # every cell is set: a structure
-            yield [[values[a[p]] for p in row] for row in at]
+            yield tuple(tuple(map(a.__getitem__, row)) for row in at)
             depth -= 1
             continue
         k = nxt[depth]
@@ -132,7 +131,7 @@ def _valid_squares(quantale, n, bottom=None):
 
 def _space(carrier, monad, quantale, rows):
     return Space(carrier, monad, quantale,
-                 VRel(carrier, carrier, quantale, rows))
+                 VRel._from_rows(carrier, carrier, quantale, rows))
 
 
 def all_valid_spaces(quantale, monad, carrier):

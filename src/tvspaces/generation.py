@@ -283,7 +283,7 @@ def transpose_cmap(f, x_space, y_space, z_space, probe_class, cmap=None):
         raise CarrierMismatchError("transpose codomain mismatch")
     table = {}
     for x in x_space.carrier.labels:
-        slice_map = MapArrow(
+        slice_map = MapArrow._trusted(
             y_space.carrier, z_space.carrier,
             {y: f(pair_label(x, y)) for y in y_space.carrier.labels})
         label = map_label(slice_map)
@@ -292,7 +292,7 @@ def transpose_cmap(f, x_space, y_space, z_space, probe_class, cmap=None):
                 f"slice at {x!r} is not class-continuous; the transpose "
                 "does not land in the function space")
         table[x] = label
-    return MapArrow(x_space.carrier, cmap_sp.carrier, table)
+    return MapArrow._trusted(x_space.carrier, cmap_sp.carrier, table)
 
 
 def untranspose_cmap(g, x_space, y_space, z_space, probe_class, cmap=None):
@@ -307,8 +307,8 @@ def untranspose_cmap(g, x_space, y_space, z_space, probe_class, cmap=None):
         slice_map = by_label[g(x)]
         for y in y_space.carrier.labels:
             table[pair_label(x, y)] = slice_map(y)
-    return MapArrow(pair_carrier(x_space.carrier, y_space.carrier),
-                    z_space.carrier, table)
+    return MapArrow._trusted(pair_carrier(x_space.carrier, y_space.carrier),
+                             z_space.carrier, table)
 
 
 # -- the specialization / expansion pair ----------------------------------------

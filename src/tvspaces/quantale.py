@@ -13,18 +13,19 @@ The reversed numeric order of the cost quantales is never exposed: all
 comparisons go through :meth:`Quantale.leq`.
 
 Scalars cross the public API as :class:`Value` objects, and every scalar
-operation checks its arguments with ``_check``.  The matrix kernels behind
-``vrel.compose``, the closure and the space predicates and constructions
-(validation, continuity, initial and final structures, function spaces,
-compactness, Hausdorffness, separatedness, exponentiability) instead work
-on raw payloads, and this module alone decides their encoding:
-:meth:`Quantale.encode` turns ``Value`` matrices into payload matrices plus
-a kernel object for one operation (``Quantale.kernel`` and the kernel's
-``row`` do the same one row at a time, for scans that may stop early), and
-the kernel's ``decode`` turns the result back.
+operation checks its arguments with ``_check``.  A relation stores the bare
+payloads of its entries (see :mod:`tvspaces.vrel`); ``value_of`` and
+``token_of`` turn a stored payload into its ``Value`` or token unchecked.
+The matrix kernels behind ``vrel.compose``, the closure and the space
+predicates and constructions work on those payload rows, and this module
+alone decides how: :meth:`Quantale.encode` gives the kernel for one
+operation and the kernel rows of some payload matrices (``Quantale.kernel``
+and the kernel's ``row`` do the same one row at a time, for scans that may
+stop early), and the kernel's ``decode`` turns result rows into payloads.
 
-* Finite quantales use the carrier indices already stored in the tables;
-  the kernel reads ``_tensor``, ``_join2`` and ``_leq`` directly.
+* Finite quantales compute on the payloads, the carrier indices of the
+  tables; the kernel reads ``_tensor``, ``_join2`` and ``_leq`` directly,
+  and its ``decode`` hands rows back unchanged.
 * Cost quantales use integers over ``scale``, the lcm of the denominators of
   every entry of the operation, so ``+``, ``max`` and ``min`` on them are
   exact integer arithmetic.  ``inf`` becomes one sentinel integer set above
@@ -130,17 +131,26 @@ class Quantale:
                     f"value {v!r} does not belong to quantale {self.describe()}"
                 )
 
-    # subclasses implement: tensor, hom, leq, meet, join over iterables,
-    # bottom/top/unit, value_token, parse_value, cache_key, and kernel
+    # subclasses implement: tensor, _hom_payload, leq, meet, join2,
+    # bottom/top/unit, value_of, token_of, parse_value, cache_key, and kernel
 
     def encode(self, matrices, steps=1):
-        """The payload kernel for some Value matrices, and their payloads.
+        """The kernel for some payload matrices, and their kernel rows.
 
         ``steps`` bounds how many entries one sum of the operation adds up.
+        The rows are fresh lists, so a kernel operation may write to them.
         """
         kernel = self.kernel(matrices, steps)
         row = kernel.row
         return kernel, [[row(r) for r in m] for m in matrices]
+
+    def value_token(self, v):
+        self._check(v)
+        return self.token_of(v.payload)
+
+    def hom(self, u, v):
+        self._check(u, v)
+        return self.value_of(self._hom_payload(u.payload, v.payload))
 
     def join(self, values):
         out = self.bottom
@@ -268,12 +278,18 @@ class FiniteQuantale(Quantale):
             "is not a complete lattice (run validate_quantale)"
         )
 
-    def _lookup(self, table, u, v, what):
-        self._check(u, v)
-        out = table[u.payload][v.payload]
+    def _entry(self, table, a, b, what):
+        out = table[a][b]
         if out is None:
             raise self._undefined(what)
-        return self._values[out]
+        return out
+
+    def _lookup(self, table, u, v, what):
+        self._check(u, v)
+        return self._values[self._entry(table, u.payload, v.payload, what)]
+
+    def _hom_payload(self, a, b):
+        return self._entry(self._hom, a, b, "hom")
 
     def kernel(self, matrices, steps=1):
         """The index kernel, shared by every operation on this quantale."""
@@ -290,9 +306,6 @@ class FiniteQuantale(Quantale):
 
     def meet(self, u, v):
         return self._lookup(self._meet2, u, v, "meet")
-
-    def hom(self, u, v):
-        return self._lookup(self._hom, u, v, "hom")
 
     def heyting(self, u, v):
         return self._lookup(self._heyting, u, v, "Heyting implication")
@@ -350,9 +363,11 @@ class FiniteQuantale(Quantale):
 
     # -- tokens ------------------------------------------------------------
 
-    def value_token(self, v):
-        self._check(v)
-        return self._tokens[v.payload]
+    def value_of(self, p):
+        return self._values[p]
+
+    def token_of(self, p):
+        return self._tokens[p]
 
     def parse_value(self, token):
         try:
@@ -386,16 +401,13 @@ class CostQuantale(Quantale):
         self._zero = Value(self, Fraction(0))
         self._inf = Value(self, INF)
 
-    def _coerce(self, raw):
+    def value(self, raw):
         if raw is INF:
             return self._inf
         f = Fraction(raw)
         if f < 0:
             raise StructuralError(f"cost values must be nonnegative, got {f}")
         return Value(self, f)
-
-    def value(self, raw):
-        return self._coerce(raw)
 
     def tensor(self, u, v):
         self._check(u, v)
@@ -410,18 +422,6 @@ class CostQuantale(Quantale):
     def meet(self, u, v):
         self._check(u, v)
         return Value(self, _num_max(u.payload, v.payload))
-
-    def hom(self, u, v):
-        # largest w (smallest cost) with w (x) u <= v in the quantale order
-        self._check(u, v)
-        a, b = u.payload, v.payload
-        if self._flavor == "plus":
-            if _num_leq(b, a):
-                return self._zero
-            return self._inf if b is INF else Value(self, b - a)
-        if _num_leq(b, a):
-            return self._zero
-        return Value(self, b)
 
     def heyting(self, u, v):
         # meet is numeric max for both flavors, so the implication coincides
@@ -439,13 +439,14 @@ class CostQuantale(Quantale):
         sum of ``steps`` entries reaches it.
         """
         ratios = [p.as_integer_ratio() for m in matrices for row in m
-                  for v in row if (p := v.payload) is not INF]
+                  for p in row if p is not INF]
         scale = math.lcm(*{d for _, d in ratios})
         # n * (scale // d) <= n * scale bounds every entry
         largest = max(ratios, default=(0, 1))[0] * scale
         return _CostKernel(self, scale, max(steps, 1) * largest + 1)
 
     def _hom_payload(self, a, b):
+        # largest w (smallest cost) with w (x) u <= v in the quantale order
         if _num_leq(b, a):
             return self._zero.payload
         if self._flavor == "plus":
@@ -472,15 +473,18 @@ class CostQuantale(Quantale):
     lean = True
     totally_ordered = True
 
-    def value_token(self, v):
-        self._check(v)
-        return "inf" if v.payload is INF else str(v.payload)
+    def value_of(self, p):
+        return self._inf if p is INF else Value(self, p)
+
+    @staticmethod
+    def token_of(p):
+        return "inf" if p is INF else str(p)
 
     def parse_value(self, token):
         if token == "inf":
             return self._inf
         try:
-            return self._coerce(Fraction(token))
+            return self.value(Fraction(token))
         except (ValueError, ZeroDivisionError):
             raise StructuralError(f"malformed rational {token!r}") from None
 
@@ -505,28 +509,24 @@ _EXP_BLOCK = 1 << 16
 
 
 class _Kernel:
-    """Matrix operations on the payloads of one quantale.
+    """Matrix operations on the kernel rows of one quantale.
 
-    Subclasses give ``unit``, ``bottom`` and ``top`` (payloads; a finite
-    table without a bottom or top raises when one is read),
-    ``row(values, indices=None)`` (the payloads of a row of Values, or of
-    ``values[j]`` for j in ``indices``), ``value(p)`` (the Value of a
-    payload), ``below(a, b)`` and ``row_below(ra, rb)`` (the quantale order
-    on entries and on whole rows), ``tensor(a, b)``, ``meet(a, b)`` and
-    ``heyting(a, b)`` on entries, ``compose(left, right, width)``,
-    ``close(rows)``, and three folds: ``meet_rows(rows, width)`` (the
-    entrywise meet of some rows, starting from top), ``join_all(payloads)``
-    (the join of a sequence, starting from bottom) and
-    ``join_at(acc, cols, row)`` (``acc[cols[j]]`` joined with ``row[j]`` in
-    place, for j in order).  Matrices are lists of rows.  Built on these,
-    ``function_space`` gives the function-space matrix on some maps and
-    ``exponentiability_witness`` the first failure of the exponentiability
-    inequality.
+    Subclasses give ``unit``, ``bottom`` and ``top`` (kernel entries; a
+    finite table without a bottom or top raises when one is read),
+    ``row(payloads, indices=None)`` (the kernel row of a stored payload row,
+    or of ``payloads[j]`` for j in ``indices``, as a fresh list),
+    ``decode(rows)`` (the payload rows of kernel rows), ``below(a, b)`` and
+    ``row_below(ra, rb)`` (the quantale order on entries and on whole rows),
+    ``tensor(a, b)``, ``meet(a, b)`` and ``heyting(a, b)`` on entries,
+    ``compose(left, right, width)``, ``close(rows)``, and three folds:
+    ``meet_rows(rows, width)`` (the entrywise meet of some rows, starting
+    from top), ``join_all(entries)`` (the join of a sequence, starting from
+    bottom) and ``join_at(acc, cols, row)`` (``acc[cols[j]]`` joined with
+    ``row[j]`` in place, for j in order).  Matrices are lists of rows.
+    Built on these, ``function_space`` gives the function-space matrix on
+    some maps and ``exponentiability_witness`` the first failure of the
+    exponentiability inequality.
     """
-
-    def decode(self, rows):
-        value = self.value
-        return [[value(p) for p in row] for row in rows]
 
     def row_failures(self, ra, rb):
         """Columns ``j`` where ``ra[j]`` is not below ``rb[j]``."""
@@ -640,10 +640,14 @@ class _FiniteKernel(_Kernel):
         return self._q.top.payload
 
     @staticmethod
-    def row(values, indices=None):
+    def row(payloads, indices=None):
         if indices is None:
-            return [v.payload for v in values]
-        return [values[j].payload for j in indices]
+            return list(payloads)
+        return [payloads[j] for j in indices]
+
+    @staticmethod
+    def decode(rows):
+        return rows
 
     def below(self, a, b):
         return self._leq[a][b]
@@ -656,23 +660,14 @@ class _FiniteKernel(_Kernel):
             return all(map(operator.le, ra, rb))
         return all(map(operator.getitem, map(self._leq.__getitem__, ra), rb))
 
-    def value(self, p):
-        return self._q._values[p]
-
-    def _lookup(self, table, a, b, what):
-        out = table[a][b]
-        if out is None:
-            raise self._q._undefined(what)
-        return out
-
     def _join2(self, a, b):
-        return self._lookup(self._join, a, b, "join")
+        return self._q._entry(self._join, a, b, "join")
 
     def _meet2(self, a, b):
-        return self._lookup(self._q._meet2, a, b, "meet")
+        return self._q._entry(self._q._meet2, a, b, "meet")
 
     def heyting(self, a, b):
-        return self._lookup(self._q._heyting, a, b, "Heyting implication")
+        return self._q._entry(self._q._heyting, a, b, "Heyting implication")
 
     def meet_rows(self, rows, width):
         if self._max_join:             # a chain: the meet is min
@@ -829,20 +824,31 @@ class _CostKernel(_Kernel):
     """
 
     def __init__(self, q, scale, inf):
-        self._q = q
         self._plus = q._flavor == "plus"
         self.scale = scale
         self.inf = self.bottom = inf
         self.unit = self.top = 0
-        self._values = {}
+        self._payloads = {}
 
-    def row(self, values, indices=None):
+    def row(self, payloads, indices=None):
         if indices is not None:
-            values = [values[j] for j in indices]
+            payloads = [payloads[j] for j in indices]
         scale, inf = self.scale, self.inf
-        return [inf if (p := v.payload) is INF
+        return [inf if p is INF
                 else (r := p.as_integer_ratio())[0] * (scale // r[1])
-                for v in values]
+                for p in payloads]
+
+    def decode(self, rows):
+        payload = self.payload
+        return [[payload(x) for x in row] for row in rows]
+
+    def payload(self, x):
+        """The stored payload of a kernel entry."""
+        p = self._payloads.get(x)
+        if p is None:
+            p = self._payloads[x] = (
+                INF if x >= self.inf else Fraction(x, self.scale))
+        return p
 
     @staticmethod
     def below(a, b):
@@ -878,14 +884,6 @@ class _CostKernel(_Kernel):
         for k, v in zip(cols, row):
             if v < acc[k]:
                 acc[k] = v
-
-    def value(self, p):
-        v = self._values.get(p)
-        if v is None:
-            v = self._values[p] = (
-                self._q.bottom if p >= self.inf
-                else Value(self._q, Fraction(p, self.scale)))
-        return v
 
     def _terms(self, a, row):
         if self._plus:
@@ -1008,11 +1006,19 @@ def generated_values(quantale, seeds, cap=10000):
         return quantale.carrier_values()
     for s in seeds:
         quantale._check(s)
+    return [Value(quantale, p) for p in _generated_payloads(
+        quantale, [s.payload for s in seeds], cap)]
+
+
+def _generated_payloads(quantale, seeds, cap=10000):
+    """The payloads of :func:`generated_values`, from payload seeds."""
+    if quantale.is_finite:
+        return list(range(len(quantale.labels)))
     # frontier closure on raw payloads: meet and join of a chain add
     # nothing new, so only the residual produces fresh values
     current = {quantale.bottom.payload, quantale.top.payload,
                quantale.unit.payload}
-    current.update(s.payload for s in seeds)
+    current.update(seeds)
     frontier = set(current)
     while frontier:
         new = set()
@@ -1028,9 +1034,7 @@ def generated_values(quantale, seeds, cap=10000):
                 f"generated value set exceeds the cap of {cap} elements"
             )
         frontier = new
-    return [Value(quantale, p)
-            for p in sorted(current, key=lambda p: (p is INF,
-                                                    0 if p is INF else p))]
+    return sorted(current, key=lambda p: (p is INF, 0 if p is INF else p))
 
 
 # -- validation ---------------------------------------------------------------

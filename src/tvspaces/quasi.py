@@ -77,15 +77,7 @@ class QuasiSpace:
                 "need one admissible set per class object")
         sets = []
         for obj, maps in zip(cls.objects, admissible):
-            graphs = set()
-            for f in maps:
-                if isinstance(f, MapArrow):
-                    if f.dom != obj.carrier or f.cod != carrier:
-                        raise StructuralError(
-                            "admissible map endpoints do not match")
-                    graphs.add(f.graph())
-                else:
-                    graphs.add(tuple(f))
+            graphs = {tuple(g) for g in maps}
             for g in graphs:
                 if len(g) != len(obj.carrier) or any(
                         y not in carrier for y in g):
@@ -406,28 +398,16 @@ def quotient_quasi(quasi, f, cover_budget=DEFAULT_COVER_BUDGET,
             for alpha_prime in quasi.arrows(j):
                 pushed = alpha_prime.then(f)
                 for h in surjections:
-                    # alpha . h = pushed determines alpha on the image of h
+                    # alpha . h = pushed determines alpha on the image of h,
+                    # which is all of obj, as h is onto
                     assignment = {}
-                    ok = True
                     for c in src.carrier.labels:
                         want = pushed(c)
-                        got = assignment.get(h(c))
-                        if got is None:
-                            assignment[h(c)] = want
-                        elif got != want:
-                            ok = False
+                        if assignment.setdefault(h(c), want) != want:
                             break
-                    if ok:
-                        for rest in itertools.product(
-                                target.labels,
-                                repeat=len(obj.carrier)
-                                - len(assignment)):
-                            free = [c for c in obj.carrier.labels
-                                    if c not in assignment]
-                            table = dict(assignment)
-                            table.update(zip(free, rest))
-                            sets[i].add(MapArrow(obj.carrier, target,
-                                                 table).graph())
+                    else:
+                        sets[i].add(tuple(assignment[c]
+                                          for c in obj.carrier.labels))
     sets = saturate_admissible(target, cls, sets, cover_budget, eta_budget)
     return QuasiSpace(target, cls, sets, check_class=False)
 
@@ -457,16 +437,14 @@ def product_quasi(factors, cls=None):
     cls = factors[0].cls
     for q in factors[1:]:
         _shared_class(factors[0], q)
-    labels = ["(" + ",".join(combo) + ")"
-              for combo in itertools.product(
-                  *[q.carrier.labels for q in factors])]
+    combos = list(itertools.product(*[q.carrier.labels for q in factors]))
+    labels = ["(" + ",".join(combo) + ")" for combo in combos]
     carrier = Carrier(labels)
-    projections = []
-    for idx, q in enumerate(factors):
-        table = {}
-        for combo in itertools.product(*[p.carrier.labels for p in factors]):
-            table["(" + ",".join(combo) + ")"] = combo[idx]
-        projections.append(MapArrow(carrier, q.carrier, table))
+    projections = [
+        MapArrow._trusted(carrier, q.carrier,
+                          {label: combo[idx]
+                           for label, combo in zip(labels, combos)})
+        for idx, q in enumerate(factors)]
     source = list(zip(projections, factors))
     return initial_quasi(carrier, source, cls), tuple(projections)
 
@@ -525,26 +503,14 @@ def exponential_quasi(qx, qy):
     by_label = {map_label(f): f for f in maps}
     sets = []
     for i, obj in enumerate(cls.objects):
-        good = set()
-        for beta in all_maps(obj.carrier, carrier):
-            ok = True
-            for j, src in enumerate(cls.objects):
-                for h in cls.homs(j, i):
-                    for alpha in qx.arrows(j):
-                        evaluated = MapArrow(
-                            src.carrier, qy.carrier,
-                            {b: by_label[beta(h(b))](alpha(b))
-                             for b in src.carrier.labels})
-                        if not qy.contains(j, evaluated):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok:
-                good.add(beta.graph())
-        sets.append(good)
+        # the graph of b -> beta(h(b))(alpha(b)) must be admissible
+        sets.append({beta.graph() for beta in all_maps(obj.carrier, carrier)
+                     if all(tuple(by_label[beta(h(b))](alpha(b))
+                                  for b in src.carrier.labels)
+                            in qy.admissible[j]
+                            for j, src in enumerate(cls.objects)
+                            for h in cls.homs(j, i)
+                            for alpha in qx.arrows(j))})
     return QuasiSpace(carrier, cls, sets, check_class=False), by_label
 
 

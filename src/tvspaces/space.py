@@ -10,28 +10,26 @@ the axioms, decides continuity, builds subspaces, products, coproducts,
 initial and final liftings and function spaces, and decides the
 compactness, Hausdorff, separatedness and exponentiability predicates.
 
-Structure equality is exact entrywise value equality; there are no
+Structure equality is exact entrywise payload equality; there are no
 tolerances anywhere.
 
-The predicates and constructions run on kernel payloads (see
-:mod:`tvspaces.quantale`): each converts the structure matrices it reads to
-payloads once, through ``Quantale.encode`` or ``Quantale.kernel``, works on
-carrier indices, and converts a structure it builds back to ``Value``
-entries once.  A construction over a source or sink of maps encodes each
-distinct target or domain structure once, however many maps share it (a
-coreflection has thousands of probes out of a handful of class objects).
-That is exact because the encoding is fixed for the whole operation: a
-finite table's payload is the carrier index itself, and the cost kernel puts
-every entry of the operation over one common scale, so two entries have the
-same payload exactly when they are the same value, and the kernel's order,
-tensor, join, meet and implication agree with the ``Value`` ones.  Encoding
-a matrix again for every map that refers to it would give the same payloads.
+The predicates and constructions hand a structure's payload rows (see
+:mod:`tvspaces.vrel`) to the quantale's kernel (see :mod:`tvspaces.quantale`)
+and store the rows it returns unchecked.  A construction over a source or
+sink of maps encodes each distinct target or domain structure once, however
+many maps share it (a coreflection has thousands of probes out of a handful
+of class objects).  That is exact because the encoding is fixed for the
+whole operation: a finite table's kernel entry is the carrier index itself,
+and the cost kernel puts every entry of the operation over one common
+scale, so two entries are equal exactly when they are the same value, and
+the kernel's order, tensor, join, meet and implication agree with the
+``Value`` ones.  Encoding a matrix again per map would give the same rows.
 """
 
 import itertools
 
 from .errors import CarrierMismatchError, PreconditionError, StructuralError
-from .quantale import generated_values
+from .quantale import _generated_payloads
 from .validation import ValidationReport
 from .vrel import Carrier, MapArrow, VRel, identity_rel
 
@@ -61,7 +59,7 @@ class Space:
 
     def cache_key(self):
         return (self.quantale.cache_key(), self.monad.name,
-                self.carrier.labels, self.structure.tokens())
+                self.carrier.labels, self.structure.rows)
 
     def __eq__(self, other):
         return (isinstance(other, Space)
@@ -79,12 +77,12 @@ class Space:
 
 
 def _encode_distinct(quantale, spaces, steps=1):
-    """The kernel for some spaces' structures, and each one's payloads.
+    """The kernel for some spaces' structures, and each one's kernel rows.
 
-    Each distinct structure is encoded once; the payloads come back keyed
-    by the ``id`` of the structure.
+    Each distinct structure is encoded once; the rows come back keyed by
+    the ``id`` of the structure.
     """
-    distinct = {id(s.structure): s.structure.entries for s in spaces}
+    distinct = {id(s.structure): s.structure.rows for s in spaces}
     kernel, payloads = quantale.encode(list(distinct.values()), steps)
     return kernel, dict(zip(distinct, payloads))
 
@@ -107,21 +105,21 @@ def validate_space(space):
     Reflexivity is ``k <= a(x, x)`` and transitivity is ``a . a <= a``; a
     transitivity witness names the point of ``TTX`` of its row.
     """
-    entries = space.structure.entries
+    q, rows = space.quantale, space.structure.rows
     labels = space.carrier.labels
-    kernel, (a,) = space.quantale.encode((entries,), steps=2)
+    kernel, (a,) = q.encode((rows,), steps=2)
     violations = []
     for i, x in enumerate(labels):
         if not kernel.below(kernel.unit, a[i][i]):
-            violations.append(("reflexivity", (x, entries[i][i].token)))
+            violations.append(("reflexivity", (x, q.token_of(rows[i][i]))))
 
     lhs = kernel.compose(a, a, len(labels))
     row_label = space.monad.row_label
     for i, j in kernel.failures(lhs, a):
-        lhs_token = kernel.value(lhs[i][j]).token
+        lhs_token = q.token_of(kernel.decode([lhs[i]])[0][j])
         violations.append(("transitivity", (row_label(labels[i], 2),
                                             labels[j], lhs_token,
-                                            entries[i][j].token)))
+                                            q.token_of(rows[i][j]))))
     return ValidationReport.collect(violations)
 
 
@@ -133,7 +131,7 @@ def continuity_witness(f, x_space, y_space):
     _check_compatible(x_space, y_space)
     if f.dom != x_space.carrier or f.cod != y_space.carrier:
         raise CarrierMismatchError("map endpoints do not match the spaces")
-    a, b = x_space.structure.entries, y_space.structure.entries
+    a, b = x_space.structure.rows, y_space.structure.rows
     kernel = x_space.quantale.kernel((a, b))
     row, row_below = kernel.row, kernel.row_below
     indices = f.cod.indices(f.table.values())
@@ -160,7 +158,7 @@ def is_fully_faithful(f, x_space, y_space):
     _check_compatible(x_space, y_space)
     if f.dom != x_space.carrier or f.cod != y_space.carrier:
         raise CarrierMismatchError("map endpoints do not match the spaces")
-    a, b = x_space.structure.entries, y_space.structure.entries
+    a, b = x_space.structure.rows, y_space.structure.rows
     row = x_space.quantale.kernel((a, b)).row
     indices = f.cod.indices(f.table.values())
     return all(row(a[i]) == row(b[fi], indices)
@@ -170,7 +168,7 @@ def is_fully_faithful(f, x_space, y_space):
 def all_maps(dom, cod):
     """Every total map between two carriers, in deterministic order."""
     for images in itertools.product(cod.labels, repeat=len(dom)):
-        yield MapArrow(dom, cod, dict(zip(dom.labels, images)))
+        yield MapArrow._trusted(dom, cod, dict(zip(dom.labels, images)))
 
 
 def _continuous_map_search(x_space, y_space):
@@ -185,10 +183,9 @@ def _continuous_map_search(x_space, y_space):
     if n and not m:
         return []
     _check_compatible(x_space, y_space)
-    a, b = x_space.structure.entries, y_space.structure.entries
-    kernel = x_space.quantale.kernel((a, b))
-    row, below = kernel.row, kernel.below
-    a, b = [row(r) for r in a], [row(r) for r in b]
+    kernel, (a, b) = x_space.quantale.encode(
+        (x_space.structure.rows, y_space.structure.rows))
+    below = kernel.below
     ys = range(m)
     # per entry v of a and point y of Y, as bitsets over Y:
     # out_of[v][y] holds the y' with v <= b(y, y'), into[v][y] those with
@@ -228,7 +225,8 @@ def _continuous_map_search(x_space, y_space):
             if i < n:
                 untried[i] = narrowed[i]
     labels = cod.labels
-    return [MapArrow(dom, cod, {x: labels[y] for x, y in zip(dom.labels, f)})
+    return [MapArrow._trusted(dom, cod,
+                              {x: labels[y] for x, y in zip(dom.labels, f)})
             for f in found]
 
 
@@ -261,11 +259,11 @@ def subspace(space, labels):
             raise StructuralError(f"label {x!r} is not in the carrier")
     sub = Carrier(labels)
     incl = MapArrow(sub, space.carrier, {x: x for x in labels})
-    a = space.structure.entries
+    a = space.structure.rows
     indices = space.carrier.indices(labels)
     rows = [[a[i][j] for j in indices] for i in indices]
     return Space(sub, space.monad, space.quantale,
-                 VRel(sub, sub, space.quantale, rows)), incl
+                 VRel._from_rows(sub, sub, space.quantale, rows)), incl
 
 
 def initial_structure(carrier, source, monad, quantale):
@@ -295,8 +293,8 @@ def initial_structure(carrier, source, monad, quantale):
     n = len(carrier)
     meets = [kernel.meet_rows([rows[i] for rows in pulled], n)
              for i in range(n)]
-    return Space(carrier, monad, quantale,
-                 VRel(carrier, carrier, quantale, kernel.decode(meets)))
+    return Space(carrier, monad, quantale, VRel._from_rows(
+        carrier, carrier, quantale, kernel.decode(meets)))
 
 
 def final_structure(carrier, sink, monad, quantale):
@@ -326,8 +324,8 @@ def final_structure(carrier, sink, monad, quantale):
         for fi, row in zip(indices, payloads[id(x.structure)]):
             kernel.join_at(joined[fi], indices, row)
     closed = kernel.close(joined)
-    return Space(carrier, monad, quantale,
-                 VRel(carrier, carrier, quantale, kernel.decode(closed)))
+    return Space(carrier, monad, quantale, VRel._from_rows(
+        carrier, carrier, quantale, kernel.decode(closed)))
 
 
 def pair_label(x, y):
@@ -347,8 +345,10 @@ def product(x_space, y_space):
     carrier = pair_carrier(x_space.carrier, y_space.carrier)
     pairs = list(zip(carrier.labels, itertools.product(
         x_space.carrier.labels, y_space.carrier.labels)))
-    p1 = MapArrow(carrier, x_space.carrier, {p: x for p, (x, _) in pairs})
-    p2 = MapArrow(carrier, y_space.carrier, {p: y for p, (_, y) in pairs})
+    p1 = MapArrow._trusted(carrier, x_space.carrier,
+                           {p: x for p, (x, _) in pairs})
+    p2 = MapArrow._trusted(carrier, y_space.carrier,
+                           {p: y for p, (_, y) in pairs})
     space = initial_structure(carrier, [(p1, x_space), (p2, y_space)],
                               x_space.monad, x_space.quantale)
     return space, (p1, p2)
@@ -374,15 +374,15 @@ def coproduct_many(spaces):
     injections = [
         MapArrow(s.carrier, carrier, {x: f"{i}:{x}" for x in s.carrier.labels})
         for i, s in enumerate(spaces)]
-    bot = quantale.bottom
+    bot = quantale.bottom.payload
     rows, before = [], 0
     for s in spaces:
         after = len(carrier) - before - len(s.carrier)
-        rows.extend([bot] * before + list(row) + [bot] * after
-                    for row in s.structure.entries)
+        rows.extend((bot,) * before + row + (bot,) * after
+                    for row in s.structure.rows)
         before += len(s.carrier)
-    return Space(carrier, monad, quantale,
-                 VRel(carrier, carrier, quantale, rows)), injections
+    return Space(carrier, monad, quantale, VRel._from_rows(
+        carrier, carrier, quantale, rows)), injections
 
 
 def coproduct(x_space, y_space):
@@ -408,7 +408,7 @@ def compactness_witness(space):
     Row tx is compact when the unit is below the join over x of
     ``a(tx, x) (x) a(tx, x)``; rows are tested in order.
     """
-    kernel, (a,) = space.quantale.encode((space.structure.entries,), steps=2)
+    kernel, (a,) = space.quantale.encode((space.structure.rows,), steps=2)
     tensor, unit = kernel.tensor, kernel.unit
     for x, row in zip(space.carrier.labels, a):
         total = kernel.join_all([tensor(v, v) for v in row])
@@ -427,8 +427,7 @@ def hausdorff_witness(space):
     ``a(tx, x) (x) a(tx, y)`` must be bottom for x != y and below the unit
     for x = y; pairs are tested with x outermost and tx innermost.
     """
-    kernel, (a,) = space.quantale.encode((space.structure.entries,),
-                                         steps=2)
+    kernel, (a,) = space.quantale.encode((space.structure.rows,), steps=2)
     bot, unit = kernel.bottom, kernel.unit
     tensor, below = kernel.tensor, kernel.below
     labels = space.carrier.labels
@@ -456,7 +455,7 @@ def separatedness_witness(space):
 
     Pairs ``(y1, y2)`` of distinct points are tested in row-major order.
     """
-    kernel, (a,) = space.quantale.encode((space.structure.entries,))
+    kernel, (a,) = space.quantale.encode((space.structure.rows,))
     unit, below = kernel.unit, kernel.below
     up = [[below(unit, p) for p in row] for row in a]
     labels = space.carrier.labels
@@ -506,7 +505,7 @@ def sierpinski_space(quantale, monad, grid=None):
     points, as the monad is carrier-isomorphic to the identity.
     """
     if quantale.is_finite:
-        values = quantale.carrier_values()
+        payloads = range(len(quantale.labels))
     else:
         if not grid:
             raise StructuralError(
@@ -516,12 +515,12 @@ def sierpinski_space(quantale, monad, grid=None):
             quantale._check(v)
         if len(set(values)) != len(values):
             raise StructuralError("grid values must be distinct")
-    tokens = [quantale.value_token(v) for v in values]
-    carrier = Carrier(tokens)
-    by_token = dict(zip(tokens, values))
-    sq = VRel.build(carrier, carrier, quantale,
-                    lambda u, v: quantale.hom(by_token[u], by_token[v]))
-    return Space(carrier, monad, quantale, sq)
+        payloads = [v.payload for v in values]
+    carrier = Carrier(map(quantale.token_of, payloads))
+    hom = quantale._hom_payload
+    return Space(carrier, monad, quantale, VRel._from_rows(
+        carrier, carrier, quantale,
+        [[hom(u, v) for v in payloads] for u in payloads]))
 
 
 # -- exponentiability and exponentials ------------------------------------------
@@ -546,17 +545,16 @@ def exponentiability_witness(space):
     below the ``inf`` sentinel.  Returns ``(big, x, u, v)`` for the first
     failure, else None.
     """
-    q = space.quantale
-    entries = space.structure.entries
-    values = generated_values(q, [v for row in entries for v in row])
-    kernel, (a, (payloads,)) = q.encode((entries, [values]), steps=2)
+    q, rows = space.quantale, space.structure.rows
+    values = _generated_payloads(q, [p for row in rows for p in row])
+    kernel, (a, (payloads,)) = q.encode((rows, [values]), steps=2)
     hit = kernel.exponentiability_witness(a, payloads)
     if hit is None:
         return None
     i, j, ui, vi = hit
     labels = space.carrier.labels
     return (space.monad.row_label(labels[i], 2), labels[j],
-            values[ui], values[vi])
+            q.value_of(values[ui]), q.value_of(values[vi]))
 
 
 def is_exponentiable(space):
@@ -586,12 +584,12 @@ def exponential(y_space, z_space):
     maps = continuous_maps(y_space, z_space)
     carrier = Carrier(map_label(f) for f in maps)
     by_label = {map_label(f): f for f in maps}
-    kernel, (b, c) = q.encode((y_space.structure.entries,
-                               z_space.structure.entries))
+    kernel, (b, c) = q.encode((y_space.structure.rows,
+                               z_space.structure.rows))
     images = [z_space.carrier.indices(f.table.values()) for f in maps]
     rows = kernel.function_space(b, c, images)
-    return Space(carrier, monad, q,
-                 VRel(carrier, carrier, q, kernel.decode(rows))), by_label
+    return Space(carrier, monad, q, VRel._from_rows(
+        carrier, carrier, q, kernel.decode(rows))), by_label
 
 
 def evaluation_map(exp_space, by_label, y_space, z_space):

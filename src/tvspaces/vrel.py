@@ -1,16 +1,18 @@
 """Matrix algebra of quantale-valued relations over finite carriers.
 
-Relations are dense matrices of :class:`~tvspaces.quantale.Value`; carriers
-are ordered label lists and equality of carriers is equality of those lists.
-Everything here is immutable and pure.
+A relation stores ``rows``: tuples of the payloads its entries'
+:class:`~tvspaces.quantale.Value` objects carry (a finite quantale's carrier
+index, a cost quantale's ``Fraction`` or ``INF``).  Carriers are ordered
+label lists, equal when the lists are.  Everything here is immutable.
 
-``Value`` and its ``_check`` live at this boundary only.  :func:`compose`
-and :func:`reflexive_transitive_closure` encode their matrices once with
-:meth:`~tvspaces.quantale.Quantale.encode`, run on raw payloads (carrier
-indices for finite quantales, integers over a common denominator with an
-``inf`` sentinel for the cost quantales, see :mod:`tvspaces.quantale`) and
-decode the result once.  The answers are exactly those of the entrywise
-``Value`` operations, errors from an incomplete lattice included.
+``VRel(dom, cod, quantale, entries)`` checks the shape and the quantale of
+every entry and keeps their payloads; ``entries``, ``get`` and ``tokens``
+build ``Value`` objects or tokens on demand.  Rows the library computes are
+right by construction and go through ``VRel._from_rows`` unchecked.
+:func:`compose`, the closure, joins and meets run the quantale's kernel
+(see :mod:`tvspaces.quantale`) on the stored rows and store the rows it
+returns: exactly the entrywise ``Value`` answers, including the errors of
+an incomplete lattice.
 """
 
 from .errors import (
@@ -84,8 +86,16 @@ class MapArrow:
         self.table = {x: table[x] for x in dom.labels}
 
     @staticmethod
+    def _trusted(dom, cod, table):
+        """A map the library built total and in range, keyed in dom order."""
+        f = object.__new__(MapArrow)
+        f.dom, f.cod, f.table = dom, cod, table
+        return f
+
+    @staticmethod
     def identity(carrier):
-        return MapArrow(carrier, carrier, {x: x for x in carrier.labels})
+        return MapArrow._trusted(carrier, carrier,
+                                 {x: x for x in carrier.labels})
 
     @staticmethod
     def constant(dom, cod, y):
@@ -98,8 +108,9 @@ class MapArrow:
         """Post-compose: ``f.then(g)`` is the map x -> g(f(x))."""
         if self.cod != other.dom:
             raise CarrierMismatchError("composition carriers do not match")
-        return MapArrow(self.dom, other.cod,
-                        {x: other.table[y] for x, y in self.table.items()})
+        return MapArrow._trusted(
+            self.dom, other.cod,
+            {x: other.table[y] for x, y in self.table.items()})
 
     def graph(self):
         return tuple(self.table[x] for x in self.dom.labels)
@@ -122,25 +133,37 @@ class MapArrow:
 class VRel:
     """A quantale-valued matrix indexed by a pair of carriers."""
 
-    __slots__ = ("dom", "cod", "quantale", "entries")
+    __slots__ = ("dom", "cod", "quantale", "rows")
 
     def __init__(self, dom, cod, quantale, entries):
         entries = tuple(tuple(row) for row in entries)
         if len(entries) != len(dom):
             raise StructuralError(
                 f"expected {len(dom)} rows, got {len(entries)}")
+        rows = []
         for row in entries:
             if len(row) != len(cod):
                 raise StructuralError(
                     f"expected {len(cod)} columns, got {len(row)}")
-            for v in row:
-                if v.quantale is not quantale:
-                    raise QuantaleMismatchError(
-                        "matrix entry from a different quantale")
+            # one pass: an entry of another quantale leaves the row short
+            payloads = tuple([v.payload for v in row
+                              if v.quantale is quantale])
+            if len(payloads) != len(row):
+                raise QuantaleMismatchError(
+                    "matrix entry from a different quantale")
+            rows.append(payloads)
         self.dom = dom
         self.cod = cod
         self.quantale = quantale
-        self.entries = entries
+        self.rows = tuple(rows)
+
+    @staticmethod
+    def _from_rows(dom, cod, quantale, rows):
+        """These payload rows, computed by the library, so unchecked."""
+        r = object.__new__(VRel)
+        r.dom, r.cod, r.quantale = dom, cod, quantale
+        r.rows = tuple(map(tuple, rows))
+        return r
 
     @staticmethod
     def build(dom, cod, quantale, fn):
@@ -153,23 +176,28 @@ class VRel:
         return VRel(dom, cod, quantale,
                     [[value] * len(cod) for _ in range(len(dom))])
 
+    @property
+    def entries(self):
+        """The rows as ``Value`` objects."""
+        value_of = self.quantale.value_of
+        return tuple(tuple(map(value_of, row)) for row in self.rows)
+
     def get(self, x_label, y_label):
-        return self.entries[self.dom.index(x_label)][self.cod.index(y_label)]
+        return self.quantale.value_of(
+            self.rows[self.dom.index(x_label)][self.cod.index(y_label)])
 
     def __eq__(self, other):
         return (isinstance(other, VRel) and self.dom == other.dom
                 and self.cod == other.cod
                 and self.quantale is other.quantale
-                and self.entries == other.entries)
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.dom, self.cod,
-                     tuple(v.payload for row in self.entries for v in row)))
+        return hash((self.dom, self.cod, self.rows))
 
     def tokens(self):
-        q = self.quantale
-        return tuple(tuple(q.value_token(v) for v in row)
-                     for row in self.entries)
+        token_of = self.quantale.token_of
+        return tuple(tuple(map(token_of, row)) for row in self.rows)
 
     def __repr__(self):
         rows = [" ".join(ts) for ts in self.tokens()]
@@ -185,9 +213,10 @@ def _same_shape(r, s):
 
 def from_map(f, quantale):
     """Embed a map as a relation: unit on the graph, bottom elsewhere."""
-    k, bot = quantale.unit, quantale.bottom
-    return VRel.build(f.dom, f.cod, quantale,
-                      lambda x, y: k if f.table[x] == y else bot)
+    k, bot = quantale.unit.payload, quantale.bottom.payload
+    return VRel._from_rows(f.dom, f.cod, quantale,
+                           [[k if f.table[x] == y else bot
+                             for y in f.cod.labels] for x in f.dom.labels])
 
 
 def identity_rel(carrier, quantale):
@@ -205,39 +234,39 @@ def compose(r, s):
         raise CarrierMismatchError(
             f"cannot compose: {r.cod!r} != {s.dom!r}")
     q = r.quantale
-    kernel, (left, right) = q.encode((r.entries, s.entries), steps=2)
-    return VRel(r.dom, s.cod, q,
-                kernel.decode(kernel.compose(left, right, len(s.cod))))
+    kernel, (left, right) = q.encode((r.rows, s.rows), steps=2)
+    return VRel._from_rows(r.dom, s.cod, q, kernel.decode(
+        kernel.compose(left, right, len(s.cod))))
 
 
 def transpose(r):
-    return VRel(r.cod, r.dom, r.quantale,
-                [[r.entries[i][j] for i in range(len(r.dom))]
-                 for j in range(len(r.cod))])
+    return VRel._from_rows(r.cod, r.dom, r.quantale,
+                           [[row[j] for row in r.rows]
+                            for j in range(len(r.cod))])
 
 
 def rel_leq(r, s):
     _same_shape(r, s)
-    q = r.quantale
-    return all(q.leq(a, b)
-               for ra, sa in zip(r.entries, s.entries)
-               for a, b in zip(ra, sa))
+    kernel, (a, b) = r.quantale.encode((r.rows, s.rows))
+    return all(map(kernel.row_below, a, b))
 
 
 def rel_join(r, s):
     _same_shape(r, s)
     q = r.quantale
-    return VRel(r.dom, r.cod, q,
-                [[q.join2(a, b) for a, b in zip(ra, sa)]
-                 for ra, sa in zip(r.entries, s.entries)])
+    kernel, (a, b) = q.encode((r.rows, s.rows))
+    for ra, rb in zip(a, b):
+        kernel.join_at(ra, range(len(rb)), rb)
+    return VRel._from_rows(r.dom, r.cod, q, kernel.decode(a))
 
 
 def rel_meet(r, s):
     _same_shape(r, s)
     q = r.quantale
-    return VRel(r.dom, r.cod, q,
-                [[q.meet(a, b) for a, b in zip(ra, sa)]
-                 for ra, sa in zip(r.entries, s.entries)])
+    kernel, (a, b) = q.encode((r.rows, s.rows))
+    meet = kernel.meet
+    return VRel._from_rows(r.dom, r.cod, q, kernel.decode(
+        [list(map(meet, ra, rb)) for ra, rb in zip(a, b)]))
 
 
 def reflexive_transitive_closure(r):
@@ -253,5 +282,5 @@ def reflexive_transitive_closure(r):
     if r.dom != r.cod:
         raise CarrierMismatchError("closure needs a square relation")
     q = r.quantale
-    kernel, (c,) = q.encode((r.entries,), steps=2 * len(r.dom))
-    return VRel(r.dom, r.cod, q, kernel.decode(kernel.close(c)))
+    kernel, (c,) = q.encode((r.rows,), steps=2 * len(r.dom))
+    return VRel._from_rows(r.dom, r.cod, q, kernel.decode(kernel.close(c)))

@@ -275,6 +275,20 @@ def outcome(fn, *args):
         return (type(exc), str(exc))
 
 
+def assert_round_trips(got):
+    """A space's structure is ``VRel`` of its own entries, with the same
+    hash and tokens, and its tokens parse back to its entries."""
+    if got[0] == "ok":
+        space = got[1][0] if isinstance(got[1], tuple) else got[1]
+        r = space.structure
+        again = VRel(r.dom, r.cod, r.quantale, r.entries)
+        assert again == r and hash(again) == hash(r)
+        assert again.tokens() == r.tokens()
+        parse = r.quantale.parse_value
+        assert tuple(tuple(map(parse, row))
+                     for row in r.tokens()) == r.entries
+
+
 # -- quantales and seeded inputs -----------------------------------------------
 
 
@@ -430,8 +444,9 @@ def test_initial_structures_match_reference(qname, monad, n):
             (q.top,) * n for _ in range(n))
 
     x_space = random_space(q, mon, carrier("a", min(n, 5)), rng, True)
-    assert outcome(product, x_space, targets[1]) == outcome(
-        ref_product, x_space, targets[1])
+    got = outcome(product, x_space, targets[1])
+    assert got == outcome(ref_product, x_space, targets[1])
+    assert_round_trips(got)
 
 
 @pytest.mark.parametrize("qname,monad,n", cases())
@@ -450,8 +465,9 @@ def test_final_structures_match_reference(qname, monad, n):
         repeated = [(MapArrow(objects[3].carrier, c, {}), objects[3])] * 3
         mixed = repeated
     for sink in ([], repeated, mixed):
-        assert outcome(final_structure, c, sink, mon, q) == outcome(
-            ref_final_structure, c, sink, mon, q)
+        got = outcome(final_structure, c, sink, mon, q)
+        assert got == outcome(ref_final_structure, c, sink, mon, q)
+        assert_round_trips(got)
     if qname in ("bool2", "chain4", "cost-plus"):
         assert final_structure(c, [], mon, q) == discrete_space(c, mon, q)
 
@@ -628,15 +644,15 @@ def test_function_space_entries_match_reference(qname, n):
     maps = list({map_label(f): f for f in maps}.values())
 
     def payload_entries():
-        kernel, (b, c) = q.encode((y_space.structure.entries,
-                                   z_space.structure.entries))
+        kernel, (b, c) = q.encode((y_space.structure.rows,
+                                   z_space.structure.rows))
         images = [z_space.carrier.indices(f.table.values()) for f in maps]
         return [tuple(r) for r in kernel.decode(
             kernel.function_space(b, c, images))]
 
     want = outcome(ref_function_space, y_space, z_space, maps)
     if want[0] == "ok":
-        want = ("ok", list(want[1][0].entries))
+        want = ("ok", list(want[1][0].rows))
     assert outcome(payload_entries) == want
 
 
@@ -646,8 +662,9 @@ def test_exponentials_match_reference(qname, monad, n):
     for closed in (True, False):
         y_space = random_space(q, mon, carrier("y", n), rng, closed)
         z_space = random_space(q, mon, carrier("z", 2), rng, True)
-        assert outcome(exponential, y_space, z_space) == outcome(
-            ref_exponential, y_space, z_space)
+        got = outcome(exponential, y_space, z_space)
+        assert got == outcome(ref_exponential, y_space, z_space)
+        assert_round_trips(got)
 
 
 @pytest.mark.parametrize("qname", ["bool2", "chain4", "luk4", "cost-plus",

@@ -249,6 +249,10 @@ class TestCMap:
                             g = transpose_cmap(f, x, y, z, cls, cmap=cm)
                             back = untranspose_cmap(g, x, y, z, cls, cmap=cm)
                             assert back == f
+                            for h in (g, back):
+                                checked = MapArrow(h.dom, h.cod, h.table)
+                                assert h == checked
+                                assert repr(h) == repr(checked)
 
     def test_currying_law_pointwise(self):
         # ev . (transpose(f) x 1) == f

@@ -242,9 +242,8 @@ def test_pruning_keeps_exactly_the_hausdorff_squares(name, make, max_size):
     q = make()
     for n in range(max_size + 1):
         carrier = standard_carrier(n)
-        pruned = [tuple(map(tuple, rows))
-                  for rows in _valid_squares(q, n, q._bottom_index)]
-        assert pruned == [s.structure.entries
+        pruned = list(_valid_squares(q, n, q._bottom_index))
+        assert pruned == [s.structure.rows
                           for s in all_valid_spaces(q, IM, carrier)
                           if is_hausdorff(s)]
 

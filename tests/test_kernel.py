@@ -105,6 +105,16 @@ def ref_fully_faithful(f, x_space, y_space):
                for x in x_space.carrier.labels)
 
 
+def assert_round_trip(r):
+    """The public constructor on ``r.entries`` gives back ``r`` and its
+    hash, and the tokens of ``r`` parse back to its entries."""
+    again = VRel(r.dom, r.cod, r.quantale, r.entries)
+    assert again == r and hash(again) == hash(r)
+    assert again.tokens() == r.tokens()
+    parse = r.quantale.parse_value
+    assert tuple(tuple(map(parse, row)) for row in r.tokens()) == r.entries
+
+
 # -- seeded inputs ------------------------------------------------------------
 
 def diamond():
@@ -182,6 +192,7 @@ def test_kernels_match_reference(qname, monad, n):
     rng = random.Random(f"{qname}/{mon.name}/{n}")
     c = carrier("p", n)
     raw = VRel(c, c, q, random_matrix(q, n, n, rng))
+    raw_rows = [list(row) for row in raw.rows]
     closed = ref_closure(raw)
     assert reflexive_transitive_closure(raw) == closed
     assert compose(raw, raw) == ref_compose(raw, raw)
@@ -189,6 +200,9 @@ def test_kernels_match_reference(qname, monad, n):
     other = carrier("z", 3)
     right = VRel(c, other, q, random_matrix(q, n, 3, rng))
     assert compose(raw, right) == ref_compose(raw, right)
+    for r in (reflexive_transitive_closure(raw), compose(raw, raw),
+              compose(raw, right)):
+        assert_round_trip(r)
 
     spaces = [space_of(q, mon, c, raw.entries),
               space_of(q, mon, c, closed.entries)]
@@ -201,7 +215,10 @@ def test_kernels_match_reference(qname, monad, n):
     planted = plant_transitivity(q, closed.entries)
     if planted is not None:
         spaces.append(space_of(q, mon, c, planted))
+    inputs = [raw, right] + [sp.structure for sp in spaces]
+    before = [raw_rows] + [[list(row) for row in r.rows] for r in inputs[1:]]
     for sp in spaces:
+        reflexive_transitive_closure(sp.structure)
         assert validate_space(sp) == ref_validate(sp)
     if planted is not None:
         assert any(law == "transitivity"
@@ -224,6 +241,8 @@ def test_kernels_match_reference(qname, monad, n):
                     == ref_continuity_witness(f, x_space, y_space))
             assert (is_fully_faithful(f, x_space, y_space)
                     == ref_fully_faithful(f, x_space, y_space))
+    # every kernel operation wrote only to its own copies of the rows
+    assert [[list(row) for row in r.rows] for r in inputs] == before
 
 
 def test_incomparable_entries_are_not_in_order():
@@ -378,8 +397,8 @@ def test_cost_kernel_results_are_canonical():
     q = cost_plus()
     r = cost_rel(q, [[Fraction(1, 3), INF, INF], [INF, INF, Fraction(5, 12)],
                      [INF, INF, INF]])
-    kernel, (a,) = q.encode((r.entries,), steps=2)
+    kernel, (a,) = q.encode((r.rows,), steps=2)
     for rows, ref in ((kernel.compose(a, a, 3), ref_compose(r, r)),
                       (kernel.close([list(x) for x in a]), ref_closure(r))):
         assert all(p <= kernel.inf for row in rows for p in row)
-        assert kernel.decode(rows) == [list(row) for row in ref.entries]
+        assert kernel.decode(rows) == [list(row) for row in ref.rows]

@@ -38,7 +38,12 @@ from tvspaces.space import (
     continuous_maps,
     is_continuous,
 )
-from tvspaces.vrel import Carrier, VRel, reflexive_transitive_closure
+from tvspaces.vrel import (
+    Carrier,
+    MapArrow,
+    VRel,
+    reflexive_transitive_closure,
+)
 
 # -- the generate-and-test reference ------------------------------------------
 
@@ -95,6 +100,12 @@ def ref_probes_into(probe_class, space, budget=DEFAULT_MAP_BUDGET):
                  if is_continuous(f, obj, space))
 
 
+def assert_public(f):
+    """A map the library built equals the checked map on its table."""
+    g = MapArrow(f.dom, f.cod, f.table)
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+
+
 def outcome(fn, *args):
     """The result of a call, or the type and message of its error."""
     try:
@@ -138,6 +149,13 @@ def test_structures_match_generate_and_test(qname, monad, n):
     carrier = standard_carrier(n)
     found = list(all_valid_spaces(q, mon, carrier))
     assert found == list(ref_all_valid_spaces(q, mon, carrier))
+    for sp in found:
+        r = sp.structure
+        again = VRel(carrier, carrier, q, r.entries)
+        assert again == r and hash(again) == hash(r)
+        assert again.tokens() == r.tokens()
+        parse = r.quantale.parse_value
+        assert tuple(tuple(map(parse, row)) for row in r.tokens()) == r.entries
 
 
 def test_structure_counts():
@@ -211,7 +229,10 @@ def test_maps_match_generate_and_test(qname, monad):
         for bottom in (0.3, 0.8):
             x = seeded_space(q, mon, "x", n, rng, bottom)
             y = seeded_space(q, mon, "y", m, rng, 1.1 - bottom)
-            assert continuous_maps(x, y) == ref_continuous_maps(x, y)
+            found = continuous_maps(x, y)
+            assert found == ref_continuous_maps(x, y)
+            for f in found + list(all_maps(x.carrier, y.carrier)):
+                assert_public(f)
 
 
 def test_maps_with_infinite_and_mixed_denominator_entries():
@@ -242,7 +263,10 @@ def test_probes_match_generate_and_test(qname, monad):
     for cls in classes:
         for n in (0, 1, 3, 5):
             target = seeded_space(q, mon, "t", n, rng, 0.6)
-            assert cls.probes_into(target) == ref_probes_into(cls, target)
+            probes = cls.probes_into(target)
+            assert probes == ref_probes_into(cls, target)
+            for f, _ in probes:
+                assert_public(f)
 
 
 def small_matrices():

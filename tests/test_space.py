@@ -146,7 +146,10 @@ class TestContinuity:
             x, y, z = (rng.choice(spaces) for _ in range(3))
             for f in continuous_maps(x, y):
                 for g in continuous_maps(y, z):
-                    assert is_continuous(f.then(g), x, z)
+                    h = f.then(g)
+                    assert is_continuous(h, x, z)
+                    checked = MapArrow(h.dom, h.cod, h.table)
+                    assert h == checked and repr(h) == repr(checked)
 
 
 class TestFullyFaithful:

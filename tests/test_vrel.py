@@ -111,8 +111,10 @@ class TestTranspose:
 class TestFromMap:
     def test_identity(self):
         c = Carrier(["a", "b"])
-        assert from_map(MapArrow.identity(c), B) == b_rel(
-            c, c, [[1, 0], [0, 1]])
+        identity = MapArrow.identity(c)
+        assert from_map(identity, B) == b_rel(c, c, [[1, 0], [0, 1]])
+        checked = MapArrow(c, c, identity.table)
+        assert identity == checked and repr(identity) == repr(checked)
 
     def test_constant_in_cost_quantale(self):
         dom, cod = Carrier(["a", "b"]), Carrier(["c"])
