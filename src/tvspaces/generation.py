@@ -46,8 +46,10 @@ class ProbeClass:
     """A finite generating class sharing one monad and quantale.
 
     Objects are validated at construction and deduplicated up to carrier
-    relabeling, which leaves every final structure unchanged.  Probes
-    and coreflections are cached per target space.  Each object's
+    relabeling, which leaves every final structure unchanged;
+    :meth:`compact_hausdorff_upto` takes the spaces its search has just
+    built valid and pairwise non-isomorphic without checking them again.
+    Probes and coreflections are cached per target space.  Each object's
     exponentiability witness and the (EP) report of :func:`check_ep` are
     computed once per class and cached on it.  Both depend on the objects
     alone, an immutable tuple, so these two caches are safe to share: a
@@ -57,12 +59,10 @@ class ProbeClass:
 
     def __init__(self, objects, mode="explicit", param=None):
         objects = list(objects)
-        if not objects:
-            raise PreconditionError("a probe class needs at least one object")
-        monad, quantale = objects[0].monad, objects[0].quantale
         deduped, seen = [], set()
         for obj in objects:
-            if obj.monad is not monad or obj.quantale is not quantale:
+            if (obj.monad is not objects[0].monad
+                    or obj.quantale is not objects[0].quantale):
                 raise CarrierMismatchError(
                     "probe class objects must share monad and quantale")
             report = validate_space(obj)
@@ -74,14 +74,27 @@ class ProbeClass:
             if key not in seen:
                 seen.add(key)
                 deduped.append(obj)
-        if all(len(obj.carrier) == 0 for obj in deduped):
+        self._fill(deduped, mode, param)
+
+    @staticmethod
+    def _trusted(objects, mode, param):
+        """A class on valid, pairwise non-isomorphic spaces that share one
+        monad and quantale, as the library built them: unchecked."""
+        cls = object.__new__(ProbeClass)
+        cls._fill(objects, mode, param)
+        return cls
+
+    def _fill(self, objects, mode, param):
+        if not objects:
+            raise PreconditionError("a probe class needs at least one object")
+        if all(len(obj.carrier) == 0 for obj in objects):
             raise PreconditionError(
                 "a probe class needs a nonempty generating space")
-        self.objects = tuple(deduped)
+        self.objects = tuple(objects)
         self.mode = mode
         self.param = param
-        self.monad = monad
-        self.quantale = quantale
+        self.monad = objects[0].monad
+        self.quantale = objects[0].quantale
         self._probe_cache = {}
         self._coreflect_cache = {}
         self._exp_cache = {}
@@ -98,7 +111,7 @@ class ProbeClass:
     @staticmethod
     def compact_hausdorff_upto(n, quantale, monad):
         objects = compact_hausdorff_spaces(quantale, monad, n)
-        return ProbeClass(objects, mode="compact-hausdorff-upto", param=n)
+        return ProbeClass._trusted(objects, "compact-hausdorff-upto", n)
 
     @staticmethod
     def sierpinski(quantale, monad, grid=None):

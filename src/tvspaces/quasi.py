@@ -91,9 +91,10 @@ class QuasiSpace:
         return f.graph() in self.admissible[i]
 
     def arrows(self, i):
+        # __init__ checked each graph's arity and labels
         obj = self.cls.objects[i]
-        return [MapArrow(obj.carrier, self.carrier,
-                         dict(zip(obj.carrier.labels, g)))
+        return [MapArrow._trusted(obj.carrier, self.carrier,
+                                  dict(zip(obj.carrier.labels, g)))
                 for g in sorted(self.admissible[i])]
 
     def __eq__(self, other):

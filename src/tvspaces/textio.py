@@ -2,9 +2,17 @@
 
 Blocks look like ``space Name { key tokens; ... }``; statements are
 separated by newlines or semicolons, comments run from ``#`` to the end of
-the line.  Rationals print as ``p/q``, infinity as ``inf``.  Printing is
-canonical, so ``parse(print(x)) == x`` and repeated prints are
-byte-identical.
+the line.  The blanks between words are space, tab and carriage return and
+nothing else: a vertical tab, form feed or no-break space is part of a word.
+Rationals print as ``p/q``, infinity as ``inf``.  Printing is canonical, so
+``parse(print(x)) == x`` and repeated prints are byte-identical.
+
+:func:`parse_workspace` drops the comments, splits the text once at braces,
+semicolons and newlines, and reads the words of each statement with one
+regex; a matrix field parses each distinct entry once.  It keeps no
+positions.  A ``ParseError``'s line and column are computed when it is
+raised, from the index of its token in :func:`tokenize`, which is the one
+definition of a position.
 """
 
 import re
@@ -35,7 +43,8 @@ def tokenize(text):
 
     Blanks (space, tab, carriage return) match no alternative of
     ``_TOKEN`` and comments are matched and dropped.  A newline that ends a
-    comment reports the column of its ``#``.
+    comment reports the column of its ``#``.  Parse errors take their
+    positions from here.
     """
     tokens = []
     line, line_start = 1, 0
@@ -81,85 +90,72 @@ class Workspace:
         return self.quasis[name]
 
 
-def _error(message, tok):
-    return ParseError(message, tok.line, tok.column)
-
-
-def _statements(tokens, pos):
-    """Split the token stream of a block body into statements."""
-    statements = []
-    current = []
-    while pos < len(tokens):
-        tok = tokens[pos]
-        if tok.text == "}":
-            if current:
-                statements.append(current)
-            return statements, pos + 1
-        if tok.text in (";", "\n"):
-            if current:
-                statements.append(current)
-                current = []
-            pos += 1
-            continue
-        if tok.text == "{":
-            raise _error("unexpected '{'", tok)
-        current.append(tok)
-        pos += 1
-    last = tokens[-1] if tokens else Token("", 1, 1)
-    raise _error("missing closing '}'", last)
+class _TokenError(Exception):
+    """``(message, index)``: a parse error at ``tokenize(text)[index]``."""
 
 
 def _fields(statements):
     out = {}
     for stmt in statements:
-        out.setdefault(stmt[0].text, []).append(stmt)
+        out.setdefault(stmt[1][0], []).append(stmt)
     return out
 
 
-def _single(fields, key, block_tok):
+def _single(fields, key, block):
     if key not in fields:
-        raise _error(f"missing field {key!r}", block_tok)
+        raise _TokenError(f"missing field {key!r}", block)
     if len(fields[key]) > 1:
-        dup = fields[key][1][0]
-        raise _error(f"duplicate field {key!r}", dup)
+        raise _TokenError(f"duplicate field {key!r}", fields[key][1][0])
     return fields[key][0]
 
 
-def _square(fields, key, block_tok, n, entry):
-    """An n-by-n field in row-major order, each token read by ``entry``."""
-    stmt = _single(fields, key, block_tok)
-    if len(stmt) != n * n + 1:
-        raise _error(f"{key} needs {n * n} entries", stmt[0])
-    return [[entry(stmt[1 + i * n + j]) for j in range(n)] for i in range(n)]
+def _square(fields, key, block, n, entry):
+    """An n-by-n field as rows of ``entry(word)``, in row-major order.
+
+    ``entry`` runs once per distinct word, in order of first occurrence, so
+    the ``StructuralError`` it raises on a bad word is reported at the
+    first bad entry.
+    """
+    start, words = _single(fields, key, block)
+    if len(words) != n * n + 1:
+        raise _TokenError(f"{key} needs {n * n} entries", start)
+    read = {}
+    for word in dict.fromkeys(words[1:]):
+        try:
+            read[word] = entry(word)
+        except StructuralError as exc:
+            raise _TokenError(str(exc), start + words.index(word, 1)) from None
+    get = read.__getitem__
+    return [list(map(get, words[1 + i * n:1 + (i + 1) * n]))
+            for i in range(n)]
 
 
-def _value(fields, key, block_tok):
-    """The first value token of a single-valued field."""
-    stmt = _single(fields, key, block_tok)
-    if len(stmt) < 2:
-        raise _error(f"field {key!r} needs a value", stmt[0])
-    return stmt[1]
+def _value(fields, key, block):
+    """The index and text of the first value of a single-valued field."""
+    start, words = _single(fields, key, block)
+    if len(words) < 2:
+        raise _TokenError(f"field {key!r} needs a value", start)
+    return start + 1, words[1]
 
 
-def _header(fields, block_tok, ws):
+def _header(fields, block, ws):
     """The quantale, monad and carrier fields of a space or quasi block."""
-    q_tok = _value(fields, "quantale", block_tok)
-    if q_tok.text not in ws.quantales:
-        raise _error(f"unknown quantale {q_tok.text!r}", q_tok)
-    m_tok = _value(fields, "monad", block_tok)
+    q_index, q_name = _value(fields, "quantale", block)
+    if q_name not in ws.quantales:
+        raise _TokenError(f"unknown quantale {q_name!r}", q_index)
+    m_index, m_name = _value(fields, "monad", block)
     try:
-        monad = monad_by_name(m_tok.text)
+        monad = monad_by_name(m_name)
     except UnsupportedOperationError:
-        raise _error(f"unknown monad {m_tok.text!r}", m_tok) from None
-    carrier_stmt = _single(fields, "carrier", block_tok)
-    carrier = Carrier(t.text for t in carrier_stmt[1:])
-    return q_tok.text, ws.quantales[q_tok.text], monad, carrier
+        raise _TokenError(f"unknown monad {m_name!r}", m_index) from None
+    carrier = Carrier(_single(fields, "carrier", block)[1][1:])
+    return q_name, ws.quantales[q_name], monad, carrier
 
 
-def _parse_quantale(statements, block_tok):
+def _parse_quantale(statements, block):
     fields = _fields(statements)
-    kind_stmt = _single(fields, "kind", block_tok)
-    kind = kind_stmt[1].text if len(kind_stmt) > 1 else ""
+    kind_start, kind_words = _single(fields, "kind", block)
+    kind = kind_words[1] if len(kind_words) > 1 else ""
     if kind == "bool2":
         return bool2()
     if kind == "cost-plus":
@@ -167,77 +163,70 @@ def _parse_quantale(statements, block_tok):
     if kind == "cost-max":
         return cost_max()
     if kind == "lukasiewicz-grid":
-        if len(kind_stmt) < 3:
-            raise _error("lukasiewicz-grid needs a resolution", kind_stmt[0])
+        if len(kind_words) < 3:
+            raise _TokenError("lukasiewicz-grid needs a resolution",
+                              kind_start)
         try:
-            n = int(kind_stmt[2].text)
+            n = int(kind_words[2])
         except ValueError:
-            raise _error(f"bad grid resolution {kind_stmt[2].text!r}",
-                         kind_stmt[2]) from None
+            raise _TokenError(f"bad grid resolution {kind_words[2]!r}",
+                              kind_start + 2) from None
         return lukasiewicz_grid(n)
     if kind != "finite-table":
-        raise _error(f"unknown quantale kind {kind!r}", kind_stmt[0])
-    carrier_stmt = _single(fields, "carrier", block_tok)
-    labels = [t.text for t in carrier_stmt[1:]]
+        raise _TokenError(f"unknown quantale kind {kind!r}", kind_start)
+    labels = _single(fields, "carrier", block)[1][1:]
     n = len(labels)
-    unit_stmt = _single(fields, "unit", block_tok)
-    if len(unit_stmt) != 2 or unit_stmt[1].text not in labels:
-        raise _error("unit must name one carrier element", unit_stmt[0])
+    unit_start, unit_words = _single(fields, "unit", block)
+    if len(unit_words) != 2 or unit_words[1] not in labels:
+        raise _TokenError("unit must name one carrier element", unit_start)
 
-    def bit(tok):
-        if tok.text not in ("0", "1"):
-            raise _error(f"order entries are 0 or 1, got {tok.text!r}", tok)
-        return int(tok.text)
+    def bit(word):
+        if word not in ("0", "1"):
+            raise StructuralError(f"order entries are 0 or 1, got {word!r}")
+        return int(word)
 
-    def label_index(tok):
-        if tok.text not in labels:
-            raise _error(f"tensor entry {tok.text!r} not in carrier", tok)
-        return labels.index(tok.text)
+    def label_index(word):
+        if word not in labels:
+            raise StructuralError(f"tensor entry {word!r} not in carrier")
+        return labels.index(word)
 
-    leq = _square(fields, "order", block_tok, n, bit)
-    tens = _square(fields, "tensor", block_tok, n, label_index)
-    return finite_table(labels, leq, tens, labels.index(unit_stmt[1].text))
-
-
-def _parse_value(quantale, token):
-    try:
-        return quantale.parse_value(token.text)
-    except StructuralError as exc:
-        raise _error(str(exc), token) from None
+    leq = _square(fields, "order", block, n, bit)
+    tens = _square(fields, "tensor", block, n, label_index)
+    return finite_table(labels, leq, tens, labels.index(unit_words[1]))
 
 
-def _parse_space(statements, block_tok, ws):
+def _parse_space(statements, block, ws):
     fields = _fields(statements)
-    q_name, quantale, monad, carrier = _header(fields, block_tok, ws)
-    entries = _square(fields, "matrix", block_tok, len(carrier),
-                      lambda tok: _parse_value(quantale, tok))
-    structure = VRel(carrier, carrier, quantale, entries)
+    q_name, quantale, monad, carrier = _header(fields, block, ws)
+    rows = _square(fields, "matrix", block, len(carrier),
+                   lambda word: quantale.parse_value(word).payload)
+    # every payload came from parse_value, and the square is n by n
+    structure = VRel._from_rows(carrier, carrier, quantale, rows)
     return Space(carrier, monad, quantale, structure), q_name
 
 
-def _parse_map(statements, block_tok):
+def _parse_map(statements, block):
     fields = _fields(statements)
-    dom_stmt = _single(fields, "dom", block_tok)
-    cod_stmt = _single(fields, "cod", block_tok)
-    dom = Carrier(t.text for t in dom_stmt[1:])
-    cod = Carrier(t.text for t in cod_stmt[1:])
+    dom_words = _single(fields, "dom", block)[1]
+    cod_words = _single(fields, "cod", block)[1]
+    dom, cod = Carrier(dom_words[1:]), Carrier(cod_words[1:])
     table = {}
-    for stmt in statements:
-        if stmt[0].text in ("dom", "cod"):
+    for start, words in statements:
+        if words[0] in ("dom", "cod"):
             continue
-        for tok in stmt:
-            if "->" not in tok.text:
-                raise _error(f"expected x->y assignment, got {tok.text!r}",
-                             tok)
-            left, right = tok.text.split("->", 1)
+        for index, word in enumerate(words, start):
+            if "->" not in word:
+                raise _TokenError(f"expected x->y assignment, got {word!r}",
+                                  index)
+            left, right = word.split("->", 1)
             if left not in dom or right not in cod:
-                raise _error(f"assignment {tok.text!r} uses foreign labels",
-                             tok)
+                raise _TokenError(f"assignment {word!r} uses foreign labels",
+                                  index)
             table[left] = right
     try:
         return MapArrow(dom, cod, table)
     except StructuralError as exc:
-        raise _error(str(exc), block_tok) from None
+        raise _TokenError(str(exc), block) from None
 
 
 def resolve_class(spec, quantale, monad, ws=None, grid=None):
@@ -267,68 +256,111 @@ def resolve_class(spec, quantale, monad, ws=None, grid=None):
     raise StructuralError(f"unknown class specifier {spec!r}")
 
 
-def _parse_quasi(statements, block_tok, ws):
+def _parse_quasi(statements, block, ws):
     fields = _fields(statements)
-    q_name, quantale, monad, carrier = _header(fields, block_tok, ws)
-    class_spec = _value(fields, "class", block_tok).text
+    q_name, quantale, monad, carrier = _header(fields, block, ws)
+    class_spec = _value(fields, "class", block)[1]
     cls = resolve_class(class_spec, quantale, monad, ws)
     sets = [set() for _ in cls.objects]
-    for stmt in fields.get("admissible", []):
-        if len(stmt) < 2:
-            raise _error("admissible needs an object index", stmt[0])
+    for start, words in fields.get("admissible", []):
+        if len(words) < 2:
+            raise _TokenError("admissible needs an object index", start)
         try:
-            idx = int(stmt[1].text)
+            idx = int(words[1])
         except ValueError:
-            raise _error(f"bad object index {stmt[1].text!r}",
-                         stmt[1]) from None
+            raise _TokenError(f"bad object index {words[1]!r}",
+                              start + 1) from None
         if not 0 <= idx < len(cls.objects):
-            raise _error(f"object index {idx} out of range", stmt[1])
-        graph = tuple(t.text for t in stmt[2:])
+            raise _TokenError(f"object index {idx} out of range", start + 1)
+        graph = tuple(words[2:])
         if len(graph) != len(cls.objects[idx].carrier):
-            raise _error("admissible graph has the wrong arity", stmt[0])
-        for tok in stmt[2:]:
-            if tok.text not in carrier:
-                raise _error(f"label {tok.text!r} not in carrier", tok)
+            raise _TokenError("admissible graph has the wrong arity", start)
+        for index, label in enumerate(graph, start + 2):
+            if label not in carrier:
+                raise _TokenError(f"label {label!r} not in carrier", index)
         sets[idx].add(graph)
     quasi = QuasiSpace(carrier, cls, sets, check_class=False)
     return quasi, q_name, class_spec
 
 
-# each parser returns the object and the names its printed block refers to
+# each parser takes the block's statements, the index of its kind word and
+# the workspace, and returns the object and the names its printed block
+# refers to
 _PARSERS = {
-    "quantale": lambda statements, tok, ws: (
-        _parse_quantale(statements, tok),),
+    "quantale": lambda statements, block, ws: (
+        _parse_quantale(statements, block),),
     "space": _parse_space,
-    "map": lambda statements, tok, ws: (_parse_map(statements, tok),),
+    "map": lambda statements, block, ws: (_parse_map(statements, block),),
     "quasi": _parse_quasi,
 }
+
+_COMMENT = re.compile(r"#[^\n]*")
+_DELIMITER = re.compile(r"([{};\n])")
+_WORD = re.compile(r"[^ \t\r]+")
+
+
+def _blocks(text):
+    """Each block as its kind, name, kind index and statements, in order.
+
+    A statement is the index of its first word and its words.  An index
+    counts the tokens of ``tokenize(text)``: the words of each stretch
+    between delimiters are consecutive tokens, and each delimiter is one.
+    Blocks come one at a time, so an error inside a block is raised before
+    any error in the text after it, as in a token-by-token reading.
+    """
+    pieces = _DELIMITER.split(_COMMENT.sub("", text))
+    words = [_WORD.findall(piece) for piece in pieces[::2]]
+    delimiters = pieces[1::2]      # delimiters[i] follows words[i]
+    last = len(delimiters)
+    i = start = 0                  # a stretch, and its first token's index
+    while True:
+        head = words[i]
+        if not head:
+            if i == last:
+                return
+            if delimiters[i] != "\n":
+                raise _TokenError(f"unknown block kind {delimiters[i]!r}",
+                                  start)
+            i, start = i + 1, start + 1
+            continue
+        kind = head[0]
+        if kind not in _PARSERS:
+            raise _TokenError(f"unknown block kind {kind!r}", start)
+        if len(head) == 1:         # at the delimiter after it, or the end
+            raise _TokenError("missing block name",
+                              start + 1 if i < last else start)
+        if len(head) > 2:
+            raise _TokenError("expected '{'", start + 1)
+        pos = start + 2            # the index of delimiters[i]
+        while i < last and delimiters[i] == "\n" and not words[i + 1]:
+            i, pos = i + 1, pos + 1
+        if i == last or delimiters[i] != "{":
+            raise _TokenError("expected '{'", start + 1)
+        statements = []
+        while True:
+            i, pos = i + 1, pos + 1
+            if words[i]:
+                statements.append((pos, words[i]))
+            if i == last:
+                raise _TokenError("missing closing '}'", -1)
+            pos += len(words[i])
+            if delimiters[i] == "}":
+                break
+            if delimiters[i] == "{":
+                raise _TokenError("unexpected '{'", pos)
+        yield kind, head[1], start, statements
+        i, start = i + 1, pos + 1
 
 
 def parse_workspace(text, ws=None):
     ws = ws or Workspace()
-    tokens = tokenize(text)
-    pos = 0
-    while pos < len(tokens):
-        tok = tokens[pos]
-        if tok.text == "\n":
-            pos += 1
-            continue
-        kind = tok.text
-        if kind not in _PARSERS:
-            raise _error(f"unknown block kind {kind!r}", tok)
-        if pos + 1 >= len(tokens):
-            raise _error("missing block name", tok)
-        name_tok = tokens[pos + 1]
-        if name_tok.text in ("{", "}", ";", "\n"):
-            raise _error("missing block name", name_tok)
-        pos += 2
-        while pos < len(tokens) and tokens[pos].text == "\n":
-            pos += 1
-        if pos >= len(tokens) or tokens[pos].text != "{":
-            raise _error("expected '{'", name_tok)
-        statements, pos = _statements(tokens, pos + 1)
-        parsed = _PARSERS[kind](statements, tok, ws)
-        ws.add(kind, name_tok.text, *parsed)
+    try:
+        for kind, name, block, statements in _blocks(text):
+            ws.add(kind, name, *_PARSERS[kind](statements, block, ws))
+    except _TokenError as exc:
+        message, index = exc.args
+        tok = tokenize(text)[index]
+        raise ParseError(message, tok.line, tok.column) from None
     return ws
 
 

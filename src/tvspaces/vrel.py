@@ -28,7 +28,7 @@ class Carrier:
     __slots__ = ("labels", "_index")
 
     def __init__(self, labels):
-        labels = tuple(str(x) for x in labels)
+        labels = tuple(list(map(str, labels)))   # see VRel._from_rows
         if len(set(labels)) != len(labels):
             raise StructuralError(f"duplicate carrier labels in {labels}")
         self.labels = labels
@@ -162,7 +162,13 @@ class VRel:
         """These payload rows, computed by the library, so unchecked."""
         r = object.__new__(VRel)
         r.dom, r.cod, r.quantale = dom, cod, quantale
-        r.rows = tuple(map(tuple, rows))
+        # Tuples are built from lists here and on the other paths that
+        # parse and print: a tuple built from an iterator of unknown length
+        # is allocated at a default size and resized, and when freed it
+        # joins the free list of its final size, which only a full garbage
+        # collection empties: those lists, and the memory they hold, keep
+        # growing between full collections.
+        r.rows = tuple(list(map(tuple, rows)))
         return r
 
     @staticmethod
@@ -197,7 +203,8 @@ class VRel:
 
     def tokens(self):
         token_of = self.quantale.token_of
-        return tuple(tuple(map(token_of, row)) for row in self.rows)
+        # from lists: see _from_rows
+        return tuple([tuple(list(map(token_of, row))) for row in self.rows])
 
     def __repr__(self):
         rows = [" ".join(ts) for ts in self.tokens()]

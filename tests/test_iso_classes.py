@@ -33,6 +33,7 @@ from tvspaces.enumeration import (
     iso_canonical_key,
     standard_carrier,
 )
+from tvspaces.generation import ProbeClass
 from tvspaces.monad import finite_ultrafilter_monad, identity_monad
 from tvspaces.quantale import validate_quantale
 from tvspaces.space import Space, discrete_space, is_compact, is_hausdorff
@@ -257,6 +258,25 @@ def test_class_search_matches_the_filter(name, make, max_size, monad):
         want = outcome(ref_compact_hausdorff_spaces, q, mon, size)
         assert outcome(compact_hausdorff_spaces, q, mon, size) == want
 
+
+
+# bool2 and chain(3) up to 4 points, the other tables as in CLASS_CASES
+TRUSTED_CASES = [(name, make, 4 if name in ("bool2", "chain3") else size)
+                 for name, make, size in CLASS_CASES]
+
+
+@pytest.mark.parametrize("monad", [identity_monad, finite_ultrafilter_monad])
+@pytest.mark.parametrize("name,make,max_size", TRUSTED_CASES,
+                         ids=[c[0] for c in TRUSTED_CASES])
+def test_trusted_class_matches_the_checked_class(name, make, max_size,
+                                                 monad):
+    q, mon = make(), monad()
+    for size in range(max_size + 1):
+        checked = outcome(lambda: ProbeClass(
+            compact_hausdorff_spaces(q, mon, size)).objects)
+        trusted = outcome(lambda: ProbeClass.compact_hausdorff_upto(
+            size, q, mon).objects)
+        assert trusted == checked
 
 
 def test_broken_tables_still_raise():

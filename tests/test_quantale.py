@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,8 @@ from tvspaces import (
     lukasiewicz_grid,
     validate_quantale,
 )
+from tvspaces.textio import parse_workspace
+from tvspaces.validation import ValidationReport
 
 
 def brute_force_hom(q, u, v):
@@ -215,3 +218,185 @@ def test_generated_values_contains_breakpoints():
     q = cost_plus()
     got = generated_values(q, [q.value(1), q.value(3)])
     assert q.value(2) in got and q.bottom in got and q.top in got
+
+
+# -- validate_quantale against the Value loops it replaced ---------------------
+
+
+def reference_validate_quantale(q):
+    """The law check through ``Value`` operations, kept as the oracle."""
+    violations = []
+    vals = q.carrier_values()
+    lab = q.value_token
+
+    for u in vals:
+        if not q.leq(u, u):
+            violations.append(("order-reflexive", (lab(u),)))
+    for u in vals:
+        for v in vals:
+            if u is not v and q.leq(u, v) and q.leq(v, u):
+                violations.append(("order-antisymmetric", (lab(u), lab(v))))
+            for w in vals:
+                if q.leq(u, v) and q.leq(v, w) and not q.leq(u, w):
+                    violations.append(("order-transitive",
+                                       (lab(u), lab(v), lab(w))))
+
+    if q._bottom_index is None:
+        violations.append(("complete-lattice", ("no bottom element",)))
+    for u in vals:
+        for v in vals:
+            if q._join2[u.payload][v.payload] is None:
+                violations.append(("complete-lattice",
+                                   (lab(u), lab(v), "no join")))
+            if q._meet2[u.payload][v.payload] is None:
+                violations.append(("complete-lattice",
+                                   (lab(u), lab(v), "no meet")))
+    if violations:
+        return ValidationReport.collect(violations)
+
+    for u in vals:
+        for v in vals:
+            if not q.eq(q.tensor(u, v), q.tensor(v, u)):
+                violations.append(("tensor-commutative", (lab(u), lab(v))))
+            for w in vals:
+                lhs = q.tensor(q.tensor(u, v), w)
+                rhs = q.tensor(u, q.tensor(v, w))
+                if not q.eq(lhs, rhs):
+                    violations.append(("tensor-associative",
+                                       (lab(u), lab(v), lab(w))))
+        if not q.eq(q.tensor(q.unit, u), u):
+            violations.append(("tensor-unit", (lab(u),)))
+
+    for u in vals:
+        if not q.eq(q.tensor(u, q.bottom), q.bottom):
+            violations.append(("tensor-join-distributive",
+                               (lab(u), "empty join")))
+        for v in vals:
+            for w in vals:
+                lhs = q.tensor(u, q.join2(v, w))
+                rhs = q.join2(q.tensor(u, v), q.tensor(u, w))
+                if not q.eq(lhs, rhs):
+                    violations.append(("tensor-join-distributive",
+                                       (lab(u), lab(v), lab(w))))
+
+    for u in vals:
+        for v in vals:
+            for w in vals:
+                left = q.leq(q.tensor(u, v), w)
+                right = q.leq(u, q.hom(v, w))
+                if left != right:
+                    violations.append(("hom-adjunction",
+                                       (lab(u), lab(v), lab(w))))
+
+    for u in vals:
+        for v in vals:
+            sup = q.heyting(u, v)
+            if not q.leq(q.meet(sup, u), v):
+                violations.append(("heyting", (lab(u), lab(v))))
+
+    if q.integral != q.eq(q.unit, q.top):
+        violations.append(("integral-flag", ()))
+    lean_holds = True
+    lean_witness = None
+    for u in vals:
+        for v in vals:
+            if (q.eq(q.join2(u, v), q.top) and q.eq(q.tensor(u, v), q.bottom)
+                    and not q.eq(u, q.top) and not q.eq(v, q.top)):
+                lean_holds = False
+                lean_witness = (lab(u), lab(v))
+    if q.lean != lean_holds:
+        violations.append(("lean-flag", lean_witness or ()))
+    total = all(q.leq(u, v) or q.leq(v, u) for u in vals for v in vals)
+    if q.totally_ordered != total:
+        violations.append(("totally-ordered-flag", ()))
+
+    notes = ("complete distributivity not checked beyond the Heyting "
+             "condition",)
+    return ValidationReport.collect(violations, notes)
+
+
+def report_or_error(check, q):
+    try:
+        report = check(q)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return report.passed, report.violations, report.notes
+
+
+def _above(labels, above):
+    return [[int(b in above[a]) for b in labels] for a in labels]
+
+
+_SIX = ["z", "x", "y", "u", "v", "t"]
+_IDEMPOTENT_SIX = [[b if a == 5 else a if b in (a, 5) else 0
+                    for b in range(6)] for a in range(6)]
+_DIAMOND = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
+_CHAIN3 = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
+_CHAIN4 = [[int(a <= b) for b in range(4)] for a in range(4)]
+_ONE_SIDED = [[0] * 4 for _ in range(4)]
+_ONE_SIDED[3][3], _ONE_SIDED[1][3], _ONE_SIDED[3][2] = 3, 1, 2
+
+# the broken and non-chain tables the other test modules build, as
+# (labels, order, tensor, unit)
+TABLES = {
+    "non-associative": (["x", "y"], [[1, 1], [0, 1]], [[1, 0], [0, 1]], 1),
+    "broken-integral": (["0", "1"], [[1, 1], [0, 1]], [[0, 0], [0, 0]], 1),
+    "no-bottom": (["a", "b", "c"], [[1, 0, 1], [0, 1, 1], [0, 0, 1]],
+                  [[0, 2, 0], [2, 1, 1], [0, 1, 2]], 2),
+    "no-top": (["b", "x", "y"], [[1, 1, 1], [0, 1, 0], [0, 0, 1]],
+               [[0, 0, 0], [0, 1, 0], [0, 0, 2]], 1),
+    "no-join": (_SIX, _above(_SIX, {"z": "zxyuvt", "x": "xuvt",
+                                    "y": "yuvt", "u": "ut", "v": "vt",
+                                    "t": "t"}), _IDEMPOTENT_SIX, 5),
+    "diamond": (["0", "a", "b", "1"], _DIAMOND,
+                [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]], 3),
+    "nilpotent-diamond": (["0", "a", "b", "1"], _DIAMOND,
+                          [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 2],
+                           [0, 1, 2, 3]], 3),
+    "mid-unit-chain": (["bot", "mid", "top"], _CHAIN3,
+                       [[0, 0, 0], [0, 1, 1], [0, 1, 2]], 1),
+    "bottom-not-absorbing": (["0", "1", "2"], _CHAIN3,
+                             [[0, 1, 2], [1, 1, 1], [2, 1, 2]], 2),
+    "unit-law-broken": (["0", "1", "2"], _CHAIN3,
+                        [[1, 0, 0], [1, 0, 1], [1, 2, 0]], 2),
+    "one-sided": (["c0", "c1", "c2", "c3"], _CHAIN4, _ONE_SIDED, 3),
+}
+
+
+def workspace_c3():
+    path = os.path.join(os.path.dirname(__file__), "fixtures",
+                        "workspace.txt")
+    with open(path, encoding="utf-8") as handle:
+        return parse_workspace(handle.read()).quantales["C3"]
+
+
+@pytest.mark.parametrize("make", [
+    bool2, workspace_c3, *[lambda n=n: chain(n) for n in range(1, 7)],
+    *[lambda n=n: lukasiewicz_grid(n) for n in (1, 2, 3, 4, 5, 10)],
+    *[lambda t=t: finite_table(*t) for t in TABLES.values()],
+], ids=["bool2", "C3", *[f"chain{n}" for n in range(1, 7)],
+        *[f"luk{n}" for n in (1, 2, 3, 4, 5, 10)], *TABLES])
+def test_validate_quantale_matches_the_value_loops(make):
+    q = make()
+    assert report_or_error(validate_quantale, q) == report_or_error(
+        reference_validate_quantale, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_quantale_matches_the_value_loops_on_random_tables(data):
+    n = data.draw(st.integers(1, 4))
+    cells = st.lists(st.lists(st.integers(0, n - 1), min_size=n,
+                              max_size=n), min_size=n, max_size=n)
+    # a chain or a random relation as the order: the chain reaches the
+    # tensor laws, the relation the order and lattice laws
+    if data.draw(st.booleans()):
+        leq = [[int(a <= b) for b in range(n)] for a in range(n)]
+    else:
+        leq = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n,
+                                          max_size=n),
+                                 min_size=n, max_size=n))
+    q = finite_table([f"e{i}" for i in range(n)], leq, data.draw(cells),
+                     data.draw(st.integers(0, n - 1)))
+    assert report_or_error(validate_quantale, q) == report_or_error(
+        reference_validate_quantale, q)

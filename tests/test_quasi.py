@@ -106,6 +106,11 @@ class TestAssociated:
         for i, obj in enumerate(CLS.objects):
             assert len(quasi.admissible[i]) == \
                 len(x.carrier) ** len(obj.carrier)
+            arrows = quasi.arrows(i)
+            assert [f.graph() for f in arrows] == sorted(quasi.admissible[i])
+            for f in arrows:
+                checked = MapArrow(f.dom, f.cod, f.table)
+                assert f == checked and repr(f) == repr(checked)
 
     def test_identity_is_admissible_on_class_objects(self):
         quasi = associated_quasi(TWO, CLS)
