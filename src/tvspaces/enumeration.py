@@ -26,22 +26,26 @@ and the first structure seen of each isomorphism class, are unchanged.
 
 :func:`iso_canonical_key` refines a colouring of the points to a fixed
 point (McKay & Piperno, "Practical graph isomorphism II", J. Symb. Comput.
-2014).  A point starts with its diagonal token; each round its colour
-becomes the rank, among the sorted signatures of all points, of its colour
-and the sorted multiset of ``(colour of y, a(x, y), a(y, x))`` over the
-points y, until the number of colours stops growing.  The ranks are
-computed from tokens and earlier ranks alone, so an isomorphism carries
-each point to a point of the same colour, and each cell (the points of one
-colour) onto the cell of the same rank.  The key is the least token matrix
-over the orders that list the cells by rank, each cell in any order.  An
-isomorphism maps the orders of one space one to one onto the orders of the
-other with equal matrices, so isomorphic spaces get equal keys; and each
-matrix is the square of a relabelling, so equal keys mean isomorphic
-spaces.  The key reads tokens, not the stored payloads, because a cost
-payload ``INF`` has no order against a ``Fraction``.
+2014).  The square is read as its entries: a finite quantale's stored
+payloads (carrier indices), and a cost quantale's tokens, because a cost
+payload ``INF`` has no order against a ``Fraction``.  A point starts with
+its diagonal entry; each round its colour becomes the rank, among the
+sorted signatures of all points, of its colour and the sorted multiset of
+``(colour of y, a(x, y), a(y, x))`` over the points y, until the number of
+colours stops growing.  The ranks are computed from entries and earlier
+ranks alone, so an isomorphism carries each point to a point of the same
+colour, and each cell (the points of one colour) onto the cell of the same
+rank.  The key is the least matrix of entries over the orders that list
+the cells by rank, each cell in any order; when every cell is a single
+point there is one such order.  An isomorphism maps the orders of one
+space one to one onto the orders of the other with equal matrices, so
+isomorphic spaces get equal keys; and each matrix is the square of a
+relabelling, so equal keys mean isomorphic spaces.  Keys are only compared
+for equality, between spaces over one quantale.
 """
 
 import itertools
+import operator
 from functools import lru_cache
 
 from .errors import StructuralError, UnsupportedOperationError
@@ -152,7 +156,7 @@ def all_valid_spaces_upto(quantale, monad, max_size, include_empty=True):
 
 
 def _refined_cells(sq):
-    """The points of a token square grouped by refined colour, by rank."""
+    """The points of a square grouped by refined colour, by rank."""
     pairs = list(zip(sq, zip(*sq)))           # row x and column x
     colour, count = [row[x] for x, row in enumerate(sq)], -1
     while True:
@@ -170,16 +174,25 @@ def _refined_cells(sq):
 
 
 def iso_canonical_key(space):
-    """Least token matrix of the square over the orders of its refined cells.
+    """A key equal for two spaces over one quantale exactly when they are
+    isomorphic: the least matrix of the square over the orders of its
+    refined cells.
 
-    See the module docstring for why it is a canonical form.
+    See the module docstring for why it is a canonical form.  The key's
+    form is not part of the contract; compare keys only for equality.
     """
-    sq = space.structure.tokens()
+    structure = space.structure
+    sq = structure.rows if space.quantale.is_finite else structure.tokens()
+    cells = _refined_cells(sq)
+    if len(cells) == len(sq):               # all singletons: one order
+        order = [x for (x,) in cells]
+        return (len(sq), tuple([tuple([sq[x][y] for y in order])
+                                for x in order]))
     best = None
-    for parts in itertools.product(
-            *map(itertools.permutations, _refined_cells(sq))):
-        order = [x for part in parts for x in part]
-        candidate = tuple(tuple(sq[x][y] for y in order) for x in order)
+    for parts in itertools.product(*map(itertools.permutations, cells)):
+        # a cell has two points or more, so pick returns tuples
+        pick = operator.itemgetter(*[x for part in parts for x in part])
+        candidate = tuple(map(pick, pick(sq)))
         if best is None or candidate < best:
             best = candidate
     return (len(sq), best)

@@ -6,9 +6,13 @@ it; class-continuity, the function space of class-continuous maps, and the
 specialization/expansion pair between plain quantale spaces and monad spaces
 all live here.
 
-Everything computed is an immutable value; the probe class keeps per-target
-caches, so share one instance per thread or guard it externally when
-parallelizing.
+A probe class finds the probes into a target once, as each object's image
+tuples (see :mod:`tvspaces.space`).  The coreflection joins those tuples
+straight into the final structure; :meth:`ProbeClass.probes_into` builds
+``(map, object)`` pairs from them only for callers that want maps.
+
+Everything computed is an immutable value.  The probe class caches its
+answers; see :class:`ProbeClass` for which caches are safe to share.
 """
 
 import warnings
@@ -23,11 +27,12 @@ from .errors import (
 from .monad import identity_monad
 from .space import (
     Space,
-    _continuous_map_search,
+    _continuous_images,
+    _final_space,
+    _maps_of,
     continuous_maps,
     exponential,
     exponentiability_witness,
-    final_structure,
     initial_structure,
     is_continuous,
     map_label,
@@ -49,12 +54,24 @@ class ProbeClass:
     relabeling, which leaves every final structure unchanged;
     :meth:`compact_hausdorff_upto` takes the spaces its search has just
     built valid and pairwise non-isomorphic without checking them again.
-    Probes and coreflections are cached per target space.  Each object's
-    exponentiability witness and the (EP) report of :func:`check_ep` are
-    computed once per class and cached on it.  Both depend on the objects
-    alone, an immutable tuple, so these two caches are safe to share: a
-    cached value never goes stale, and callers that race on an empty entry
-    at worst compute it twice and store equal values.
+
+    Caches.  Each object's exponentiability witness and the (EP) report of
+    :func:`check_ep` are computed once per class and cached on it.  Both
+    depend on the objects alone, an immutable tuple, so these two caches
+    are safe to share: a cached value never goes stale, and callers that
+    race on an empty entry at worst compute it twice and store equal
+    values.  The hom cache (:meth:`homs`, keyed by two object indices) is
+    safe to share for the same reason.  The image, probe, coreflection and
+    exponential caches are keyed by the target's
+    :meth:`~tvspaces.space.Space.cache_key`, its labels and payload rows,
+    so their entries never go stale either and a race stores equal values;
+    they are safe to share, but they grow with every new target and are
+    never evicted.  The budget is checked only when nothing is cached for
+    the target, so a call with a small budget gets the cached answer of an
+    earlier call with a larger one; a call that raises caches nothing.
+    Cached values are returned, not copied: the lists of image tuples, the
+    lists of maps from :meth:`homs` and the label dictionaries from
+    :meth:`exponential_with` must not be modified.
     """
 
     def __init__(self, objects, mode="explicit", param=None):
@@ -95,6 +112,7 @@ class ProbeClass:
         self.param = param
         self.monad = objects[0].monad
         self.quantale = objects[0].quantale
+        self._image_cache = {}
         self._probe_cache = {}
         self._coreflect_cache = {}
         self._exp_cache = {}
@@ -139,18 +157,28 @@ class ProbeClass:
         """
         key = space.cache_key()
         cached = self._probe_cache.get(key)
-        if cached is not None:
-            return cached
-        n = len(space.carrier)
-        total = sum(n ** len(obj.carrier) for obj in self.objects)
-        if total > budget:
-            raise BudgetExceededError(
-                f"probe enumeration needs {total} candidate maps, "
-                f"budget is {budget}")
-        probes = tuple((f, obj) for obj in self.objects
-                       for f in _continuous_map_search(obj, space))
-        self._probe_cache[key] = probes
-        return probes
+        if cached is None:
+            images = self._images_into(space, key, budget)
+            cached = self._probe_cache[key] = tuple(
+                (f, obj) for obj, fs in zip(self.objects, images)
+                for f in _maps_of(obj.carrier, space.carrier, fs))
+        return cached
+
+    def _images_into(self, space, key, budget):
+        """Per object, its continuous maps into a space as image-index
+        tuples (see ``space._continuous_images``); cached under the
+        space's ``key``.  The budget is checked before any search."""
+        cached = self._image_cache.get(key)
+        if cached is None:
+            n = len(space.carrier)
+            total = sum(n ** len(obj.carrier) for obj in self.objects)
+            if total > budget:
+                raise BudgetExceededError(
+                    f"probe enumeration needs {total} candidate maps, "
+                    f"budget is {budget}")
+            cached = self._image_cache[key] = tuple(
+                _continuous_images(obj, space) for obj in self.objects)
+        return cached
 
     def homs(self, i, j):
         """Continuous maps between class objects, cached."""
@@ -167,13 +195,24 @@ class ProbeClass:
         return self._witness_cache[i]
 
     def coreflect(self, space, budget=DEFAULT_MAP_BUDGET):
+        """The final structure of the probes into a space, cached.
+
+        The probes stay image tuples: each object's are joined into the
+        result in :meth:`probes_into` order, with no map built.
+        """
         key = space.cache_key()
         cached = self._coreflect_cache.get(key)
         if cached is None:
-            probes = self.probes_into(space, budget)
-            cached = final_structure(space.carrier, probes,
-                                     space.monad, space.quantale)
-            self._coreflect_cache[key] = cached
+            images = self._images_into(space, key, budget)
+            # images cached for an equal space over another, equal
+            # quantale or monad instance: the sink check of final_structure
+            if any(images) and (space.monad is not self.monad
+                                or space.quantale is not self.quantale):
+                raise CarrierMismatchError(
+                    "sink space monad/quantale mismatch")
+            cached = self._coreflect_cache[key] = _final_space(
+                space.carrier, space.monad, space.quantale,
+                list(zip(self.objects, images)))
         return cached
 
     def exponential_with(self, i, z_space):

@@ -505,6 +505,27 @@ def _rows_by(fold, rows, width, empty):
     return list(map(fold, *rows))
 
 
+def _join_image_pairs(acc, a, images, bottom, above):
+    """``join_images`` for a join that is ``max`` or ``min`` of the entries.
+
+    ``above(v, w)`` is ``v > w`` for ``max`` and ``v < w`` for ``min``.  The
+    join is then idempotent and order-free, so each distinct pair
+    ``(f[i], f[j])`` is joined once per value ``a[i][j]``, and ``bottom``
+    entries, which join as no-ops, are skipped.
+    """
+    cols = list(zip(*images))         # cols[i]: the image of i under each map
+    pairs = {}
+    if images:
+        for i, row in enumerate(a):
+            for j, v in enumerate(row):
+                if v != bottom:
+                    pairs.setdefault(v, set()).update(zip(cols[i], cols[j]))
+    for v, at in pairs.items():
+        for y, z in at:
+            if above(v, acc[y][z]):
+                acc[y][z] = v
+
+
 # the most composite entries one block of the exponentiability scan holds
 _EXP_BLOCK = 1 << 16
 
@@ -523,7 +544,10 @@ class _Kernel:
     ``meet_rows(rows, width)`` (the entrywise meet of some rows, starting
     from top), ``join_all(entries)`` (the join of a sequence, starting from
     bottom) and ``join_at(acc, cols, row)`` (``acc[cols[j]]`` joined with
-    ``row[j]`` in place, for j in order).  Matrices are lists of rows.
+    ``row[j]`` in place, for j in order), and ``join_images(acc, a,
+    images)`` (``acc[f[i]][f[j]]`` joined with ``a[i][j]`` in place, for
+    each map f of ``images``, given as image-index tuples out of the
+    square ``a``).  Matrices are lists of rows.
     Built on these, ``function_space`` gives the function-space matrix on
     some maps and ``exponentiability_witness`` the first failure of the
     exponentiability inequality.
@@ -695,6 +719,16 @@ class _FiniteKernel(_Kernel):
             join = self._join2
             for k, v in zip(cols, row):
                 acc[k] = join(acc[k], v)
+
+    def join_images(self, acc, a, images):
+        if self._max_join:             # a chain: bottom is index 0
+            _join_image_pairs(acc, a, images, 0, operator.gt)
+        else:
+            # map by map, as join_at goes, so that an undefined join raises
+            # at the same point
+            for f in images:
+                for fi, row in zip(f, a):
+                    self.join_at(acc[fi], f, row)
 
     def function_space(self, b, c, images):
         if self._max_join:
@@ -885,6 +919,9 @@ class _CostKernel(_Kernel):
         for k, v in zip(cols, row):
             if v < acc[k]:
                 acc[k] = v
+
+    def join_images(self, acc, a, images):
+        _join_image_pairs(acc, a, images, self.inf, operator.lt)
 
     def _terms(self, a, row):
         if self._plus:

@@ -21,6 +21,8 @@ from .errors import (
     StructuralError,
 )
 from .space import (
+    _continuous_images,
+    _final_space,
     all_maps,
     coproduct_many,
     copairing,
@@ -113,6 +115,11 @@ def _shared_class(qx, qy):
         raise CarrierMismatchError(
             "quasi-spaces must share one probe class instance")
     return qx.cls
+
+
+def _index_graphs(quasi, i):
+    """The admissible maps out of object i as lists of image indices."""
+    return list(map(quasi.carrier.indices, quasi.admissible[i]))
 
 
 # -- covers ---------------------------------------------------------------------
@@ -304,11 +311,10 @@ def associated_quasi(space, cls):
     """Admissible maps are exactly the continuous ones."""
     if space.monad is not cls.monad or space.quantale is not cls.quantale:
         raise CarrierMismatchError("space and class monad/quantale mismatch")
-    sets = []
-    for obj in cls.objects:
-        sets.append([f.graph()
-                     for f in all_maps(obj.carrier, space.carrier)
-                     if is_continuous(f, obj, space)])
+    labels = space.carrier.labels
+    sets = [[tuple(map(labels.__getitem__, f))
+             for f in _continuous_images(obj, space)]
+            for obj in cls.objects]
     return QuasiSpace(space.carrier, cls, sets)
 
 
@@ -335,20 +341,40 @@ def indiscrete_quasi(carrier, cls):
 
 
 def is_quasi_continuous(f, qx, qy):
-    """Composition with every admissible map stays admissible."""
-    cls = _shared_class(qx, qy)
+    """Composition with every admissible map stays admissible.
+
+    The composites are taken on the graphs, as label tuples.
+    """
+    _shared_class(qx, qy)
     if f.dom != qx.carrier or f.cod != qy.carrier:
         raise CarrierMismatchError("map endpoints do not match")
-    for i in range(len(cls.objects)):
-        for alpha in qx.arrows(i):
-            if not qy.contains(i, alpha.then(f)):
-                return False
-    return True
+    image = f.table.__getitem__
+    return all(tuple(map(image, g)) in adm_y
+               for adm_x, adm_y in zip(qx.admissible, qy.admissible)
+               for g in adm_x)
 
 
 def quasi_continuous_maps(qx, qy):
-    return [f for f in all_maps(qx.carrier, qy.carrier)
-            if is_quasi_continuous(f, qx, qy)]
+    """Every quasi-continuous map, in :func:`all_maps` order.
+
+    A candidate is its tuple of image labels, composed with the admissible
+    graphs of ``qx`` as index lists; only the maps kept are built.  As in
+    a loop of :func:`is_quasi_continuous` over :func:`all_maps`, the class is
+    checked only when there is a candidate map.
+    """
+    dom, cod = qx.carrier, qy.carrier
+    if len(dom) and not len(cod):
+        return []
+    _shared_class(qx, qy)
+    admissible = [(_index_graphs(qx, i), adm_y)
+                  for i, adm_y in enumerate(qy.admissible)]
+    kept = []
+    for f in itertools.product(cod.labels, repeat=len(dom)):
+        image = f.__getitem__
+        if all(tuple(map(image, g)) in adm_y
+               for graphs, adm_y in admissible for g in graphs):
+            kept.append(MapArrow._trusted(dom, cod, dict(zip(dom.labels, f))))
+    return kept
 
 
 # -- constructions -----------------------------------------------------------------
@@ -502,16 +528,33 @@ def exponential_quasi(qx, qy):
     maps = quasi_continuous_maps(qx, qy)
     carrier = Carrier(map_label(f) for f in maps)
     by_label = {map_label(f): f for f in maps}
+    graphs = [f.graph() for f in maps]
+    objects = cls.objects
+    admissible = [_index_graphs(qx, j) for j in range(len(objects))]
+    # The graph of b -> beta(h(b))(alpha(b)) must be admissible for every
+    # h: j -> i and admissible alpha out of j.  It depends on beta only
+    # through gamma = beta . h, a map out of object j into the function
+    # space, so each (j, gamma) is decided once.
+    decided = {}
+
+    def lands(j, gamma):
+        ok = decided.get((j, gamma))
+        if ok is None:
+            ok = decided[j, gamma] = all(
+                tuple([graphs[m][x] for m, x in zip(gamma, alpha)])
+                in qy.admissible[j] for alpha in admissible[j])
+        return ok
+
     sets = []
-    for i, obj in enumerate(cls.objects):
-        # the graph of b -> beta(h(b))(alpha(b)) must be admissible
-        sets.append({beta.graph() for beta in all_maps(obj.carrier, carrier)
-                     if all(tuple(by_label[beta(h(b))](alpha(b))
-                                  for b in src.carrier.labels)
-                            in qy.admissible[j]
-                            for j, src in enumerate(cls.objects)
-                            for h in cls.homs(j, i)
-                            for alpha in qx.arrows(j))})
+    for i, obj in enumerate(objects):
+        homs = [(j, [obj.carrier.indices(h.table.values())
+                     for h in cls.homs(j, i)])
+                for j in range(len(objects))]
+        sets.append({tuple(map(carrier.labels.__getitem__, beta))
+                     for beta in itertools.product(range(len(maps)),
+                                                   repeat=len(obj.carrier))
+                     if all(lands(j, tuple(map(beta.__getitem__, h)))
+                            for j, hs in homs for h in hs)})
     return QuasiSpace(carrier, cls, sets, check_class=False), by_label
 
 
@@ -550,10 +593,7 @@ def transpose_quasi(f, qz, qx, qy, exp=None):
 def reflect_to_cgenerated(quasi):
     """Final lifting of the admissible sink; lands in the generated spaces."""
     cls = quasi.cls
-    sink = []
-    for i, obj in enumerate(cls.objects):
-        for alpha in quasi.arrows(i):
-            sink.append((alpha, obj))
-    from .space import final_structure
-
-    return final_structure(quasi.carrier, sink, cls.monad, cls.quantale)
+    indices = quasi.carrier.indices
+    groups = [(obj, [indices(g) for g in sorted(quasi.admissible[i])])
+              for i, obj in enumerate(cls.objects)]
+    return _final_space(quasi.carrier, cls.monad, cls.quantale, groups)

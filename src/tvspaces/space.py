@@ -24,6 +24,14 @@ and the cost kernel puts every entry of the operation over one common
 scale, so two entries are equal exactly when they are the same value, and
 the kernel's order, tensor, join, meet and implication agree with the
 ``Value`` ones.  Encoding a matrix again per map would give the same rows.
+
+Inside the library a map is the tuple of its image indices in domain
+order.  The continuous-map search (``_continuous_images``) yields such
+tuples, and the final-structure core (``_final_space``) takes them, grouped
+by domain space; :func:`continuous_maps` and :func:`final_structure` are
+thin wrappers that turn tuples into ``MapArrow`` objects and back.  The
+probe classes and quasi-spaces call the tuple forms, so a coreflection or
+a reflection builds no map object.
 """
 
 import itertools
@@ -171,15 +179,15 @@ def all_maps(dom, cod):
         yield MapArrow._trusted(dom, cod, dict(zip(dom.labels, images)))
 
 
-def _continuous_map_search(x_space, y_space):
-    """The search behind :func:`continuous_maps` and ``probes_into``.
+def _continuous_images(x_space, y_space):
+    """The search behind :func:`continuous_maps`, on carrier indices.
 
-    Its errors are those of :func:`is_continuous` on the first candidate
-    map, and, as in a loop over :func:`all_maps`, nothing is checked when
-    there is no candidate map (X nonempty, Y empty).
+    Returns each continuous map as the tuple of its image indices, in
+    :func:`all_maps` order.  Its errors are those of :func:`is_continuous` on
+    the first candidate map, and, as in a loop over :func:`all_maps`,
+    nothing is checked when there is no candidate map (X nonempty, Y empty).
     """
-    dom, cod = x_space.carrier, y_space.carrier
-    n, m = len(dom), len(cod)
+    n, m = len(x_space.carrier), len(y_space.carrier)
     if n and not m:
         return []
     _check_compatible(x_space, y_space)
@@ -224,10 +232,22 @@ def _continuous_map_search(x_space, y_space):
             opens[i] = narrowed
             if i < n:
                 untried[i] = narrowed[i]
-    labels = cod.labels
+    return found
+
+
+def _maps_of(dom, cod, images):
+    """The maps with these image-index tuples, built unchecked."""
+    xs, labels = dom.labels, cod.labels
     return [MapArrow._trusted(dom, cod,
-                              {x: labels[y] for x, y in zip(dom.labels, f)})
-            for f in found]
+                              {x: labels[y] for x, y in zip(xs, f)})
+            for f in images]
+
+
+def _continuous_map_search(x_space, y_space):
+    """:func:`_continuous_images` as maps: what :func:`continuous_maps`
+    returns."""
+    return _maps_of(x_space.carrier, y_space.carrier,
+                    _continuous_images(x_space, y_space))
 
 
 def continuous_maps(x_space, y_space):
@@ -302,10 +322,11 @@ def final_structure(carrier, sink, monad, quantale):
 
     Computed as the reflexive-transitive closure of the joined pushforward
     relations; restricted to integral quantales, where the closure is exact.
-    The empty sink gives the discrete space.  Each distinct domain structure
-    is encoded once, with room for the closure's sums; every map then joins
-    its domain's square into the rows and columns of its images, in the
-    order of the sink.
+    The empty sink gives the discrete space.  The maps become image tuples,
+    grouped in runs that share a domain space, and each domain structure is
+    encoded once (see ``_final_space``).  On a finite table whose join is
+    not ``max`` they join map by map in sink order, so an undefined join
+    raises where a per-map loop would.
     """
     for f, x in sink:
         if f.cod != carrier:
@@ -314,15 +335,32 @@ def final_structure(carrier, sink, monad, quantale):
             raise CarrierMismatchError("sink map domain mismatch")
         if x.monad is not monad or x.quantale is not quantale:
             raise CarrierMismatchError("sink space monad/quantale mismatch")
+    groups = []
+    for f, x in sink:
+        images = carrier.indices(f.table.values())
+        if groups and groups[-1][0] is x:
+            groups[-1][1].append(images)
+        else:
+            groups.append((x, [images]))
+    return _final_space(carrier, monad, quantale, groups)
+
+
+def _final_space(carrier, monad, quantale, groups):
+    """The final structure of a sink given as ``(space, images)`` groups.
+
+    Each group is a domain space and the image-index tuples of its maps
+    into ``carrier``; the groups and their maps are in sink order.  Each
+    distinct domain structure is encoded once, with room for the closure's
+    sums, and the kernel joins each group's square into the image rows and
+    columns (``join_images``) before the closure.
+    """
     n = len(carrier)
-    kernel, payloads = _encode_distinct(quantale, [x for _, x in sink],
+    kernel, payloads = _encode_distinct(quantale, [x for x, _ in groups],
                                         steps=2 * n)
     bot = kernel.bottom               # read even for an empty carrier
     joined = [[bot] * n for _ in range(n)]
-    for f, x in sink:
-        indices = carrier.indices(f.table.values())
-        for fi, row in zip(indices, payloads[id(x.structure)]):
-            kernel.join_at(joined[fi], indices, row)
+    for x, images in groups:
+        kernel.join_images(joined, payloads[id(x.structure)], images)
     closed = kernel.close(joined)
     return Space(carrier, monad, quantale, VRel._from_rows(
         carrier, carrier, quantale, kernel.decode(closed)))

@@ -1,0 +1,483 @@
+"""Differential tests of the image-tuple paths against the map-object code.
+
+The coreflection, the reflection of a quasi-space, the associated
+quasi-space, quasi-continuity, the quasi hom-sets and the quasi exponential
+run on image-index tuples and label tuples, and build ``MapArrow`` objects
+only for what they return.  The functions prefixed ``ref_`` below are the
+versions they replaced, kept as the oracle: the per-probe ``join_at`` loop
+of ``final_structure``, and the quasi functions that compose ``MapArrow``
+objects.  Every answer must equal theirs, and every error must have the
+same type and message.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from tvspaces import (
+    BudgetExceededError,
+    CarrierMismatchError,
+    StructuralError,
+    TvsError,
+    bool2,
+    chain,
+    cost_max,
+    cost_plus,
+    finite_table,
+    lukasiewicz_grid,
+)
+from tvspaces import generation
+from tvspaces.generation import ProbeClass
+from tvspaces.monad import finite_ultrafilter_monad, identity_monad
+from tvspaces.quasi import (
+    QuasiSpace,
+    associated_quasi,
+    class_closure_report,
+    exponential_quasi,
+    indiscrete_quasi,
+    is_quasi_continuous,
+    quasi_continuous_maps,
+    reflect_to_cgenerated,
+)
+from tvspaces.space import (
+    Space,
+    _continuous_map_search,
+    _encode_distinct,
+    all_maps,
+    discrete_space,
+    final_structure,
+    is_continuous,
+    map_label,
+)
+from tvspaces.vrel import Carrier, MapArrow, VRel, reflexive_transitive_closure
+
+IM = identity_monad()
+
+# -- the map-object reference -------------------------------------------------
+
+
+def ref_final_structure(carrier, sink, monad, quantale):
+    """The per-probe loop: each map joins its domain's whole square into
+    the rows and columns of its images, in the order of the sink."""
+    for f, x in sink:
+        if f.cod != carrier:
+            raise CarrierMismatchError("sink map codomain mismatch")
+        if f.dom != x.carrier:
+            raise CarrierMismatchError("sink map domain mismatch")
+        if x.monad is not monad or x.quantale is not quantale:
+            raise CarrierMismatchError("sink space monad/quantale mismatch")
+    n = len(carrier)
+    kernel, payloads = _encode_distinct(quantale, [x for _, x in sink],
+                                        steps=2 * n)
+    bot = kernel.bottom
+    joined = [[bot] * n for _ in range(n)]
+    for f, x in sink:
+        indices = carrier.indices(f.table.values())
+        for fi, row in zip(indices, payloads[id(x.structure)]):
+            kernel.join_at(joined[fi], indices, row)
+    closed = kernel.close(joined)
+    return Space(carrier, monad, quantale, VRel._from_rows(
+        carrier, carrier, quantale, kernel.decode(closed)))
+
+
+def ref_reflect_to_cgenerated(quasi):
+    cls = quasi.cls
+    sink = [(alpha, obj) for i, obj in enumerate(cls.objects)
+            for alpha in quasi.arrows(i)]
+    return ref_final_structure(quasi.carrier, sink, cls.monad, cls.quantale)
+
+
+def ref_associated_quasi(space, cls):
+    if space.monad is not cls.monad or space.quantale is not cls.quantale:
+        raise CarrierMismatchError("space and class monad/quantale mismatch")
+    sets = []
+    for obj in cls.objects:
+        sets.append([f.graph()
+                     for f in all_maps(obj.carrier, space.carrier)
+                     if is_continuous(f, obj, space)])
+    return QuasiSpace(space.carrier, cls, sets)
+
+
+def ref_shared_class(qx, qy):
+    if qx.cls is not qy.cls:
+        raise CarrierMismatchError(
+            "quasi-spaces must share one probe class instance")
+    return qx.cls
+
+
+def ref_is_quasi_continuous(f, qx, qy):
+    cls = ref_shared_class(qx, qy)
+    if f.dom != qx.carrier or f.cod != qy.carrier:
+        raise CarrierMismatchError("map endpoints do not match")
+    for i in range(len(cls.objects)):
+        for alpha in qx.arrows(i):
+            if not qy.contains(i, alpha.then(f)):
+                return False
+    return True
+
+
+def ref_quasi_continuous_maps(qx, qy):
+    return [f for f in all_maps(qx.carrier, qy.carrier)
+            if ref_is_quasi_continuous(f, qx, qy)]
+
+
+def ref_exponential_quasi(qx, qy):
+    cls = ref_shared_class(qx, qy)
+    closure = class_closure_report(cls)
+    if not closure.passed:
+        raise generation.PreconditionError(
+            f"class is not closed under products/pullbacks: "
+            f"{closure.violations[:3]}")
+    maps = ref_quasi_continuous_maps(qx, qy)
+    carrier = Carrier(map_label(f) for f in maps)
+    by_label = {map_label(f): f for f in maps}
+    sets = []
+    for i, obj in enumerate(cls.objects):
+        sets.append({beta.graph() for beta in all_maps(obj.carrier, carrier)
+                     if all(tuple(by_label[beta(h(b))](alpha(b))
+                                  for b in src.carrier.labels)
+                            in qy.admissible[j]
+                            for j, src in enumerate(cls.objects)
+                            for h in cls.homs(j, i)
+                            for alpha in qx.arrows(j))})
+    return QuasiSpace(carrier, cls, sets, check_class=False), by_label
+
+
+# -- quantales and seeded inputs ----------------------------------------------
+
+
+def diamond():
+    """0 < a, b < 1 with meet as tensor: its join is total but not max."""
+    meet = [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]
+    leq = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
+    return finite_table(["0", "a", "b", "1"], leq, meet, unit_index=3)
+
+
+def no_join():
+    """z < x, y < u, v < t: x and y have two least upper bounds, u and v.
+
+    The unit is the top t, so closure accepts the table."""
+    labels = ["z", "x", "y", "u", "v", "t"]
+    above = {"z": "zxyuvt", "x": "xuvt", "y": "yuvt", "u": "ut", "v": "vt",
+             "t": "t"}
+    leq = [[int(b in above[a]) for b in labels] for a in labels]
+    tensor = [[b if a == 5 else a if b in (a, 5) else 0 for b in range(6)]
+              for a in range(6)]
+    return finite_table(labels, leq, tensor, unit_index=5)
+
+
+def no_bottom():
+    """x, y < t with x and y incomparable: no bottom element."""
+    leq = [[1, 0, 1], [0, 1, 1], [0, 0, 1]]
+    tensor = [[0, 2, 0], [2, 1, 1], [0, 1, 2]]
+    return finite_table(["x", "y", "t"], leq, tensor, unit_index=2)
+
+
+QUANTALES = {
+    "bool2": bool2,
+    "chain4": lambda: chain(4),
+    "luk4": lambda: lukasiewicz_grid(4),
+    "cost-plus": cost_plus,
+    "cost-max": cost_max,
+    "diamond": diamond,
+}
+COSTS = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 12), Fraction(2),
+         Fraction(0), Fraction(11, 7)]
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except TvsError as exc:
+        return (type(exc), str(exc))
+
+
+def carrier(prefix, n):
+    return Carrier([f"{prefix}{i}" for i in range(n)])
+
+
+def random_value(q, rng):
+    if q.is_finite:
+        values = q.carrier_values()
+        return values[0] if rng.random() < 0.4 else rng.choice(values)
+    return q.bottom if rng.random() < 0.4 else q.value(rng.choice(COSTS))
+
+
+def random_space(q, c, rng, mon=IM):
+    """A seeded valid space on ``c``: the closure of a random square."""
+    sq = VRel(c, c, q, [[random_value(q, rng) for _ in c] for _ in c])
+    return Space.from_square(c, mon, q, reflexive_transitive_closure(sq))
+
+
+def random_map(dom, cod, rng):
+    return MapArrow(dom, cod, {x: rng.choice(cod.labels) for x in dom.labels})
+
+
+def classes(q, rng):
+    """A shipped class, explicit ones with a 0-point object, and a class of
+    two 2-point objects, one not discrete, that is taken as closed under
+    products and pullbacks without a check (its mode is not "explicit")."""
+    empty = discrete_space(Carrier([]), IM, q)
+    point = discrete_space(carrier("o", 1), IM, q)
+    return [ProbeClass.compact_hausdorff_upto(2, q, IM),
+            ProbeClass.explicit([empty, point]),
+            ProbeClass.explicit([random_space(q, carrier("r", 2), rng),
+                                 empty, point]),
+            ProbeClass._trusted(
+                [point, discrete_space(carrier("d", 2), IM, q),
+                 Space.from_square(carrier("s", 2), IM, q, VRel(
+                     carrier("s", 2), carrier("s", 2), q,
+                     [[q.top, q.top], [q.bottom, q.top]]))],
+                "compact-hausdorff-upto", 2)]
+
+
+def random_quasi(cls, c, rng, keep=0.5):
+    """A seeded quasi-structure, each map admissible with probability
+    ``keep``: with 0.5, hom-sets and admissible sets of every size occur."""
+    sets = [[f.graph() for f in all_maps(obj.carrier, c)
+             if rng.random() < keep] for obj in cls.objects]
+    return QuasiSpace(c, cls, sets, check_class=False)
+
+
+# -- probes and coreflections -------------------------------------------------
+
+
+@pytest.mark.parametrize("qname", list(QUANTALES))
+def test_probes_come_from_the_map_search_in_order(qname):
+    q, rng = QUANTALES[qname](), random.Random(f"probes/{qname}")
+    for cls in classes(q, rng):
+        for n in (0, 1, 3, 4):
+            space = random_space(q, carrier("x", n), rng)
+            probes = cls.probes_into(space)
+            want = [(f, obj) for obj in cls.objects
+                    for f in _continuous_map_search(obj, space)]
+            assert list(probes) == want
+            assert all(p[1] is w[1] for p, w in zip(probes, want))
+            assert cls.probes_into(space) is probes
+
+
+@pytest.mark.parametrize("qname", list(QUANTALES))
+def test_coreflections_match_the_per_probe_loop(qname):
+    q, rng = QUANTALES[qname](), random.Random(f"coreflect/{qname}")
+    for cls in classes(q, rng):
+        for n in (0, 1, 2, 4, 5):
+            space = random_space(q, carrier("x", n), rng)
+            got = cls.coreflect(space)
+            want = ref_final_structure(space.carrier, cls.probes_into(space),
+                                       IM, q)
+            assert got == want
+            # the probes, once cached, give the same answer to a new class
+            fresh = ProbeClass._trusted(cls.objects, cls.mode, cls.param)
+            fresh.probes_into(space)
+            assert fresh.coreflect(space) == want
+
+
+@pytest.mark.parametrize("qname", list(QUANTALES))
+@pytest.mark.parametrize("monad", [identity_monad, finite_ultrafilter_monad])
+def test_final_structures_match_the_per_probe_loop(qname, monad):
+    """Runs of one domain, interleaved domains and repeated maps."""
+    q, mon = QUANTALES[qname](), monad()
+    rng = random.Random(f"final/{qname}/{mon.name}")
+    objects = [random_space(q, carrier(f"o{k}_", m), rng, mon)
+               for k, m in enumerate((2, 3, 1, 0))]
+    for n in (0, 1, 3, 5):
+        c = carrier("x", n)
+        if n:
+            runs = [(random_map(o.carrier, c, rng), o)
+                    for o in objects for _ in range(6)]
+            mixed = [(random_map(o.carrier, c, rng), o) for o in objects * 4]
+        else:
+            runs = mixed = [(MapArrow(objects[3].carrier, c, {}),
+                             objects[3])] * 3
+        for sink in ([], runs, mixed, runs[:1] * 5):
+            assert (outcome(final_structure, c, sink, mon, q)
+                    == outcome(ref_final_structure, c, sink, mon, q))
+        assert final_structure(c, [], mon, q) == discrete_space(c, mon, q)
+
+
+def test_final_structure_keeps_its_mismatch_errors():
+    q, rng = bool2(), random.Random("mismatch")
+    c, other = carrier("p", 2), carrier("q", 2)
+    sp = random_space(q, c, rng)
+    ident = MapArrow.identity(c)
+    for args in ((c, [(MapArrow.identity(other), sp)], IM, q),
+                 (c, [(ident, random_space(q, other, rng))], IM, q),
+                 (c, [(ident, sp)], finite_ultrafilter_monad(), q),
+                 (c, [(ident, sp)], IM, chain(3))):
+        got = outcome(final_structure, *args)
+        assert got[0] is CarrierMismatchError
+        assert got == outcome(ref_final_structure, *args)
+
+
+def test_bottom_is_read_on_an_empty_carrier():
+    q, empty = no_bottom(), Carrier([])
+    got = outcome(final_structure, empty, [], IM, q)
+    assert got == (StructuralError, "order has no bottom element")
+    assert got == outcome(ref_final_structure, empty, [], IM, q)
+
+
+def test_partial_join_raises_the_per_probe_error():
+    """On a table with an undefined join the maps join one by one, in sink
+    order, so the same error comes from the same join, and a sink whose
+    joins are all defined gives the same space."""
+    q = no_join()
+    z, x, y, u, v, t = q.carrier_values()
+    rng = random.Random("no-join")
+    edge = Carrier(["e0", "e1"])
+    spaces = [Space.from_square(edge, IM, q, VRel(edge, edge, q, m))
+              for m in ([[t, x], [z, t]], [[t, y], [z, t]], [[t, u], [z, t]],
+                        [[t, z], [z, t]])]
+    outcomes = set()
+    for n in (1, 2, 3):
+        c = carrier("p", n)
+        for _ in range(40):
+            sink = [(random_map(edge, c, rng), rng.choice(spaces))
+                    for _ in range(rng.randrange(1, 6))]
+            got = outcome(final_structure, c, sink, IM, q)
+            assert got == outcome(ref_final_structure, c, sink, IM, q)
+            outcomes.add(got[0])
+        # a coreflection on the table takes the same per-probe path
+        cls = ProbeClass._trusted(spaces[:2], "explicit", None)
+        target = Space.from_square(c, IM, q, VRel(c, c, q, [
+            [t if i == j else x for j in range(n)] for i in range(n)]))
+        assert outcome(cls.coreflect, target) == outcome(
+            ref_final_structure, c, cls.probes_into(target), IM, q)
+    assert outcomes == {"ok", StructuralError}
+
+
+def test_partial_join_keeps_the_sink_order():
+    """Joining x, then y, then u into one entry meets the undefined join of
+    x and y; joining u first never does."""
+    q = no_join()
+    z, x, y, u, v, t = q.carrier_values()
+    edge = Carrier(["e0", "e1"])
+    one, two = (Space.from_square(edge, IM, q, VRel(edge, edge, q, [
+        [t, w], [z, t]])) for w in (x, y))
+    three = Space.from_square(edge, IM, q, VRel(edge, edge, q, [
+        [t, u], [z, t]]))
+    ident = MapArrow.identity(edge)
+    for sink in ([(ident, one), (ident, two), (ident, three)],
+                 [(ident, one), (ident, one), (ident, two)],
+                 [(ident, three), (ident, one), (ident, two)],
+                 [(ident, three), (ident, two), (ident, one)]):
+        got = outcome(final_structure, edge, sink, IM, q)
+        assert got == outcome(ref_final_structure, edge, sink, IM, q)
+        assert (got[0] == "ok") == (sink[0][1] is three)
+
+
+def test_budget_is_checked_before_any_search(monkeypatch):
+    q = bool2()
+    cls = ProbeClass.compact_hausdorff_upto(2, q, IM)
+    space = discrete_space(carrier("x", 3), IM, q)
+
+    def no_search(*args):
+        raise AssertionError("searched before the budget check")
+
+    monkeypatch.setattr(generation, "_continuous_images", no_search)
+    for fn in (cls.probes_into, cls.coreflect):
+        with pytest.raises(BudgetExceededError) as exc:
+            fn(space, 11)
+        assert str(exc.value) == ("probe enumeration needs 12 candidate "
+                                  "maps, budget is 11")
+
+
+def test_cached_images_keep_the_sink_check():
+    """A target equal to a cached one, but over another instance of an
+    equal table, meets the check that the cached probes met."""
+    q1, q2 = diamond(), diamond()
+    assert q1 is not q2 and q1.cache_key() == q2.cache_key()
+    cls = ProbeClass.compact_hausdorff_upto(2, q1, IM)
+    c = carrier("x", 2)
+    cls.probes_into(discrete_space(c, IM, q1))
+    other = discrete_space(c, IM, q2)
+    got = outcome(cls.coreflect, other)
+    assert got == (CarrierMismatchError, "sink space monad/quantale mismatch")
+    assert got == outcome(ref_final_structure, c, cls.probes_into(other), IM,
+                          q2)
+
+
+# -- quasi-spaces -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("qname", list(QUANTALES))
+def test_associated_quasi_matches_the_map_filter(qname):
+    q, rng = QUANTALES[qname](), random.Random(f"associated/{qname}")
+    for cls in classes(q, rng):
+        for n in (0, 1, 2, 3):
+            space = random_space(q, carrier("x", n), rng)
+            got = outcome(associated_quasi, space, cls)
+            assert got == outcome(ref_associated_quasi, space, cls)
+            if got[0] == "ok":
+                quasi = got[1]
+                assert (reflect_to_cgenerated(quasi)
+                        == ref_reflect_to_cgenerated(quasi))
+    for cls in classes(q, rng):
+        for n in (0, 1, 3):
+            quasi = random_quasi(cls, carrier("x", n), rng)
+            assert (reflect_to_cgenerated(quasi)
+                    == ref_reflect_to_cgenerated(quasi))
+    ultra = random_space(q, carrier("x", 2), rng, finite_ultrafilter_monad())
+    cls = classes(q, rng)[0]
+    assert outcome(associated_quasi, ultra, cls) == outcome(
+        ref_associated_quasi, ultra, cls)
+
+
+@pytest.mark.parametrize("qname", list(QUANTALES))
+def test_quasi_hom_sets_and_exponentials_match_the_map_objects(qname):
+    q, rng = QUANTALES[qname](), random.Random(f"quasi/{qname}")
+    for cls in classes(q, rng)[::3] + classes(q, rng)[1:2]:
+        for nx, ny in ((0, 2), (1, 2), (2, 0), (2, 2), (2, 3)):
+            cx, cy = carrier("x", nx), carrier("y", ny)
+            qxs = [random_quasi(cls, cx, rng), random_quasi(cls, cx, rng, 1)]
+            qys = [random_quasi(cls, cy, rng),
+                   random_quasi(cls, cy, rng, 0.9)]
+            for qx in qxs:
+                for qy in qys:
+                    maps = quasi_continuous_maps(qx, qy)
+                    assert maps == ref_quasi_continuous_maps(qx, qy)
+                    for f in all_maps(cx, cy):
+                        assert (is_quasi_continuous(f, qx, qy)
+                                == ref_is_quasi_continuous(f, qx, qy))
+                    assert outcome(exponential_quasi, qx, qy) == outcome(
+                        ref_exponential_quasi, qx, qy)
+
+
+def test_empty_hom_sets():
+    q, rng = bool2(), random.Random("empty")
+    cls = ProbeClass.compact_hausdorff_upto(2, q, IM)
+    cx, cy = carrier("x", 2), carrier("y", 2)
+    qx = indiscrete_quasi(cx, cls)
+    bare = QuasiSpace(cy, cls, [set(), set()], check_class=False)
+    assert quasi_continuous_maps(qx, bare) == [] == ref_quasi_continuous_maps(
+        qx, bare)
+    exp, by_label = exponential_quasi(qx, bare)
+    assert (exp, by_label) == ref_exponential_quasi(qx, bare)
+    assert len(exp.carrier) == 0 and exp.admissible == (frozenset(),) * 2
+
+
+def test_shared_class_is_checked_only_with_a_candidate_map():
+    q = bool2()
+    one, other = (ProbeClass.compact_hausdorff_upto(2, q, IM)
+                  for _ in range(2))
+    qx = indiscrete_quasi(carrier("x", 2), one)
+    empty = indiscrete_quasi(Carrier([]), other)
+    assert quasi_continuous_maps(qx, empty) == []
+    assert ref_quasi_continuous_maps(qx, empty) == []
+    for args in ((qx, indiscrete_quasi(carrier("y", 1), other)),
+                 (indiscrete_quasi(Carrier([]), one), empty)):
+        got = outcome(quasi_continuous_maps, *args)
+        assert got[0] is CarrierMismatchError
+        assert got == outcome(ref_quasi_continuous_maps, *args)
+
+
+def test_exponential_checks_the_class_closure_first():
+    q, rng = bool2(), random.Random("closure")
+    two = discrete_space(carrier("d", 2), IM, q)
+    cls = ProbeClass.explicit([discrete_space(carrier("o", 1), IM, q), two])
+    assert not class_closure_report(cls).passed
+    qx = random_quasi(cls, carrier("x", 2), rng)
+    qy = random_quasi(cls, carrier("y", 2), rng)
+    got = outcome(exponential_quasi, qx, qy)
+    assert got[0] is generation.PreconditionError
+    assert got == outcome(ref_exponential_quasi, qx, qy)
