@@ -219,23 +219,17 @@ def compact_hausdorff_spaces(quantale, monad, max_size):
     if not quantale.is_finite:
         return [discrete_space(standard_carrier(size), monad, quantale)
                 for size in range(1, max_size + 1)]
+    quantale.kernel(())           # refuses an order that is not a lattice
     # On an integral quantale row x of a valid structure has
     # a(x, x) >= k = top, so its join reaches top (x) top = k (x) k = k
     # and the structure is compact.  A table that breaks a quantale law
     # may fail that argument, so it keeps the test.
     test_compact = not (quantale.integral and _lawful(quantale))
-    # The two tests can raise only on a table without a bottom or with an
-    # undefined join.  Elsewhere the search prunes with the Hausdorff
-    # conditions, so the tests below see exactly the squares that pass
-    # them; on such a table it yields every square, so an error comes from
-    # the same structure as without pruning.
-    bottom = quantale._bottom_index
-    if None in itertools.chain.from_iterable(quantale._join2):
-        bottom = None
     result, seen = [], set()
     for size in range(1, max_size + 1):
         carrier = standard_carrier(size)
-        for square in _valid_squares(quantale, size, bottom):
+        for square in _valid_squares(quantale, size,
+                                     quantale._bottom_index):
             space = _space(carrier, monad, quantale, square)
             if test_compact and not is_compact(space):
                 continue

@@ -183,9 +183,12 @@ class FiniteQuantale(Quantale):
     """Table-driven quantale on an explicitly listed carrier.
 
     Construction is tolerant: derived tables (joins, meets, residuals) may be
-    partial when the supplied order is not a complete lattice, or when the
-    tensor breaks a law.  Using a missing entry raises ``StructuralError``;
-    :func:`validate_quantale` reports every broken law with a witness instead.
+    partial when the supplied order is not a complete lattice, and the tensor
+    may break a law.  Whether the order is a complete lattice is decided
+    once, here; :meth:`kernel` refuses a table whose order is not one with a
+    ``StructuralError``, so every matrix operation does.  The ``Value``
+    operations raise only on a missing entry, and :func:`validate_quantale`
+    reports every broken law with a witness instead.
     """
 
     def __init__(self, kind, labels, leq_table, tensor_table, unit_index,
@@ -217,7 +220,8 @@ class FiniteQuantale(Quantale):
         self._top_index = self._extremum(bottom=False)
         self._hom = self._derive_residual(self._tensor)
         self._heyting = self._derive_residual(self._meet2)
-        self._kernel = _FiniteKernel(self)
+        self._flaw = self._lattice_flaw()
+        self._kernel = None if self._flaw else _FiniteKernel(self)
 
     # -- table derivation -------------------------------------------------
 
@@ -273,16 +277,36 @@ class FiniteQuantale(Quantale):
             out = self._join2[out][i]
         return out
 
-    def _undefined(self, what):
+    def _lattice_flaw(self):
+        """Why the order is not a complete lattice, or None when it is one.
+
+        A finite order is a complete lattice exactly when it is a partial
+        order whose join and meet tables are total; it then has a bottom, a
+        top and total residuals.  Total tables alone are not enough: the
+        3-cycle ``[[1,0,1],[1,1,0],[0,1,1]]`` has them.
+        """
+        for what, table in (("join", self._join2), ("meet", self._meet2)):
+            if any(None in row for row in table):
+                return f"{what} undefined"
+        r = range(len(self.labels))
+        ups = [{v for v in r if self._leq[u][v]} for u in r]
+        for u, up in enumerate(ups):
+            # reflexive, antisymmetric and transitive at u
+            if u not in up or any(v != u and u in ups[v] or not ups[v] <= up
+                                  for v in up):
+                return "order not a partial order"
+        return None
+
+    def _not_a_lattice(self, flaw):
         return StructuralError(
-            f"{what} undefined in quantale {self.describe()}: the order "
+            f"{flaw} in quantale {self.describe()}: the order "
             "is not a complete lattice (run validate_quantale)"
         )
 
     def _entry(self, table, a, b, what):
         out = table[a][b]
         if out is None:
-            raise self._undefined(what)
+            raise self._not_a_lattice(f"{what} undefined")
         return out
 
     def _lookup(self, table, u, v, what):
@@ -293,7 +317,12 @@ class FiniteQuantale(Quantale):
         return self._entry(self._hom, a, b, "hom")
 
     def kernel(self, matrices, steps=1):
-        """The index kernel, shared by every operation on this quantale."""
+        """The index kernel, shared by every operation on this quantale.
+
+        Refused when the order is not a complete lattice.
+        """
+        if self._kernel is None:
+            raise self._not_a_lattice(self._flaw)
         return self._kernel
 
     # -- operations --------------------------------------------------------
@@ -505,13 +534,20 @@ def _rows_by(fold, rows, width, empty):
     return list(map(fold, *rows))
 
 
-def _join_image_pairs(acc, a, images, bottom, above):
-    """``join_images`` for a join that is ``max`` or ``min`` of the entries.
+def _rows_through(table, rows, width, start):
+    """Entrywise fold of equally long rows through a binary ``table``."""
+    out = [start] * width
+    for row in rows:
+        out = [table[a][b] for a, b in zip(out, row)]
+    return out
 
-    ``above(v, w)`` is ``v > w`` for ``max`` and ``v < w`` for ``min``.  The
-    join is then idempotent and order-free, so each distinct pair
-    ``(f[i], f[j])`` is joined once per value ``a[i][j]``, and ``bottom``
-    entries, which join as no-ops, are skipped.
+
+def _image_pairs(a, images, bottom):
+    """The pairs ``join_images`` joins, per entry, as ``(v, pairs)`` items.
+
+    A lattice join is idempotent and order-free, so each distinct pair
+    ``(f[i], f[j])`` is joined once per value ``v = a[i][j]``, and
+    ``bottom`` entries, which join as no-ops, are skipped.
     """
     cols = list(zip(*images))         # cols[i]: the image of i under each map
     pairs = {}
@@ -520,10 +556,7 @@ def _join_image_pairs(acc, a, images, bottom, above):
             for j, v in enumerate(row):
                 if v != bottom:
                     pairs.setdefault(v, set()).update(zip(cols[i], cols[j]))
-    for v, at in pairs.items():
-        for y, z in at:
-            if above(v, acc[y][z]):
-                acc[y][z] = v
+    return pairs.items()
 
 
 # the most composite entries one block of the exponentiability scan holds
@@ -533,8 +566,7 @@ _EXP_BLOCK = 1 << 16
 class _Kernel:
     """Matrix operations on the kernel rows of one quantale.
 
-    Subclasses give ``unit``, ``bottom`` and ``top`` (kernel entries; a
-    finite table without a bottom or top raises when one is read),
+    Subclasses give ``unit``, ``bottom`` and ``top`` (kernel entries),
     ``row(payloads, indices=None)`` (the kernel row of a stored payload row,
     or of ``payloads[j]`` for j in ``indices``, as a fresh list),
     ``decode(rows)`` (the payload rows of kernel rows), ``below(a, b)`` and
@@ -570,13 +602,10 @@ class _Kernel:
 
         ``b`` and ``c`` are the squares of Y and Z, and each map is the list
         of its image indices.  Entry ``(g, h)`` is the meet, over the point
-        pairs ``(y1, y2)`` in row-major order, of
-        ``heyting(b[y1][y2], c[g[y1]][h[y2]])``.  Row g is the meet of one
-        row over the maps h per point pair, and that row depends only on
-        ``b[y1][y2]``, ``g[y1]`` and ``y2``, so it is built once per such
-        triple.  This takes the meet to be a total, associative and
-        commutative operation; the finite kernel overrides it for tables
-        where it may not be.
+        pairs ``(y1, y2)``, of ``heyting(b[y1][y2], c[g[y1]][h[y2]])``.
+        Row g is the meet of one row over the maps h per point pair, and
+        that row depends only on ``b[y1][y2]``, ``g[y1]`` and ``y2``, so it
+        is built once per such triple.
         """
         heyting, width = self.heyting, len(images)
         at = list(zip(*images))       # at[y2]: h(y2) for every map h
@@ -603,9 +632,7 @@ class _Kernel:
         ``N[k][(j, v)] = a(k, j) /\\ v`` (see
         ``space.exponentiability_witness``), and failures rank by j, then u,
         then v.  M is composed in blocks of at most ``_EXP_BLOCK`` result
-        entries, so a large value set costs time, not memory.  Meet and join
-        are taken to be total; the finite kernel overrides this for tables
-        where they may not be.
+        entries, so a large value set costs time, not memory.
         """
         meet, tensor, row_below = self.meet, self.tensor, self.row_below
         nv = len(values)
@@ -633,36 +660,33 @@ class _Kernel:
 class _FiniteKernel(_Kernel):
     """Compose and closure on carrier indices, read from the tables.
 
-    The shortcuts rest on laws a ``finite-table`` may break, so each is
-    checked once, here, and taken only when it holds.  When the join table
-    is ``max`` of the indices (bool2, the chains and the Lukasiewicz grids),
-    whole rows are joined by ``max`` and compared by ``<=``, and when bottom
-    (then index 0) also tensors every element to bottom, a bottom entry's
-    terms are skipped.  Otherwise every join goes through the table in the
-    order of the ``Value`` operations, so an undefined join raises the same
-    ``StructuralError`` at the same point.
+    Only an order that is a complete lattice gets a kernel (see
+    ``FiniteQuantale.kernel``), so every join, meet and implication is
+    defined, bottom and top exist, and no fold depends on its order.  When
+    the join table is ``max`` of the indices (bool2, the chains and the
+    Lukasiewicz grids), whole rows are joined by ``max``, met by ``min``
+    and compared by ``<=``; otherwise they are folded through the tables.
+    When bottom tensors every element to bottom, a bottom entry's terms are
+    skipped.
     """
 
     def __init__(self, q):
         n = len(q.labels)
-        self._q = q
         self._leq = q._leq
         self._tensor = q._tensor
         self._join = q._join2
+        self._meet = q._meet2
+        self._heyting = q._heyting
+        self._integral = q.integral
         self.unit = q._unit_index
+        self.bottom = q._bottom_index
+        self.top = q._top_index
         self._max_join = all(q._join2[a][b] == max(a, b)
                              for a in range(n) for b in range(n))
-        self._skip = 0 if self._max_join and not any(q._tensor[0]) else None
+        bot = self.bottom
+        self._skip = bot if all(x == bot for x in q._tensor[bot]) else None
         # a max join makes the order the index order, so the meet is min
         self.meet = min if self._max_join else self._meet2
-
-    @property
-    def bottom(self):
-        return self._q.bottom.payload
-
-    @property
-    def top(self):
-        return self._q.top.payload
 
     @staticmethod
     def row(payloads, indices=None):
@@ -685,96 +709,40 @@ class _FiniteKernel(_Kernel):
             return all(map(operator.le, ra, rb))
         return all(map(operator.getitem, map(self._leq.__getitem__, ra), rb))
 
-    def _join2(self, a, b):
-        return self._q._entry(self._join, a, b, "join")
-
     def _meet2(self, a, b):
-        return self._q._entry(self._q._meet2, a, b, "meet")
+        return self._meet[a][b]
 
     def heyting(self, a, b):
-        return self._q._entry(self._q._heyting, a, b, "Heyting implication")
+        return self._heyting[a][b]
 
     def meet_rows(self, rows, width):
         if self._max_join:             # a chain: the meet is min
             return _rows_by(min, rows, width, self.top)
-        out = [self.top] * width
-        for row in rows:
-            out = [self._meet2(a, b) for a, b in zip(out, row)]
-        return out
+        return _rows_through(self._meet, rows, width, self.top)
 
     def join_all(self, payloads):
         if self._max_join:             # a chain: bottom is index 0
             return max(payloads, default=0)
-        out = self.bottom
+        join, out = self._join, self.bottom
         for p in payloads:
-            out = self._join2(out, p)
+            out = join[out][p]
         return out
 
     def join_at(self, acc, cols, row):
-        if self._max_join:
-            for k, v in zip(cols, row):
-                if v > acc[k]:
-                    acc[k] = v
-        else:
-            join = self._join2
-            for k, v in zip(cols, row):
-                acc[k] = join(acc[k], v)
+        join = self._join
+        for k, v in zip(cols, row):
+            acc[k] = join[acc[k]][v]
 
     def join_images(self, acc, a, images):
-        if self._max_join:             # a chain: bottom is index 0
-            _join_image_pairs(acc, a, images, 0, operator.gt)
-        else:
-            # map by map, as join_at goes, so that an undefined join raises
-            # at the same point
-            for f in images:
-                for fi, row in zip(f, a):
-                    self.join_at(acc[fi], f, row)
-
-    def function_space(self, b, c, images):
-        if self._max_join:
-            return super().function_space(b, c, images)
-        # entry by entry, in the order of the Value operations, so that an
-        # undefined meet or implication raises at the same point
-        meet, heyting = self._meet2, self.heyting
-        out = []
-        for g in images:
-            row = []
-            for h in images:
-                acc = self.top
-                for bi, z in zip(b, g):
-                    cz = c[z]
-                    for v, w in zip(bi, h):
-                        acc = meet(acc, heyting(v, cz[w]))
-                row.append(acc)
-            out.append(row)
-        return out
-
-    def exponentiability_witness(self, a, values):
-        if self._max_join:
-            return super().exponentiability_witness(a, values)
-        # entry by entry, in the order of the Value operations, so that an
-        # undefined meet or join raises at the same point
-        meet, join = self._meet2, self._join2
-        tensor, leq = self._tensor, self._leq
-        for i, ai in enumerate(a):
-            for j, base in enumerate(ai):
-                pairs = [(p, a[k][j]) for k, p in enumerate(ai)]
-                for ui, u in enumerate(values):
-                    for vi, v in enumerate(values):
-                        rhs = meet(base, tensor[u][v])
-                        lhs = self.bottom
-                        for p, s in pairs:
-                            lhs = join(lhs, tensor[meet(p, u)][meet(s, v)])
-                        if not leq[rhs][lhs]:
-                            return i, j, ui, vi
-        return None
+        join = self._join
+        for v, at in _image_pairs(a, images, self.bottom):
+            for y, z in at:
+                acc[y][z] = join[acc[y][z]][v]
 
     def compose(self, left, right, width):
         if not (left and width):
             return [[] for _ in left]
-        if not self._max_join:
-            return self._fold_compose(left, right, width)
-        tensor, skip = self._tensor, self._skip
+        tensor, skip, max_join = self._tensor, self._skip, self._max_join
         terms = [{} for _ in right]   # terms[m][a]: a tensored on right[m]
         out = []
         for row in left:
@@ -787,22 +755,8 @@ class _FiniteKernel(_Kernel):
                     ta = tensor[a]
                     t = terms[m][a] = [ta[x] for x in right[m]]
                 rows.append(t)
-            out.append(_rows_by(max, rows, width, 0))
-        return out
-
-    def _fold_compose(self, left, right, width):
-        bot = self.bottom
-        join, tensor = self._join2, self._tensor
-        cols = list(zip(*right)) if right else [()] * width
-        out = []
-        for row in left:
-            out_row = []
-            for col in cols:
-                acc = bot
-                for a, b in zip(row, col):
-                    acc = join(acc, tensor[a][b])
-                out_row.append(acc)
-            out.append(out_row)
+            out.append(_rows_by(max, rows, width, 0) if max_join else
+                       _rows_through(self._join, rows, width, self.bottom))
         return out
 
     def close(self, c):
@@ -813,14 +767,13 @@ class _FiniteKernel(_Kernel):
         the updated one.  Only exact for an integral quantale (see
         ``vrel.reflexive_transitive_closure``); any other is refused.
         """
-        if not self._q.integral:
+        if not self._integral:
             raise UnsupportedOperationError(
                 "closure is only exact for integral quantales")
-        if not self._max_join:
-            return self._fold_close(c)
         n, tensor, skip = len(c), self._tensor, self._skip
+        join, max_join = self._join, self._max_join
         for i in range(n):
-            c[i][i] = max(c[i][i], self.unit)
+            c[i][i] = join[c[i][i]][self.unit]
         for p in range(n):
             terms = {}                # terms[v]: v tensored on row p
             for i in range(n):
@@ -831,22 +784,12 @@ class _FiniteKernel(_Kernel):
                 if t is None:
                     tv = tensor[via]
                     t = terms[via] = [tv[x] for x in c[p]]
-                c[i] = [x if x >= y else y for x, y in zip(c[i], t)]
+                if max_join:
+                    c[i] = [x if x >= y else y for x, y in zip(c[i], t)]
+                else:
+                    c[i] = [join[x][y] for x, y in zip(c[i], t)]
                 if i == p:
                     terms = {}
-        return c
-
-    def _fold_close(self, c):
-        n, join, tensor = len(c), self._join2, self._tensor
-        for i in range(n):
-            c[i][i] = join(c[i][i], self.unit)
-        for p in range(n):
-            cp = c[p]
-            for i in range(n):
-                ci = c[i]
-                tv = tensor[ci[p]]
-                for j in range(n):
-                    ci[j] = join(ci[j], tv[cp[j]])
         return c
 
 
@@ -921,7 +864,10 @@ class _CostKernel(_Kernel):
                 acc[k] = v
 
     def join_images(self, acc, a, images):
-        _join_image_pairs(acc, a, images, self.inf, operator.lt)
+        for v, at in _image_pairs(a, images, self.inf):
+            for y, z in at:
+                if v < acc[y][z]:
+                    acc[y][z] = v
 
     def _terms(self, a, row):
         if self._plus:
@@ -1020,7 +966,9 @@ def finite_table(labels, leq_table, tensor_table, unit_index):
 
     ``leq_table[i][j]`` is truthy when element i is below element j;
     ``tensor_table`` holds carrier indices.  Laws are not enforced here, so
-    deliberately broken tables can be fed to :func:`validate_quantale`.
+    deliberately broken tables can be fed to :func:`validate_quantale`; an
+    order that is not a complete lattice is refused by every matrix
+    operation instead (see :meth:`FiniteQuantale.kernel`).
     """
     return FiniteQuantale("finite-table", tuple(labels),
                           leq_table, tensor_table, unit_index)

@@ -324,9 +324,7 @@ def final_structure(carrier, sink, monad, quantale):
     relations; restricted to integral quantales, where the closure is exact.
     The empty sink gives the discrete space.  The maps become image tuples,
     grouped in runs that share a domain space, and each domain structure is
-    encoded once (see ``_final_space``).  On a finite table whose join is
-    not ``max`` they join map by map in sink order, so an undefined join
-    raises where a per-map loop would.
+    encoded once (see ``_final_space``).
     """
     for f, x in sink:
         if f.cod != carrier:
@@ -349,16 +347,15 @@ def _final_space(carrier, monad, quantale, groups):
     """The final structure of a sink given as ``(space, images)`` groups.
 
     Each group is a domain space and the image-index tuples of its maps
-    into ``carrier``; the groups and their maps are in sink order.  Each
-    distinct domain structure is encoded once, with room for the closure's
-    sums, and the kernel joins each group's square into the image rows and
-    columns (``join_images``) before the closure.
+    into ``carrier``, in the order of the sink.  Each distinct domain
+    structure is encoded once, with room for the closure's sums, and the
+    kernel joins each group's square into the image rows and columns
+    (``join_images``) before the closure.
     """
     n = len(carrier)
     kernel, payloads = _encode_distinct(quantale, [x for x, _ in groups],
                                         steps=2 * n)
-    bot = kernel.bottom               # read even for an empty carrier
-    joined = [[bot] * n for _ in range(n)]
+    joined = [[kernel.bottom] * n for _ in range(n)]
     for x, images in groups:
         kernel.join_images(joined, payloads[id(x.structure)], images)
     closed = kernel.close(joined)

@@ -11,8 +11,8 @@ build ``Value`` objects or tokens on demand.  Rows the library computes are
 right by construction and go through ``VRel._from_rows`` unchecked.
 :func:`compose`, the closure, joins and meets run the quantale's kernel
 (see :mod:`tvspaces.quantale`) on the stored rows and store the rows it
-returns: exactly the entrywise ``Value`` answers, including the errors of
-an incomplete lattice.
+returns: exactly the entrywise ``Value`` answers.  A finite table whose
+order is not a complete lattice has no kernel, so they refuse it.
 """
 
 from .errors import (

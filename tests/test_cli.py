@@ -190,6 +190,9 @@ QS3_WITNESSES = (
     "quasi QDisc: violation\n"
     "  QS3-cover-closure: witness (1, ('x', 'y'), [('x',), ('y',)])\n"
     "  QS3-cover-closure: witness (1, ('y', 'x'), [('x',), ('y',)])\n")
+NOT_A_LATTICE = ("error: join undefined in quantale finite-table(z,x,y,u,v,t):"
+                 " the order is not a complete lattice (run "
+                 "validate_quantale)\n")
 
 
 @pytest.mark.parametrize("fixture, code, text", [
@@ -200,9 +203,22 @@ QS3_WITNESSES = (
     ("unknown_quasi_monad.txt", 2,
      "parse error: line 5, column 9: unknown monad 'filter'\n"),
     ("quasi_no_budget.txt", 1, QS3_WITNESSES),
+    ("not_a_lattice.txt", 2,
+     "quantale Q: violation\n"
+     "  complete-lattice: witness ('x', 'y', 'no join')\n"
+     "  complete-lattice: witness ('y', 'x', 'no join')\n"
+     "  complete-lattice: witness ('u', 'v', 'no meet')\n"
+     "  complete-lattice: witness ('v', 'u', 'no meet')\n" + NOT_A_LATTICE),
 ])
 def test_error_fixtures_through_validate(fixture, code, text):
     assert run(["validate", os.path.join(ERRORS, fixture)]) == (code, text)
+
+
+def test_check_refuses_a_space_over_an_order_that_is_not_a_lattice():
+    path = os.path.join(ERRORS, "not_a_lattice.txt")
+    for predicate in PREDICATES:
+        assert run(["check", predicate, "S", "--in", path]) == (
+            2, NOT_A_LATTICE)
 
 
 def test_validate_budget_defaults_to_four():

@@ -7,7 +7,8 @@ function-space entries of ``exponential`` run on kernel payloads.
 The functions prefixed ``ref_`` below are the entrywise ``Value``
 implementations they replaced, kept as the oracle: every answer must equal
 theirs, with witnesses in the same order, and every error must have the same
-type and message.
+type and message.  An order that is not a complete lattice has no kernel,
+so on such a table every kernel operation raises one lattice error instead.
 """
 
 import random
@@ -335,8 +336,33 @@ def no_bottom():
     return finite_table(["x", "y", "t"], leq, tensor, unit_index=2)
 
 
-# the five shipped quantales, a lattice that is not a chain, four broken
-# tables and a chain whose unit is not its top
+def pentagon():
+    """N5: 0 < a < c < 1 and 0 < b < 1, with meet as tensor.
+
+    Not distributive: ``c /\\ (a \\/ b) = c``, but
+    ``(c /\\ a) \\/ (c /\\ b) = a``."""
+    leq = [[1, 1, 1, 1, 1], [0, 1, 0, 1, 1], [0, 0, 1, 0, 1],
+           [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]]
+    meet = [[0, 0, 0, 0, 0], [0, 1, 0, 1, 1], [0, 0, 2, 0, 2],
+            [0, 1, 0, 3, 3], [0, 1, 2, 3, 4]]
+    return finite_table(["0", "a", "b", "c", "1"], leq, meet, unit_index=4)
+
+
+def m3():
+    """M3: three incomparable atoms a, b, c below 1, with meet as tensor.
+
+    Not distributive: ``a /\\ (b \\/ c) = a``, but
+    ``(a /\\ b) \\/ (a /\\ c) = 0``."""
+    leq = [[1, 1, 1, 1, 1], [0, 1, 0, 0, 1], [0, 0, 1, 0, 1],
+           [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]]
+    meet = [[0, 0, 0, 0, 0], [0, 1, 0, 0, 1], [0, 0, 2, 0, 2],
+            [0, 0, 0, 3, 3], [0, 1, 2, 3, 4]]
+    return finite_table(["0", "a", "b", "c", "1"], leq, meet, unit_index=4)
+
+
+# the five shipped quantales, lattices that are not chains (the last two
+# not distributive), three orders that are not lattices and a chain whose
+# unit is not its top
 QUANTALES = {
     "bool2": bool2,
     "chain4": lambda: chain(4),
@@ -345,11 +371,23 @@ QUANTALES = {
     "cost-max": cost_max,
     "diamond": diamond,
     "nilpotent-diamond": nilpotent_diamond,
+    "pentagon": pentagon,
+    "m3": m3,
     "no-join": no_join,
     "no-top": no_top,
     "no-bottom": no_bottom,
     "non-integral": non_integral_quantale,
 }
+# the error every kernel operation raises on an order that is not a lattice
+LATTICE_ERRORS = {
+    "no-join": "join undefined in quantale finite-table(z,x,y,u,v,t): the "
+               "order is not a complete lattice (run validate_quantale)",
+    "no-top": "join undefined in quantale finite-table(b,x,y): the order is "
+              "not a complete lattice (run validate_quantale)",
+    "no-bottom": "meet undefined in quantale finite-table(x,y,t): the order "
+                 "is not a complete lattice (run validate_quantale)",
+}
+LATTICES = [qname for qname in QUANTALES if qname not in LATTICE_ERRORS]
 MONADS = (identity_monad, finite_ultrafilter_monad)
 SIZES = (0, 1, 2, 5, 12)
 # denominators 3, 7 and 12, so the common scale is their lcm (84)
@@ -387,8 +425,8 @@ def random_map(dom, cod, rng):
     return MapArrow(dom, cod, {x: rng.choice(cod.labels) for x in dom.labels})
 
 
-def cases(sizes=SIZES):
-    for qname in QUANTALES:
+def cases(sizes=SIZES, qnames=LATTICES):
+    for qname in qnames:
         for monad in MONADS:
             for n in sizes:
                 yield pytest.param(qname, monad, n,
@@ -403,7 +441,7 @@ def seeded(qname, monad, n, what):
 # -- differential tests ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("qname,monad,n", cases())
+@pytest.mark.parametrize("qname,monad,n", cases(qnames=QUANTALES))
 def test_square_forms_and_subspaces_match_reference(qname, monad, n):
     q, mon, rng = seeded(qname, monad, n, "square")
     c = carrier("p", n)
@@ -486,7 +524,7 @@ def test_long_paths_in_a_final_structure_stay_finite():
     assert got.structure.entries[12][0] == q.bottom
 
 
-@pytest.mark.parametrize("qname,monad,n", cases())
+@pytest.mark.parametrize("qname,monad,n", cases(qnames=QUANTALES))
 def test_coproducts_match_reference(qname, monad, n):
     q, mon, rng = seeded(qname, monad, n, "coproduct")
     family = [random_space(q, mon, carrier("p", m), rng, closed)
@@ -596,15 +634,43 @@ def test_cost_exponentiability_witness_on_a_three_point_metric():
 
 @pytest.mark.parametrize("qname,monad", [
     pytest.param(qname, monad, id=f"{qname}-{monad().name}")
-    for qname in ("diamond", "nilpotent-diamond", "no-join", "no-top",
-                  "no-bottom") for monad in MONADS])
+    for qname in ("diamond", "nilpotent-diamond", "pentagon", "m3")
+    for monad in MONADS])
 def test_exponentiability_on_tables_without_a_max_join(qname, monad):
-    """The same witness, or the same error at the same point."""
     for n in (4, 6):
         q, mon, rng = seeded(qname, monad, n, "exponentiability-tables")
         for sp in exponentiability_spaces(q, mon, carrier("p", n), rng):
             assert outcome(exponentiability_witness, sp) == outcome(
                 ref_exponentiability_witness, sp)
+
+
+@pytest.mark.parametrize("qname,monad", [
+    pytest.param(qname, monad, id=f"{qname}-{monad().name}")
+    for qname in LATTICE_ERRORS for monad in MONADS])
+def test_constructions_refuse_an_order_that_is_not_a_lattice(qname, monad):
+    """Each construction and witness that runs the kernel raises the
+    lattice error on the seeded spaces, on any carrier and with or without
+    maps, whether or not it would read an undefined entry."""
+    q, mon, rng = seeded(qname, monad, 3, "not-a-lattice")
+    want = (StructuralError, LATTICE_ERRORS[qname])
+    y = random_space(q, mon, carrier("y", 2), rng)
+    for n in (0, 1, 3):
+        c = carrier("p", n)
+        sp = random_space(q, mon, c, rng)
+        into_y = [(random_map(c, y.carrier, rng), y)]
+        out_of_y = [(random_map(y.carrier, c, rng), y)] if n else []
+        calls = [(initial_structure, c, [], mon, q),
+                 (initial_structure, c, into_y, mon, q),
+                 (product, sp, y),
+                 (final_structure, c, [], mon, q),
+                 (final_structure, c, out_of_y, mon, q),
+                 (compactness_witness, sp),
+                 (hausdorff_witness, sp),
+                 (separatedness_witness, sp),
+                 (exponentiability_witness, sp),
+                 (exponential, y, sp)]
+        for fn, *args in calls:
+            assert outcome(fn, *args) == want, fn.__name__
 
 
 @pytest.mark.parametrize("block", [1, 50, 75])
@@ -630,7 +696,7 @@ def test_exponentiability_blocks_keep_the_scan_order(monkeypatch, block):
 
 @pytest.mark.parametrize("qname,n", [
     pytest.param(qname, n, id=f"{qname}-{n}")
-    for qname in QUANTALES for n in SIZES])
+    for qname in LATTICES for n in SIZES])
 def test_function_space_entries_match_reference(qname, n):
     """The entries on seeded maps, continuous or not, Y up to 3 points."""
     q, mon, rng = seeded(qname, identity_monad, n, "function-space")

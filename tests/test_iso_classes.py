@@ -226,19 +226,24 @@ CLASS_CASES = [
     ("luk10", lambda: lukasiewicz_grid(10), 2),
     ("non-integral", non_integral_quantale, 3),
     ("broken-integral", _broken_integral, 3),
-    ("no-bottom", _no_bottom, 3),
-    ("no-top", _no_top, 3),
-    ("no-join", _no_join, 2),
     ("one-sided", _one_sided, 3),
+]
+# orders that are not complete lattices: the class is refused before the
+# search, with the error every kernel operation on them raises
+NOT_LATTICE_CASES = [
+    ("no-bottom", _no_bottom, 3, "meet undefined in quantale "
+     "finite-table(a,b,c): the order is not a complete lattice "
+     "(run validate_quantale)"),
+    ("no-top", _no_top, 3, "join undefined in quantale finite-table(b,x,y): "
+     "the order is not a complete lattice (run validate_quantale)"),
+    ("no-join", _no_join, 2, "join undefined in quantale "
+     "finite-table(z,x,y,u,v,t): the order is not a complete lattice "
+     "(run validate_quantale)"),
 ]
 
 
-# the search prunes only with a bottom to compare against
-PRUNED_CASES = [c for c in CLASS_CASES if c[0] != "no-bottom"]
-
-
-@pytest.mark.parametrize("name,make,max_size", PRUNED_CASES,
-                         ids=[c[0] for c in PRUNED_CASES])
+@pytest.mark.parametrize("name,make,max_size", CLASS_CASES,
+                         ids=[c[0] for c in CLASS_CASES])
 def test_pruning_keeps_exactly_the_hausdorff_squares(name, make, max_size):
     q = make()
     for n in range(max_size + 1):
@@ -260,9 +265,20 @@ def test_class_search_matches_the_filter(name, make, max_size, monad):
 
 
 
+@pytest.mark.parametrize("monad", [identity_monad, finite_ultrafilter_monad])
+@pytest.mark.parametrize("name,make,max_size,message", NOT_LATTICE_CASES,
+                         ids=[c[0] for c in NOT_LATTICE_CASES])
+def test_class_search_refuses_an_order_that_is_not_a_lattice(
+        name, make, max_size, message, monad):
+    q, mon = make(), monad()
+    for size in range(max_size + 1):
+        assert outcome(compact_hausdorff_spaces, q, mon, size) == (
+            StructuralError, message)
+
+
 # bool2 and chain(3) up to 4 points, the other tables as in CLASS_CASES
 TRUSTED_CASES = [(name, make, 4 if name in ("bool2", "chain3") else size)
-                 for name, make, size in CLASS_CASES]
+                 for name, make, size, *_ in CLASS_CASES + NOT_LATTICE_CASES]
 
 
 @pytest.mark.parametrize("monad", [identity_monad, finite_ultrafilter_monad])
@@ -277,14 +293,6 @@ def test_trusted_class_matches_the_checked_class(name, make, max_size,
         trusted = outcome(lambda: ProbeClass.compact_hausdorff_upto(
             size, q, mon).objects)
         assert trusted == checked
-
-
-def test_broken_tables_still_raise():
-    assert outcome(compact_hausdorff_spaces, _no_bottom(), IM, 1) == (
-        StructuralError, "order has no bottom element")
-    kind, message = outcome(compact_hausdorff_spaces, _no_top(), IM, 2)
-    assert kind is StructuralError
-    assert message.startswith("join undefined in quantale")
 
 
 def test_size_bound_comes_before_the_search():

@@ -37,6 +37,9 @@ from tvspaces.vrel import (
     VRel,
     compose,
     reflexive_transitive_closure,
+    rel_join,
+    rel_leq,
+    rel_meet,
 )
 
 # -- the Value-level reference ------------------------------------------------
@@ -124,7 +127,28 @@ def diamond():
     return finite_table(["0", "a", "b", "1"], leq, meet, unit_index=3)
 
 
-# the five shipped quantales, and a lattice that takes the table-fold paths
+def pentagon():
+    """N5: 0 < a < c < 1 and 0 < b < 1, with meet as tensor: a lattice
+    that is not distributive."""
+    leq = [[1, 1, 1, 1, 1], [0, 1, 0, 1, 1], [0, 0, 1, 0, 1],
+           [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]]
+    meet = [[0, 0, 0, 0, 0], [0, 1, 0, 1, 1], [0, 0, 2, 0, 2],
+            [0, 1, 0, 3, 3], [0, 1, 2, 3, 4]]
+    return finite_table(["0", "a", "b", "c", "1"], leq, meet, unit_index=4)
+
+
+def m3():
+    """M3: three incomparable atoms a, b, c below 1, with meet as tensor: a
+    lattice that is not distributive."""
+    leq = [[1, 1, 1, 1, 1], [0, 1, 0, 0, 1], [0, 0, 1, 0, 1],
+           [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]]
+    meet = [[0, 0, 0, 0, 0], [0, 1, 0, 0, 1], [0, 0, 2, 0, 2],
+            [0, 0, 0, 3, 3], [0, 1, 2, 3, 4]]
+    return finite_table(["0", "a", "b", "c", "1"], leq, meet, unit_index=4)
+
+
+# the five shipped quantales, and lattices whose join is not max of the
+# indices, so that they take the table paths
 QUANTALES = {
     "bool2": bool2,
     "chain4": lambda: chain(4),
@@ -132,6 +156,8 @@ QUANTALES = {
     "cost-plus": cost_plus,
     "cost-max": cost_max,
     "diamond": diamond,
+    "pentagon": pentagon,
+    "m3": m3,
 }
 MONADS = (identity_monad, finite_ultrafilter_monad)
 SIZES = (0, 1, 2, 5, 12)
@@ -307,7 +333,7 @@ def test_relations_with_different_denominators_compose():
 
 # -- broken tables ------------------------------------------------------------
 
-# a, b incomparable below c: no bottom element, so no empty join
+# a, b incomparable below c: no bottom element, so no meet of a and b
 NO_BOTTOM = dict(labels=["a", "b", "c"],
                  leq_table=[[1, 0, 1], [0, 1, 1], [0, 0, 1]],
                  tensor_table=[[0, 2, 0], [2, 1, 1], [0, 1, 2]],
@@ -317,8 +343,8 @@ NO_BOTTOM = dict(labels=["a", "b", "c"],
 def _no_join_table():
     """z < x, y < u, v < t: x and y have two least upper bounds, u and v.
 
-    The unit is the top t, so closure accepts the table; the tensor is
-    idempotent and sends two different non-units to z.
+    The unit is the top t, and the tensor is idempotent and sends two
+    different non-units to z.
     """
     labels = ["z", "x", "y", "u", "v", "t"]
     above = {"z": "zxyuvt", "x": "xuvt", "y": "yuvt", "u": "ut", "v": "vt",
@@ -332,36 +358,49 @@ def _no_join_table():
 
 
 NO_JOIN = _no_join_table()
+# a 3-cycle: total join and meet tables, but not a partial order
+THREE_CYCLE = dict(labels=["a", "b", "c"],
+                   leq_table=[[1, 0, 1], [1, 1, 0], [0, 1, 1]],
+                   tensor_table=[[0, 0, 0], [0, 1, 0], [0, 0, 2]],
+                   unit_index=2)
 
 
-def reference_error(fn, *args):
-    with pytest.raises(StructuralError) as exc:
-        fn(*args)
-    return str(exc.value)
-
-
-@pytest.mark.parametrize("table", [NO_BOTTOM, NO_JOIN],
-                         ids=["no-bottom", "no-join"])
-def test_undefined_join_raises_the_reference_error(table):
+@pytest.mark.parametrize("table,message", [
+    (NO_BOTTOM, "meet undefined in quantale finite-table(a,b,c): the order "
+                "is not a complete lattice (run validate_quantale)"),
+    (NO_JOIN, "join undefined in quantale finite-table(z,x,y,u,v,t): the "
+              "order is not a complete lattice (run validate_quantale)"),
+    (THREE_CYCLE, "order not a partial order in quantale finite-table(a,b,c):"
+                  " the order is not a complete lattice (run "
+                  "validate_quantale)"),
+], ids=["no-bottom", "no-join", "3-cycle"])
+def test_kernels_refuse_an_order_that_is_not_a_lattice(table, message):
+    """Every kernel operation raises the lattice error, on every carrier
+    and relation, the empty ones included."""
     q = finite_table(**table)
-    c = carrier("p", 2)
     v = q.carrier_values()
-    r = VRel(c, c, q, [[v[1], v[2]], [v[2], v[1]]])
-    want = reference_error(ref_compose, r, r)
-    assert reference_error(compose, r, r) == want
-    sp = space_of(q, identity_monad(), c, r.entries)
-    assert reference_error(validate_space, sp) == reference_error(
-        ref_validate, sp) == want
-
-
-def test_undefined_join_in_closure_raises_the_reference_error():
-    q = finite_table(**NO_JOIN)
-    z, x, y, _, _, t = q.carrier_values()
-    c = carrier("p", 3)
-    r = VRel(c, c, q, [[t, t, x], [z, t, y], [z, z, t]])
-    want = reference_error(ref_closure, r)
-    assert want.startswith("join undefined in quantale finite-table(")
-    assert reference_error(reflexive_transitive_closure, r) == want
+    unit = q.unit
+    for n in (0, 1, 2, 3):
+        c = carrier("p", n)
+        rows = [[unit if i == j else v[(i + j) % len(v)] for j in range(n)]
+                for i in range(n)]
+        r = VRel(c, c, q, rows)
+        diagonal = VRel(c, c, q, [[unit if i == j else v[0] for j in range(n)]
+                                  for i in range(n)])
+        sp = space_of(q, identity_monad(), c, rows)
+        f = MapArrow.identity(c)
+        for fn, *args in ((compose, r, r), (compose, diagonal, diagonal),
+                          (reflexive_transitive_closure, r),
+                          (reflexive_transitive_closure, diagonal),
+                          (validate_space, sp),
+                          (continuity_witness, f, sp, sp),
+                          (is_fully_faithful, f, sp, sp),
+                          (rel_leq, r, r), (rel_join, r, diagonal),
+                          (rel_meet, r, diagonal)):
+            with pytest.raises(StructuralError) as exc:
+                fn(*args)
+            assert type(exc.value) is StructuralError
+            assert str(exc.value) == message
 
 
 def test_bottom_that_does_not_absorb_gives_the_reference_answer():

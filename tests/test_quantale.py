@@ -1,3 +1,4 @@
+import itertools
 import os
 from fractions import Fraction
 
@@ -400,3 +401,74 @@ def test_validate_quantale_matches_the_value_loops_on_random_tables(data):
                      data.draw(st.integers(0, n - 1)))
     assert report_or_error(validate_quantale, q) == report_or_error(
         reference_validate_quantale, q)
+
+
+# -- the lattice check ----------------------------------------------------------
+
+# the tables whose order is not a complete lattice, and the error their
+# kernel raises: the three of TABLES, a 2-cycle (total order relation, no
+# least upper bounds) and a 3-cycle (total join and meet tables, but not
+# transitive)
+NOT_LATTICES = {
+    "no-bottom": (TABLES["no-bottom"], "meet undefined in quantale "
+                  "finite-table(a,b,c): the order is not a complete lattice "
+                  "(run validate_quantale)"),
+    "no-top": (TABLES["no-top"], "join undefined in quantale "
+               "finite-table(b,x,y): the order is not a complete lattice "
+               "(run validate_quantale)"),
+    "no-join": (TABLES["no-join"], "join undefined in quantale "
+                "finite-table(z,x,y,u,v,t): the order is not a complete "
+                "lattice (run validate_quantale)"),
+    "2-cycle": ((["a", "b"], [[1, 1], [1, 1]], [[0, 0], [0, 1]], 1),
+                "join undefined in quantale finite-table(a,b): the order is "
+                "not a complete lattice (run validate_quantale)"),
+    "3-cycle": ((["a", "b", "c"], [[1, 0, 1], [1, 1, 0], [0, 1, 1]],
+                 [[0, 0, 0], [0, 1, 0], [0, 0, 2]], 2),
+                "order not a partial order in quantale finite-table(a,b,c): "
+                "the order is not a complete lattice (run validate_quantale)"),
+}
+
+
+@pytest.mark.parametrize("name", NOT_LATTICES)
+def test_kernel_refuses_an_order_that_is_not_a_lattice(name):
+    (labels, leq, tensor, unit), message = NOT_LATTICES[name]
+    q = finite_table(labels, leq, tensor, unit)
+    for matrices in ((), ([[0]],)):
+        with pytest.raises(StructuralError) as exc:
+            q.encode(matrices)
+        assert type(exc.value) is StructuralError
+        assert str(exc.value) == message
+    # the law check still reports the table in full, and the Value
+    # operations that read only the given tables still work
+    assert report_or_error(validate_quantale, q) == report_or_error(
+        reference_validate_quantale, q)
+    assert not validate_quantale(q).passed
+    values = q.carrier_values()
+    for u in values:
+        for v in values:
+            assert q.tensor(u, v) is values[tensor[u.payload][v.payload]]
+            assert q.leq(u, v) == bool(leq[u.payload][v.payload])
+
+
+def test_kernel_is_refused_exactly_for_the_orders_validate_quantale_rejects():
+    """Every relation on one to three points as the order: the kernel is
+    refused exactly when validate_quantale reports an order or lattice law."""
+    lattice_laws = {"order-reflexive", "order-antisymmetric",
+                    "order-transitive", "complete-lattice"}
+    refused = 0
+    for n in (1, 2, 3):
+        tensor = [[0] * n for _ in range(n)]
+        for bits in itertools.product((0, 1), repeat=n * n):
+            leq = [bits[i * n:(i + 1) * n] for i in range(n)]
+            q = finite_table([f"e{i}" for i in range(n)], leq, tensor, 0)
+            broken = any(law in lattice_laws
+                         for law, _ in validate_quantale(q).violations)
+            try:
+                q.kernel(())
+            except StructuralError:
+                assert broken
+                refused += 1
+            else:
+                assert not broken
+    # the lattices on one to three labelled points are the 1 + 2 + 6 chains
+    assert refused == (2 - 1) + (16 - 2) + (512 - 6)
