@@ -74,7 +74,6 @@ from .generation import (
     alexandroff_expansion,
     c_generated_structure,
     cmap_space,
-    enumerate_probes,
     is_alexandroff,
     is_c_continuous,
     is_c_generated,

@@ -224,10 +224,6 @@ class ProbeClass:
         return cached
 
 
-def enumerate_probes(probe_class, space, budget=DEFAULT_MAP_BUDGET):
-    return probe_class.probes_into(space, budget)
-
-
 def c_generated_structure(space, probe_class, budget=DEFAULT_MAP_BUDGET):
     """The coreflection: final structure with respect to all probes."""
     return probe_class.coreflect(space, budget)

@@ -25,7 +25,9 @@ stop early), and the kernel's ``decode`` turns result rows into payloads.
 
 * Finite quantales compute on the payloads, the carrier indices of the
   tables; the kernel reads ``_tensor``, ``_join2`` and ``_leq`` directly,
-  and its ``decode`` hands rows back unchanged.
+  and its ``decode`` hands rows back unchanged.  On a chain, ``compose`` and
+  the closure pack each row into one int inside the operation, so that a
+  join of rows is one bitwise OR (see ``_FiniteKernel``).
 * Cost quantales use integers over ``scale``, the lcm of the denominators of
   every entry of the operation, so ``+``, ``max`` and ``min`` on them are
   exact integer arithmetic.  ``inf`` becomes one sentinel integer set above
@@ -40,7 +42,7 @@ stop early), and the kernel's ``decode`` turns result rows into payloads.
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import (
     QuantaleMismatchError,
@@ -562,6 +564,9 @@ def _image_pairs(a, images, bottom):
 # the most composite entries one block of the exponentiability scan holds
 _EXP_BLOCK = 1 << 16
 
+# _POPCOUNT[b]: the set bits of byte b, the index a one-byte code holds
+_POPCOUNT = bytes(bin(b).count("1") for b in range(256))
+
 
 class _Kernel:
     """Matrix operations on the kernel rows of one quantale.
@@ -579,7 +584,9 @@ class _Kernel:
     ``row[j]`` in place, for j in order), and ``join_images(acc, a,
     images)`` (``acc[f[i]][f[j]]`` joined with ``a[i][j]`` in place, for
     each map f of ``images``, given as image-index tuples out of the
-    square ``a``).  Matrices are lists of rows.
+    square ``a``).  Matrices are lists of rows, both going in and coming
+    out; an operation may hold them in another form while it runs, as the
+    finite kernel's packed rows.
     Built on these, ``function_space`` gives the function-space matrix on
     some maps and ``exponentiability_witness`` the first failure of the
     exponentiability inequality.
@@ -664,10 +671,20 @@ class _FiniteKernel(_Kernel):
     ``FiniteQuantale.kernel``), so every join, meet and implication is
     defined, bottom and top exist, and no fold depends on its order.  When
     the join table is ``max`` of the indices (bool2, the chains and the
-    Lukasiewicz grids), whole rows are joined by ``max``, met by ``min``
-    and compared by ``<=``; otherwise they are folded through the tables.
-    When bottom tensors every element to bottom, a bottom entry's terms are
-    skipped.
+    Lukasiewicz grids), the order is the index order: rows are met by
+    ``min`` and compared by ``<=``, and ``compose`` and ``close`` work on
+    packed rows.  A packed row is one int that holds, for each column j, the
+    thermometer code ``(1 << v) - 1`` of its index v in the ``nbytes`` bytes
+    from byte ``nbytes * j`` on, with ``8 * nbytes >= n - 1``.  On a chain
+    two facts make this pay: a code is below another exactly when its bits
+    are a subset of the other's (``x & ~y == 0``), so the max of two codes is
+    their OR, and a whole row of joins is one ``|``.  Index rows go in and
+    come out: each term row is packed once, straight from the index bytes
+    through one translation table per tensor factor, and each result row is
+    unpacked by one ``to_bytes`` and one ``translate`` to the popcount of
+    each byte.  Any other lattice, and a chain too long for one-byte digits
+    (see ``__init__``), folds its rows through the tables.  When bottom
+    tensors every element to bottom, a bottom entry's terms are skipped.
     """
 
     def __init__(self, q):
@@ -687,6 +704,21 @@ class _FiniteKernel(_Kernel):
         self._skip = bot if all(x == bot for x in q._tensor[bot]) else None
         # a max join makes the order the index order, so the meet is min
         self.meet = min if self._max_join else self._meet2
+        # a packed row gives each column nbytes digits, x * nbytes + k for
+        # byte k of the code of index x, so the digits fit a byte when
+        # n * nbytes <= 256; a longer chain folds through the tables
+        nbytes = self._nbytes = max(1, (n + 6) // 8)
+        self._packed = self._max_join and n * nbytes <= 256
+        if self._packed:
+            codes = [((1 << v) - 1).to_bytes(nbytes, "little")
+                     for v in range(n)]
+            # translation tables from digits to the code bytes of x and,
+            # per a, of a (x) x
+            self._code_table = b"".join(codes).ljust(256, b"\0")
+            self._term_tables = [b"".join(map(codes.__getitem__, ta)).ljust(
+                256, b"\0") for ta in q._tensor]
+            self._spread = [bytes(range(x * nbytes, (x + 1) * nbytes))
+                            for x in range(n)]
 
     @staticmethod
     def row(payloads, indices=None):
@@ -739,10 +771,37 @@ class _FiniteKernel(_Kernel):
             for y, z in at:
                 acc[y][z] = join[acc[y][z]][v]
 
+    def _digits(self, row):
+        """The digits of an index row, to translate into a packed row."""
+        if self._nbytes == 1:
+            return bytes(row)
+        return b"".join(map(self._spread.__getitem__, row))
+
+    def _unpack(self, rows, width):
+        """The index rows of some packed rows of ``width`` columns."""
+        nbytes = self._nbytes
+        counts = [x.to_bytes(width * nbytes, "little").translate(_POPCOUNT)
+                  for x in rows]
+        if nbytes == 1:
+            return list(map(list, counts))
+        # an index is the sum of the set bits of its field's bytes
+        return [list(map(sum, zip(*[c[k::nbytes] for k in range(nbytes)])))
+                for c in counts]
+
     def compose(self, left, right, width):
         if not (left and width):
             return [[] for _ in left]
-        tensor, skip, max_join = self._tensor, self._skip, self._max_join
+        tensor, skip = self._tensor, self._skip
+        if self._packed:
+            # terms[m][a]: a tensored on right[m], for each a of column m
+            digits, tables, terms = self._digits, self._term_tables, []
+            for rm, col in zip(right, zip(*left)):
+                d, tm = digits(rm), [0] * len(tables)
+                for a in set(col):
+                    tm[a] = int.from_bytes(d.translate(tables[a]), "little")
+                terms.append(tm)
+            return self._unpack([reduce(operator.or_, map(
+                list.__getitem__, terms, row), 0) for row in left], width)
         terms = [{} for _ in right]   # terms[m][a]: a tensored on right[m]
         out = []
         for row in left:
@@ -755,8 +814,7 @@ class _FiniteKernel(_Kernel):
                     ta = tensor[a]
                     t = terms[m][a] = [ta[x] for x in right[m]]
                 rows.append(t)
-            out.append(_rows_by(max, rows, width, 0) if max_join else
-                       _rows_through(self._join, rows, width, self.bottom))
+            out.append(_rows_through(self._join, rows, width, self.bottom))
         return out
 
     def close(self, c):
@@ -770,8 +828,33 @@ class _FiniteKernel(_Kernel):
         if not self._integral:
             raise UnsupportedOperationError(
                 "closure is only exact for integral quantales")
-        n, tensor, skip = len(c), self._tensor, self._skip
-        join, max_join = self._join, self._max_join
+        n, tensor, skip, join = len(c), self._tensor, self._skip, self._join
+        if self._packed:
+            bits = 8 * self._nbytes
+            mask, unit = (1 << bits) - 1, (1 << self.unit) - 1
+            digits, unpack = self._digits, self._unpack
+            codes, tables = self._code_table, self._term_tables
+            rows = [int.from_bytes(digits(r).translate(codes), "little")
+                    | unit << bits * i for i, r in enumerate(c)]
+            for p in range(n):
+                shift, terms, d = bits * p, {}, None
+                for i in range(n):
+                    x = rows[i]
+                    # the code of bottom, index 0, is 0
+                    via = x >> shift & mask
+                    if via == skip:
+                        continue
+                    t = terms.get(via)
+                    if t is None:
+                        if d is None:
+                            d = digits(unpack([rows[p]], n)[0])
+                        t = terms[via] = int.from_bytes(
+                            d.translate(tables[via.bit_count()]), "little")
+                    rows[i] = x | t
+                    if i == p:
+                        terms, d = {}, None
+            c[:] = unpack(rows, n)
+            return c
         for i in range(n):
             c[i][i] = join[c[i][i]][self.unit]
         for p in range(n):
@@ -784,10 +867,7 @@ class _FiniteKernel(_Kernel):
                 if t is None:
                     tv = tensor[via]
                     t = terms[via] = [tv[x] for x in c[p]]
-                if max_join:
-                    c[i] = [x if x >= y else y for x, y in zip(c[i], t)]
-                else:
-                    c[i] = [join[x][y] for x, y in zip(c[i], t)]
+                c[i] = [join[x][y] for x, y in zip(c[i], t)]
                 if i == p:
                     terms = {}
         return c

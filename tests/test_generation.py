@@ -18,7 +18,6 @@ from tvspaces.generation import (
     c_generated_structure,
     check_ep,
     cmap_space,
-    enumerate_probes,
     is_alexandroff,
     is_c_continuous,
     is_c_generated,
@@ -60,25 +59,25 @@ CH2_CLASS = ProbeClass.compact_hausdorff_upto(2, B, IM)
 class TestEnumerateProbes:
     def test_point_class_gives_constants(self):
         x = b_space(["a", "b", "c"], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        sink = enumerate_probes(POINT_CLASS, x)
+        sink = POINT_CLASS.probes_into(x)
         assert len(sink) == 3
         assert all(len(src.carrier) == 1 for _, src in sink)
 
     def test_two_chain_into_itself(self):
-        sink = enumerate_probes(SIERP_CLASS, ORD_CHAIN2)
+        sink = SIERP_CLASS.probes_into(ORD_CHAIN2)
         assert len(sink) == 3  # two constants and the isomorphism
 
     def test_empty_target(self):
         empty = discrete_space(Carrier([]), IM, B)
-        assert len(enumerate_probes(SIERP_CLASS, empty)) == 0
+        assert len(SIERP_CLASS.probes_into(empty)) == 0
 
     def test_budget_overflow_is_an_error(self):
         x = b_space(["a", "b", "c"], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         with pytest.raises(BudgetExceededError):
-            enumerate_probes(CH2_CLASS, x, budget=5)
+            CH2_CLASS.probes_into(x, budget=5)
 
     def test_probes_are_continuous(self):
-        for _, src in enumerate_probes(CH2_CLASS, ORD_CHAIN2):
+        for _, src in CH2_CLASS.probes_into(ORD_CHAIN2):
             assert validate_space(src).passed
 
     @pytest.mark.parametrize("q", [B, chain(3), lukasiewicz_grid(4)],

@@ -6,12 +6,17 @@ indices, or integers over a common denominator with an ``inf`` sentinel).
 The functions prefixed ``ref_`` below are the entrywise ``Value``
 implementations they replaced, kept as the oracle: every kernel answer must
 equal theirs, violation lists and witnesses in the same order included.
+``list_compose`` and ``list_close`` are the row-wise ``map(max)`` index
+kernels that packed rows replaced on max-join tables, kept as a fast oracle
+for large random matrices.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvspaces import (
     INF,
@@ -27,6 +32,7 @@ from tvspaces.monad import finite_ultrafilter_monad, identity_monad
 from tvspaces.space import (
     Space,
     continuity_witness,
+    exponentiability_witness,
     is_fully_faithful,
     validate_space,
 )
@@ -47,11 +53,12 @@ from tvspaces.vrel import (
 
 def ref_compose(r, s):
     q = r.quantale
+    a, b = r.entries, s.entries        # each read builds every Value
     out = []
     for i in range(len(r.dom)):
         row = []
         for j in range(len(s.cod)):
-            row.append(q.join(q.tensor(r.entries[i][m], s.entries[m][j])
+            row.append(q.join(q.tensor(a[i][m], b[m][j])
                               for m in range(len(r.cod))))
         out.append(row)
     return VRel(r.dom, s.cod, q, out)
@@ -106,6 +113,58 @@ def ref_fully_faithful(f, x_space, y_space):
     return all(a.get(tx, x) == b.get(f(tx), f(x))
                for tx in x_space.carrier.labels
                for x in x_space.carrier.labels)
+
+
+def _max_rows(rows, width):
+    if not rows:
+        return [0] * width
+    if len(rows) == 1:
+        return list(rows[0])
+    return list(map(max, *rows))
+
+
+def list_compose(q, left, right, width):
+    """Compose on the index rows of a max-join table, one list per term."""
+    if not (left and width):
+        return [[] for _ in left]
+    tensor = q._tensor
+    skip = None if any(tensor[0]) else 0     # bottom is index 0
+    terms = [{} for _ in right]   # terms[m][a]: a tensored on right[m]
+    out = []
+    for row in left:
+        rows = []
+        for m, a in enumerate(row):
+            if a == skip:
+                continue
+            t = terms[m].get(a)
+            if t is None:
+                ta = tensor[a]
+                t = terms[m][a] = [ta[x] for x in right[m]]
+            rows.append(t)
+        out.append(_max_rows(rows, width))
+    return out
+
+
+def list_close(q, c):
+    """Floyd-Warshall on the index rows of a max-join table, in place."""
+    n, tensor = len(c), q._tensor
+    skip = None if any(tensor[0]) else 0
+    for i in range(n):
+        c[i][i] = max(c[i][i], q.unit.payload)
+    for p in range(n):
+        terms = {}                # terms[v]: v tensored on row p
+        for i in range(n):
+            via = c[i][p]
+            if via == skip:
+                continue
+            t = terms.get(via)
+            if t is None:
+                tv = tensor[via]
+                t = terms[via] = [tv[x] for x in c[p]]
+            c[i] = [x if x >= y else y for x, y in zip(c[i], t)]
+            if i == p:
+                terms = {}
+    return c
 
 
 def assert_round_trip(r):
@@ -441,3 +500,139 @@ def test_cost_kernel_results_are_canonical():
                       (kernel.close([list(x) for x in a]), ref_closure(r))):
         assert all(p <= kernel.inf for row in rows for p in row)
         assert kernel.decode(rows) == [list(row) for row in ref.rows]
+
+
+# -- packed rows --------------------------------------------------------------
+
+# max-join tables: every shipped finite family, with one-byte fields up to
+# chain(9), two-byte fields from chain(10) on, and chain(43), the first
+# whose rows fold through the tables
+MAX_JOIN = {
+    "bool2": bool2,
+    "chain1": lambda: chain(1),
+    "chain4": lambda: chain(4),
+    "chain9": lambda: chain(9),
+    "chain10": lambda: chain(10),
+    "chain17": lambda: chain(17),
+    "chain42": lambda: chain(42),
+    "chain43": lambda: chain(43),
+    "luk4": lambda: lukasiewicz_grid(4),
+    "luk10": lambda: lukasiewicz_grid(10),
+}
+
+
+def index_matrix(q, n, m, rng, bottoms=0.35):
+    top = len(q.labels) - 1
+    return [[0 if rng.random() < bottoms else rng.randint(0, top)
+             for _ in range(m)] for _ in range(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(qname=st.sampled_from(sorted(MAX_JOIN)), n=st.integers(0, 64),
+       m=st.integers(0, 64), width=st.integers(0, 64),
+       bottoms=st.sampled_from([0.0, 0.35, 0.9]), seed=st.integers(0, 2**32))
+def test_packed_rows_match_the_list_kernel(qname, n, m, width, bottoms,
+                                           seed):
+    q = MAX_JOIN[qname]()
+    kernel, rng = q.kernel(()), random.Random(seed)
+    left = index_matrix(q, n, m, rng, bottoms)
+    right = index_matrix(q, m, width, rng, bottoms)
+    square = index_matrix(q, n, n, rng, bottoms)
+    before = [[list(row) for row in x] for x in (left, right)]
+    assert (kernel.compose(left, right, width)
+            == list_compose(q, left, right, width))
+    # compose writes into no input row; close works in place
+    assert [left, right] == before
+    expected = list_close(q, [list(row) for row in square])
+    assert kernel.close(square) == expected and square == expected
+
+
+# each 48- and 64-point square is checked against one Value oracle, the
+# three of them in turn, and against the list kernel
+LONG_ROWS = [("bool2", 48, "closure"), ("bool2", 64, "compose"),
+             ("chain4", 48, "compose"), ("chain4", 64, "validate"),
+             ("luk4", 48, "validate"), ("luk4", 64, "closure")]
+
+
+@pytest.mark.parametrize("qname,n,oracle", LONG_ROWS,
+                         ids=[f"{q}-{n}-{o}" for q, n, o in LONG_ROWS])
+def test_rows_longer_than_a_word_match_reference(qname, n, oracle):
+    q = MAX_JOIN[qname]()
+    rng = random.Random(f"long/{qname}/{n}")
+    c = carrier("p", n)
+    raw = VRel(c, c, q, random_matrix(q, n, n, rng))
+    closed = reflexive_transitive_closure(raw)
+    assert [list(row) for row in closed.rows] == list_close(
+        q, [list(row) for row in raw.rows])
+    both = compose(closed, raw)
+    assert [list(row) for row in both.rows] == list_compose(
+        q, closed.rows, raw.rows, n)
+    if oracle == "closure":
+        assert closed == ref_closure(raw)
+    elif oracle == "compose":
+        assert both == ref_compose(closed, raw)
+    else:
+        planted = plant_transitivity(q, closed.entries)
+        sp = space_of(q, identity_monad(), c, planted)
+        assert validate_space(sp) == ref_validate(sp)
+        assert not validate_space(sp).passed
+
+
+@pytest.mark.parametrize("qname", ["luk10", "chain17"])
+def test_two_byte_fields_match_reference(qname):
+    q = MAX_JOIN[qname]()
+    rng = random.Random(f"wide/{qname}")
+    for n in (1, 2, 7, 12):
+        c = carrier("p", n)
+        raw = VRel(c, c, q, random_matrix(q, n, n, rng))
+        closed = ref_closure(raw)
+        assert reflexive_transitive_closure(raw) == closed
+        assert compose(raw, closed) == ref_compose(raw, closed)
+        for rows in (raw.entries, closed.entries,
+                     plant_transitivity(q, closed.entries)):
+            if rows is not None:
+                sp = space_of(q, finite_ultrafilter_monad(), c, rows)
+                assert validate_space(sp) == ref_validate(sp)
+
+
+@pytest.mark.parametrize("qname", ["bool2", "chain4", "luk10"])
+def test_rectangular_and_empty_composes_match_reference(qname):
+    q = MAX_JOIN[qname]()
+    rng = random.Random(f"shapes/{qname}")
+    for rows, mid, cols in ((5, 48, 3), (3, 48, 5), (5, 48, 0), (0, 48, 3),
+                            (4, 0, 3), (0, 0, 0)):
+        left = VRel(carrier("x", rows), carrier("y", mid), q,
+                    random_matrix(q, rows, mid, rng))
+        right = VRel(carrier("y", mid), carrier("z", cols), q,
+                     random_matrix(q, mid, cols, rng))
+        assert compose(left, right) == ref_compose(left, right)
+
+
+@pytest.mark.parametrize("qname,n", [("bool2", 9), ("chain4", 6),
+                                     ("luk10", 5), ("chain17", 4)])
+def test_exponentiability_scan_rows_match_the_list_kernel(qname, n,
+                                                          monkeypatch):
+    """The scan composes rows n * |V| wide; its witness is the same when
+    every compose goes through the list kernel."""
+    q = MAX_JOIN[qname]()
+    rng = random.Random(f"expo/{qname}/{n}")
+    c = carrier("p", n)
+    for closed in (False, True):
+        r = VRel(c, c, q, random_matrix(q, n, n, rng))
+        if closed:
+            r = reflexive_transitive_closure(r)
+        sp = space_of(q, identity_monad(), c, r.entries)
+        # the scan's composite for one row, n * |V| columns wide
+        values, a = q.carrier_values(), r.entries
+        vs = carrier("v", len(values))
+        pairs = carrier("jv", n * len(values))
+        m = VRel(vs, c, q, [[q.meet(p, u) for p in a[0]] for u in values])
+        nn = VRel(c, pairs, q, [[q.meet(p, v) for p in row for v in values]
+                                for row in a])
+        assert compose(m, nn) == ref_compose(m, nn)
+        got = exponentiability_witness(sp)
+        with monkeypatch.context() as patch:
+            patch.setattr(type(q.kernel(())), "compose",
+                          lambda self, left, right, width:
+                          list_compose(q, left, right, width))
+            assert exponentiability_witness(sp) == got
