@@ -31,7 +31,6 @@ from .generation import (
 from .monad import monad_by_name
 from .quantale import validate_quantale
 from .quasi import (
-    DEFAULT_COVER_BUDGET,
     QuasiSpace,
     associated_quasi,
     discrete_quasi,
@@ -98,8 +97,7 @@ def cmd_validate(args, out):
     validators = {
         "quantale": validate_quantale,
         "space": validate_space,
-        "quasi": lambda quasi: validate_quasi(quasi,
-                                              cover_budget=args.budget),
+        "quasi": validate_quasi,
     }
     failed = False
     for kind, name in ws.order:
@@ -285,9 +283,6 @@ def build_parser():
     p_validate = sub.add_parser("validate", help="validate a workspace file")
     p_validate.set_defaults(run=cmd_validate)
     p_validate.add_argument("files", nargs="+")
-    p_validate.add_argument("--budget", type=int,
-                            default=DEFAULT_COVER_BUDGET,
-                            help="cover-family budget for quasi validation")
 
     p_check = sub.add_parser("check", parents=[on_a_space],
                              help="decide a predicate of a space")

@@ -5,9 +5,8 @@ into the carrier.  The three axioms are: all constant maps are admissible
 (QS1); admissible maps absorb precomposition with continuous maps between
 class objects (QS2); and a map is admissible exactly when it is covered by a
 finite family of admissible maps through a surjective continuous comparison
-out of the family's coproduct (QS3).  The cover quantifier is bounded: only
-families with at most ``cover_budget`` members are searched, and reports say
-so.
+out of the family's coproduct (QS3).  QS3 is decided exactly, with no bound
+on the family, by the joint images of class maps (see :func:`_joint_cover`).
 """
 
 import itertools
@@ -39,7 +38,6 @@ from .enumeration import iso_canonical_key
 from .validation import ValidationReport
 from .vrel import Carrier, MapArrow
 
-DEFAULT_COVER_BUDGET = 4
 DEFAULT_ETA_BUDGET = 20_000
 
 
@@ -132,7 +130,7 @@ def is_covered(alpha, family, cls, eta_budget=DEFAULT_ETA_BUDGET):
     of ``(space, map)`` pairs with the same codomain.  Returns the witness
     map out of the family coproduct, or None.  The candidate count is fiber
     constrained; exceeding ``eta_budget`` raises, which is distinct from a
-    definitive negative.
+    definitive negative.  The empty family covers only an empty class object.
     """
     target = None
     for obj in cls.objects:
@@ -146,7 +144,8 @@ def is_covered(alpha, family, cls, eta_budget=DEFAULT_ETA_BUDGET):
                    and src == obj for obj in cls.objects):
             raise PreconditionError("family sources must be class objects")
     if not family:
-        return None
+        return (None if len(alpha.dom)
+                else Cover((), MapArrow.identity(alpha.dom)))
     summed, injections = coproduct_many([src for src, _ in family])
     copair = copairing([f for _, f in family], summed.carrier)
     fibers = []
@@ -173,35 +172,36 @@ def is_covered(alpha, family, cls, eta_budget=DEFAULT_ETA_BUDGET):
     return None
 
 
-def _covered_by_admissible(quasi, i, alpha,
-                           cover_budget=DEFAULT_COVER_BUDGET,
-                           eta_budget=DEFAULT_ETA_BUDGET):
-    """A witness family plus comparison, drawn from the admissible pool."""
+def _joint_cover(quasi, i, alpha):
+    """A family of admissible maps covering alpha: C -> X (QS3), or None.
+
+    A comparison out of a coproduct is continuous exactly when each of its
+    components h: C_j -> C is.  So alpha is covered exactly when the class
+    maps h with alpha.h admissible jointly cover C, one h per point: no
+    bound on the family and no search over comparisons.  Each point of C
+    not yet covered, in label order, takes the first such (j, h) whose
+    image holds it; the family is the sorted set of (j, graph of alpha.h),
+    and it is empty for an empty C.
+    """
     cls = quasi.cls
-    image = set(alpha.table.values())
-    pool = []
-    for j, obj in enumerate(cls.objects):
-        for f in quasi.arrows(j):
-            if set(f.table.values()) <= image:
-                pool.append((obj, f))
-    budget_hit = False
-    for size in range(1, cover_budget + 1):
-        for family in itertools.combinations_with_replacement(pool, size):
-            if {y for _, f in family for y in f.table.values()} != image:
-                continue
-            try:
-                cover = is_covered(alpha, list(family), cls, eta_budget)
-            except BudgetExceededError:
-                budget_hit = True
-                continue
-            if cover is not None:
-                return cover, budget_hit
-    return None, budget_hit
+    family, covered = set(), set()
+    for c in cls.objects[i].carrier.labels:
+        if c in covered:
+            continue
+        found = next(((j, h) for j in range(len(cls.objects))
+                      for h in cls.homs(j, i)
+                      if c in h.table.values()
+                      and h.then(alpha).graph() in quasi.admissible[j]),
+                     None)
+        if found is None:
+            return None
+        j, h = found
+        family.add((j, h.then(alpha).graph()))
+        covered.update(h.table.values())
+    return sorted(family)
 
 
-def saturate_admissible(carrier, cls, seed_sets,
-                        cover_budget=DEFAULT_COVER_BUDGET,
-                        eta_budget=DEFAULT_ETA_BUDGET):
+def saturate_admissible(carrier, cls, seed_sets):
     """Close seed sets under the three axioms; the least valid structure."""
     sets = [set(s) for s in seed_sets]
     for i, obj in enumerate(cls.objects):
@@ -222,16 +222,14 @@ def saturate_admissible(carrier, cls, seed_sets,
                         if g not in sets[i]:
                             sets[i].add(g)
                             changed = True
-        # bounded cover closure
+        # cover closure
         current = QuasiSpace(carrier, cls,
                              [frozenset(s) for s in sets], check_class=False)
         for i, obj in enumerate(cls.objects):
             for alpha in all_maps(obj.carrier, carrier):
                 if alpha.graph() in sets[i]:
                     continue
-                cover, _ = _covered_by_admissible(
-                    current, i, alpha, cover_budget, eta_budget)
-                if cover is not None:
+                if _joint_cover(current, i, alpha) is not None:
                     sets[i].add(alpha.graph())
                     changed = True
     return [frozenset(s) for s in sets]
@@ -240,16 +238,14 @@ def saturate_admissible(carrier, cls, seed_sets,
 # -- validation -----------------------------------------------------------------
 
 
-def validate_quasi(quasi, cover_budget=DEFAULT_COVER_BUDGET,
-                   eta_budget=DEFAULT_ETA_BUDGET):
+def validate_quasi(quasi):
     """Check the class precondition and the three axioms, with witnesses."""
     cls = quasi.cls
     carrier = quasi.carrier
     violations = []
-    notes = [f"QS3 verified for families of at most {cover_budget} members"]
     closure = class_closure_report(cls)
-    if not closure.passed:
-        notes.append(f"class closure gaps: {closure.violations[:3]}")
+    notes = ([] if closure.passed
+             else [f"class closure gaps: {closure.violations[:3]}"])
 
     for i, obj in enumerate(cls.objects):
         if not (is_compact(obj) and is_hausdorff(obj)):
@@ -274,33 +270,16 @@ def validate_quasi(quasi, cover_budget=DEFAULT_COVER_BUDGET,
                             ("QS2-precomposition",
                              (i, j, h.graph(), alpha.graph())))
 
-    # QS3, both directions
-    budget_hit = False
+    # QS3; an admissible map covers itself through the identity
     for i, obj in enumerate(cls.objects):
-        for alpha in quasi.arrows(i):
-            try:
-                cover = is_covered(alpha, [(obj, alpha)], cls, eta_budget)
-            except BudgetExceededError:
-                budget_hit = True
-                cover = None
-            if cover is None and not budget_hit:
-                violations.append(("QS3-self-cover", (i, alpha.graph())))
-            elif cover is not None and not cover.verify(alpha):
-                violations.append(("QS3-cover-witness", (i, alpha.graph())))
         for alpha in all_maps(obj.carrier, carrier):
             if quasi.contains(i, alpha):
                 continue
-            cover, hit = _covered_by_admissible(
-                quasi, i, alpha, cover_budget, eta_budget)
-            budget_hit = budget_hit or hit
-            if cover is not None:
+            family = _joint_cover(quasi, i, alpha)
+            if family is not None:
                 violations.append(
                     ("QS3-cover-closure",
-                     (i, alpha.graph(),
-                      [f.graph() for _, f in cover.family])))
-    if budget_hit:
-        notes.append("some cover searches were cut off by the comparison "
-                     "budget; QS3 verified up to budget")
+                     (i, alpha.graph(), [g for _, g in family])))
     return ValidationReport.collect(violations, notes)
 
 
@@ -318,8 +297,7 @@ def associated_quasi(space, cls):
     return QuasiSpace(space.carrier, cls, sets)
 
 
-def discrete_quasi(carrier, cls, cover_budget=DEFAULT_COVER_BUDGET,
-                   eta_budget=DEFAULT_ETA_BUDGET):
+def discrete_quasi(carrier, cls):
     """The least quasi-structure: the cover closure of the constant maps.
 
     Constants alone need not satisfy the cover axiom (a family of constants
@@ -327,9 +305,7 @@ def discrete_quasi(carrier, cls, cover_budget=DEFAULT_COVER_BUDGET,
     closure is taken; on classes where constants are already closed this is
     just the constants.
     """
-    sets = saturate_admissible(carrier, cls,
-                               [set() for _ in cls.objects],
-                               cover_budget, eta_budget)
+    sets = saturate_admissible(carrier, cls, [set() for _ in cls.objects])
     return QuasiSpace(carrier, cls, sets)
 
 
@@ -395,8 +371,7 @@ def subspace_quasi(quasi, labels):
     return QuasiSpace(sub, quasi.cls, sets, check_class=False), incl
 
 
-def quotient_quasi(quasi, f, cover_budget=DEFAULT_COVER_BUDGET,
-                   eta_budget=DEFAULT_ETA_BUDGET):
+def quotient_quasi(quasi, f):
     """Final quasi-structure along a surjection.
 
     The base rule admits a map when it factors through an admissible map
@@ -435,7 +410,7 @@ def quotient_quasi(quasi, f, cover_budget=DEFAULT_COVER_BUDGET,
                     else:
                         sets[i].add(tuple(assignment[c]
                                           for c in obj.carrier.labels))
-    sets = saturate_admissible(target, cls, sets, cover_budget, eta_budget)
+    sets = saturate_admissible(target, cls, sets)
     return QuasiSpace(target, cls, sets, check_class=False)
 
 
@@ -492,23 +467,21 @@ def class_closure_report(cls):
             "the enumerated window is a size truncation",))
     keys = {iso_canonical_key(obj) for obj in cls.objects}
     violations = []
+    products = {}
     for i, a in enumerate(cls.objects):
         for j, b in enumerate(cls.objects):
-            prod, _ = product(a, b)
+            prod, _ = products[i, j] = product(a, b)
             if iso_canonical_key(prod) not in keys:
                 violations.append(("product-closure", (i, j)))
-    for i, a in enumerate(cls.objects):
-        for j, b in enumerate(cls.objects):
-            for k, c in enumerate(cls.objects):
-                for h in cls.homs(i, k):
-                    for g in cls.homs(j, k):
-                        prod, (p1, p2) = product(a, b)
-                        pts = [p for p in prod.carrier.labels
-                               if h(p1(p)) == g(p2(p))]
-                        pullback, _ = subspace(prod, pts)
-                        if iso_canonical_key(pullback) not in keys:
-                            violations.append(
-                                ("pullback-closure", (i, j, k)))
+    for (i, j), (prod, (p1, p2)) in products.items():
+        for k in range(len(cls.objects)):
+            for h in cls.homs(i, k):
+                for g in cls.homs(j, k):
+                    pts = [p for p in prod.carrier.labels
+                           if h(p1(p)) == g(p2(p))]
+                    pullback, _ = subspace(prod, pts)
+                    if iso_canonical_key(pullback) not in keys:
+                        violations.append(("pullback-closure", (i, j, k)))
     return ValidationReport.collect(violations)
 
 

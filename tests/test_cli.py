@@ -221,9 +221,13 @@ def test_check_refuses_a_space_over_an_order_that_is_not_a_lattice():
             2, NOT_A_LATTICE)
 
 
-def test_validate_budget_defaults_to_four():
+def test_validate_refuses_a_budget(capsys):
+    # QS3 is decided exactly, so validate has no budget to take
     path = os.path.join(ERRORS, "quasi_no_budget.txt")
-    assert run(["validate", path]) == run(["validate", path, "--budget", "4"])
+    with pytest.raises(SystemExit) as exc:
+        run(["validate", path, "--budget", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,19 @@
+import itertools
+import os
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvspaces import BudgetExceededError, PreconditionError, bool2
 from tvspaces.enumeration import all_valid_spaces_upto
 from tvspaces.generation import ProbeClass, is_c_generated
 from tvspaces.monad import identity_monad
+from tvspaces.quantale import chain, lukasiewicz_grid
 from tvspaces.quasi import (
+    DEFAULT_ETA_BUDGET,
     QuasiSpace,
+    _joint_cover,
     associated_quasi,
     discrete_quasi,
     evaluation_quasi,
@@ -18,6 +26,7 @@ from tvspaces.quasi import (
     quasi_continuous_maps,
     quotient_quasi,
     reflect_to_cgenerated,
+    saturate_admissible,
     subspace_quasi,
     transpose_quasi,
     validate_quasi,
@@ -29,6 +38,7 @@ from tvspaces.space import (
     discrete_space,
     final_structure,
 )
+from tvspaces.textio import parse_workspace
 from tvspaces.vrel import Carrier, MapArrow, VRel
 
 B = bool2()
@@ -73,6 +83,179 @@ class TestCovers:
         family = [(TWO, alpha), (TWO, alpha)]
         with pytest.raises(BudgetExceededError):
             is_covered(alpha, family, CLS, eta_budget=3)
+
+
+def bounded_cover(quasi, i, alpha, cover_budget,
+                  eta_budget=DEFAULT_ETA_BUDGET):
+    """Search the families of at most ``cover_budget`` admissible maps for
+    a cover of alpha; return the first :class:`Cover` or None, and whether
+    a comparison search hit ``eta_budget``.  A cover needs at most |C|
+    members, so at a budget of |C| the search is exact on a nonempty C: an
+    oracle for the joint-image test."""
+    cls = quasi.cls
+    image = set(alpha.table.values())
+    pool = []
+    for j, obj in enumerate(cls.objects):
+        for f in quasi.arrows(j):
+            if set(f.table.values()) <= image:
+                pool.append((obj, f))
+    budget_hit = False
+    for size in range(1, cover_budget + 1):
+        for family in itertools.combinations_with_replacement(pool, size):
+            if {y for _, f in family for y in f.table.values()} != image:
+                continue
+            try:
+                cover = is_covered(alpha, list(family), cls, eta_budget)
+            except BudgetExceededError:
+                budget_hit = True
+                continue
+            if cover is not None:
+                return cover, budget_hit
+    return None, budget_hit
+
+
+def bounded_saturation(carrier, cls):
+    """The least structure, closed under covers found by
+    :func:`bounded_cover` at budget |C|."""
+    sets = [set() for _ in cls.objects]
+    for i, obj in enumerate(cls.objects):
+        for y in carrier.labels:
+            sets[i].add(MapArrow.constant(obj.carrier, carrier, y).graph())
+    changed = True
+    while changed:
+        changed = False
+        for j, src in enumerate(cls.objects):
+            for graph in list(sets[j]):
+                alpha = MapArrow(src.carrier, carrier,
+                                 dict(zip(src.carrier.labels, graph)))
+                for i in range(len(cls.objects)):
+                    for h in cls.homs(i, j):
+                        g = h.then(alpha).graph()
+                        if g not in sets[i]:
+                            sets[i].add(g)
+                            changed = True
+        current = QuasiSpace(carrier, cls, sets, check_class=False)
+        for i, obj in enumerate(cls.objects):
+            for alpha in all_maps(obj.carrier, carrier):
+                if alpha.graph() in sets[i]:
+                    continue
+                cover, _ = bounded_cover(current, i, alpha,
+                                         len(obj.carrier))
+                if cover is not None:
+                    sets[i].add(alpha.graph())
+                    changed = True
+    return tuple(frozenset(s) for s in sets)
+
+
+ORACLE_CLASSES = [ProbeClass.compact_hausdorff_upto(n, q, IM)
+                  for q in (B, chain(3), lukasiewicz_grid(3)) for n in (2, 3)]
+
+
+@st.composite
+def random_quasi(draw):
+    cls = draw(st.sampled_from(ORACLE_CLASSES))
+    carrier = Carrier("xyz"[:draw(st.integers(1, 3))])
+    sets = [[f.graph() for f in all_maps(obj.carrier, carrier)
+             if draw(st.booleans())]
+            for obj in cls.objects]
+    return QuasiSpace(carrier, cls, sets)
+
+
+class TestJointCover:
+    @settings(max_examples=300, deadline=None)
+    @given(quasi=random_quasi())
+    def test_agrees_with_the_bounded_search(self, quasi):
+        cls, carrier = quasi.cls, quasi.carrier
+        for i, obj in enumerate(cls.objects):
+            for alpha in all_maps(obj.carrier, carrier):
+                if quasi.contains(i, alpha):
+                    continue
+                family = _joint_cover(quasi, i, alpha)
+                cover, budget_hit = bounded_cover(quasi, i, alpha,
+                                                  len(obj.carrier))
+                assert not budget_hit
+                assert (family is None) == (cover is None)
+                if family is None:
+                    continue
+                assert family == sorted(set(family))
+                for j, g in family:
+                    assert g in quasi.admissible[j]
+                    assert any(h.then(alpha).graph() == g
+                               for h in cls.homs(j, i))
+                # the family lists distinct maps; a cover may use one twice,
+                # so take one (j, h) with alpha.h in it per point of C
+                pieces = []
+                for c in obj.carrier.labels:
+                    found = next(((j, h) for j, g in family
+                                  for h in cls.homs(j, i)
+                                  if c in h.table.values()
+                                  and h.then(alpha).graph() == g), None)
+                    assert found is not None
+                    j, h = found
+                    pieces.append((cls.objects[j], h.then(alpha)))
+                witness = is_covered(alpha, pieces, cls)
+                assert witness is not None and witness.verify(alpha)
+
+    @pytest.mark.parametrize("cls, size", [
+        (CLS, 1), (CLS, 2), (ORACLE_CLASSES[3], 2)])
+    def test_discrete_quasi_is_the_bounded_saturation(self, cls, size):
+        carrier = Carrier("xyz"[:size])
+        assert discrete_quasi(carrier, cls).admissible == \
+            bounded_saturation(carrier, cls)
+
+    def test_cover_of_five_members_is_found(self):
+        # only constants are admissible, so a bijection out of the discrete
+        # 5-point object is covered by the five constant 1-point maps
+        cls = ProbeClass.compact_hausdorff_upto(5, B, IM)
+        carrier = Carrier("vwxyz")
+        constants = [[MapArrow.constant(obj.carrier, carrier, y).graph()
+                      for y in carrier.labels] for obj in cls.objects]
+        big = len(cls.objects) - 1
+        assert len(cls.objects[big].carrier) == 5
+        report = validate_quasi(QuasiSpace(carrier, cls, constants))
+        assert ("QS3-cover-closure",
+                (big, tuple("vwxyz"), [(y,) for y in "vwxyz"])) \
+            in report.violations
+        # the bounded search misses it below five members
+        point, five = cls.objects[0], cls.objects[big]
+        pair = ProbeClass.explicit([point, five])
+        quasi = QuasiSpace(carrier, pair, [constants[0], constants[big]])
+        bijection = MapArrow(five.carrier, carrier,
+                             dict(zip(five.carrier.labels, "vwxyz")))
+        assert bounded_cover(quasi, 1, bijection, 4) == (None, False)
+        assert bounded_cover(quasi, 1, bijection, 5)[0] is not None
+        assert _joint_cover(quasi, 1, bijection) == [
+            (0, (y,)) for y in "vwxyz"]
+
+
+class TestEmptyClassObject:
+    """The empty family covers the empty map, so an empty class object's
+    only map is admissible."""
+
+    with open(os.path.join(os.path.dirname(__file__), "fixtures",
+                           "workspace.txt"), encoding="utf-8") as fh:
+        EMPTY = parse_workspace(fh.read()).space("Empty")
+    POINT = discrete_space(Carrier(["o"]), EMPTY.monad, EMPTY.quantale)
+    EMPTY_CLS = ProbeClass.explicit([EMPTY, POINT])
+
+    def test_is_covered_by_the_empty_family(self):
+        empty_map = MapArrow(self.EMPTY.carrier, Carrier(["p"]), {})
+        cover = is_covered(empty_map, [], self.EMPTY_CLS)
+        assert cover is not None and cover.family == ()
+        assert cover.verify(empty_map)
+        alpha = MapArrow.constant(TWO.carrier, Carrier(["p"]), "p")
+        assert is_covered(alpha, [], CLS) is None
+
+    def test_empty_map_into_an_empty_carrier_must_be_admissible(self):
+        nothing = Carrier([])
+        bare = QuasiSpace(nothing, self.EMPTY_CLS, [set(), set()])
+        assert validate_quasi(bare).violations == (
+            ("QS3-cover-closure", (0, (), [])),)
+        least = discrete_quasi(nothing, self.EMPTY_CLS)
+        assert least.admissible == (frozenset({()}), frozenset())
+        assert validate_quasi(least).passed
+        assert saturate_admissible(nothing, self.EMPTY_CLS,
+                                   [set(), set()]) == list(least.admissible)
 
 
 class TestValidate:
@@ -298,6 +481,16 @@ class TestClassClosure:
         report = class_closure_report(cls)
         assert not report.passed
         assert report.violations[0][0] == "product-closure"
+
+    def test_report_lists_each_failing_pullback_in_order(self):
+        from tvspaces.quasi import class_closure_report
+
+        # one entry per failing pair (h, g), so (i, j, k) may repeat
+        pullbacks = [(0, 0, 1)] * 2 + [(0, 1, 1)] * 2 + [(1, 0, 1)] * 2 \
+            + [(1, 1, 0)] + [(1, 1, 1)] * 4
+        report = class_closure_report(ProbeClass.explicit([ONE, TWO]))
+        assert report.violations == (("product-closure", (1, 1)),) + tuple(
+            ("pullback-closure", ijk) for ijk in pullbacks)
 
     def test_exponential_rejects_unclosed_explicit_class(self):
         cls = ProbeClass.explicit([TWO])
