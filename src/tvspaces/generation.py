@@ -55,23 +55,23 @@ class ProbeClass:
     :meth:`compact_hausdorff_upto` takes the spaces its search has just
     built valid and pairwise non-isomorphic without checking them again.
 
-    Caches.  Each object's exponentiability witness and the (EP) report of
-    :func:`check_ep` are computed once per class and cached on it.  Both
-    depend on the objects alone, an immutable tuple, so these two caches
-    are safe to share: a cached value never goes stale, and callers that
-    race on an empty entry at worst compute it twice and store equal
-    values.  The hom cache (:meth:`homs`, keyed by two object indices) is
-    safe to share for the same reason.  The image, probe, coreflection and
-    exponential caches are keyed by the target's
+    Caches.  Each object's exponentiability witness, the (EP) report of
+    :func:`check_ep`, the :func:`~tvspaces.quasi.class_closure_report` and
+    the class maps between two objects, as image tuples, are computed once
+    per class and cached on it.  They depend on the objects alone, an
+    immutable tuple, so these caches are safe to share: a cached value
+    never goes stale, and callers that race on an empty entry at worst
+    compute it twice and store equal values.  The image, probe,
+    coreflection and exponential caches are keyed by the target's
     :meth:`~tvspaces.space.Space.cache_key`, its labels and payload rows,
     so their entries never go stale either and a race stores equal values;
     they are safe to share, but they grow with every new target and are
     never evicted.  The budget is checked only when nothing is cached for
     the target, so a call with a small budget gets the cached answer of an
     earlier call with a larger one; a call that raises caches nothing.
-    Cached values are returned, not copied: the lists of image tuples, the
-    lists of maps from :meth:`homs` and the label dictionaries from
-    :meth:`exponential_with` must not be modified.
+    Cached values are returned, not copied: the lists of image tuples and
+    the label dictionaries from :meth:`exponential_with` must not be
+    modified.
     """
 
     def __init__(self, objects, mode="explicit", param=None):
@@ -119,6 +119,7 @@ class ProbeClass:
         self._hom_cache = {}
         self._witness_cache = {}
         self._ep = None
+        self._closure = None
 
     # -- constructors -------------------------------------------------------
 
@@ -180,13 +181,18 @@ class ProbeClass:
                 _continuous_images(obj, space) for obj in self.objects)
         return cached
 
+    def _hom_images(self, i, j):
+        """The continuous maps from object i to object j as image tuples."""
+        cached = self._hom_cache.get((i, j))
+        if cached is None:
+            cached = self._hom_cache[i, j] = _continuous_images(
+                self.objects[i], self.objects[j])
+        return cached
+
     def homs(self, i, j):
-        """Continuous maps between class objects, cached."""
-        key = (i, j)
-        if key not in self._hom_cache:
-            self._hom_cache[key] = continuous_maps(self.objects[i],
-                                                   self.objects[j])
-        return self._hom_cache[key]
+        """Continuous maps between class objects."""
+        return _maps_of(self.objects[i].carrier, self.objects[j].carrier,
+                        self._hom_images(i, j))
 
     def exponentiability_witness(self, i):
         """The exponentiability witness of object i, cached."""

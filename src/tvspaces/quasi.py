@@ -7,8 +7,14 @@ class objects (QS2); and a map is admissible exactly when it is covered by a
 finite family of admissible maps through a surjective continuous comparison
 out of the family's coproduct (QS3).  QS3 is decided exactly, with no bound
 on the family, by the joint images of class maps (see :func:`_joint_cover`).
+
+A map is the tuple of its image indices (see :mod:`tvspaces.space`), so the
+axioms and constructions compose tuples: ``g`` after ``h`` is
+``tuple(map(g.__getitem__, h))``.  Labels and maps are built only for
+witnesses, the :attr:`QuasiSpace.admissible` view and returned maps.
 """
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -22,7 +28,7 @@ from .errors import (
 from .space import (
     _continuous_images,
     _final_space,
-    all_maps,
+    _maps_of,
     coproduct_many,
     copairing,
     is_compact,
@@ -61,20 +67,25 @@ class Cover:
         return True
 
 
-class QuasiSpace:
-    """A carrier with one admissible-map set per class object."""
+def _check_class(cls):
+    for i, obj in enumerate(cls.objects):
+        if not (is_compact(obj) and is_hausdorff(obj)):
+            raise PreconditionError(
+                f"class object #{i} is not compact Hausdorff")
 
-    __slots__ = ("carrier", "cls", "admissible")
+
+class QuasiSpace:
+    """A carrier with one admissible-map set per class object: ``images[i]``
+    holds the maps out of object i as image tuples.  The constructor takes
+    label graphs and checks them."""
+
+    __slots__ = ("carrier", "cls", "images")
 
     def __init__(self, carrier, cls, admissible, check_class=True):
         if check_class:
-            for i, obj in enumerate(cls.objects):
-                if not (is_compact(obj) and is_hausdorff(obj)):
-                    raise PreconditionError(
-                        f"class object #{i} is not compact Hausdorff")
+            _check_class(cls)
         if len(admissible) != len(cls.objects):
-            raise StructuralError(
-                "need one admissible set per class object")
+            raise StructuralError("need one admissible set per class object")
         sets = []
         for obj, maps in zip(cls.objects, admissible):
             graphs = {tuple(g) for g in maps}
@@ -82,29 +93,40 @@ class QuasiSpace:
                 if len(g) != len(obj.carrier) or any(
                         y not in carrier for y in g):
                     raise StructuralError(f"bad admissible graph {g}")
-            sets.append(frozenset(graphs))
-        self.carrier = carrier
-        self.cls = cls
-        self.admissible = tuple(sets)
+            sets.append(frozenset(tuple(carrier.indices(g)) for g in graphs))
+        self.carrier, self.cls, self.images = carrier, cls, tuple(sets)
+
+    @staticmethod
+    def _from_images(carrier, cls, images, check_class=False):
+        """Image-tuple sets the library computed: unchecked."""
+        if check_class:
+            _check_class(cls)
+        q = object.__new__(QuasiSpace)
+        q.carrier, q.cls, q.images = carrier, cls, tuple(map(frozenset, images))
+        return q
+
+    @property
+    def admissible(self):
+        """The admissible maps as label graphs, one frozenset per object."""
+        return tuple(frozenset(_graph(g, self.carrier.labels) for g in s)
+                     for s in self.images)
 
     def contains(self, i, f):
-        return f.graph() in self.admissible[i]
+        index = self.carrier._index.get
+        return tuple(map(index, f.table.values())) in self.images[i]
 
     def arrows(self, i):
-        # __init__ checked each graph's arity and labels
-        obj = self.cls.objects[i]
-        return [MapArrow._trusted(obj.carrier, self.carrier,
-                                  dict(zip(obj.carrier.labels, g)))
-                for g in sorted(self.admissible[i])]
+        return sorted(_maps_of(self.cls.objects[i].carrier, self.carrier,
+                               self.images[i]), key=MapArrow.graph)
 
     def __eq__(self, other):
         return (isinstance(other, QuasiSpace)
                 and self.carrier == other.carrier
                 and self.cls is other.cls
-                and self.admissible == other.admissible)
+                and self.images == other.images)
 
     def __repr__(self):
-        sizes = [len(s) for s in self.admissible]
+        sizes = [len(s) for s in self.images]
         return f"QuasiSpace({list(self.carrier.labels)}, sizes={sizes})"
 
 
@@ -115,9 +137,14 @@ def _shared_class(qx, qy):
     return qx.cls
 
 
-def _index_graphs(quasi, i):
-    """The admissible maps out of object i as lists of image indices."""
-    return list(map(quasi.carrier.indices, quasi.admissible[i]))
+def _all_images(n, m):
+    """Every map from n points to m points, in :func:`all_maps` order."""
+    return itertools.product(range(m), repeat=n)
+
+
+def _graph(g, labels):
+    """The label graph of an image tuple."""
+    return tuple(map(labels.__getitem__, g))
 
 
 # -- covers ---------------------------------------------------------------------
@@ -132,11 +159,8 @@ def is_covered(alpha, family, cls, eta_budget=DEFAULT_ETA_BUDGET):
     constrained; exceeding ``eta_budget`` raises, which is distinct from a
     definitive negative.  The empty family covers only an empty class object.
     """
-    target = None
-    for obj in cls.objects:
-        if obj.carrier == alpha.dom:
-            target = obj
-            break
+    target = next((obj for obj in cls.objects if obj.carrier == alpha.dom),
+                  None)
     if target is None:
         raise PreconditionError("the covered map must start at a class object")
     for src, _ in family:
@@ -179,60 +203,67 @@ def _joint_cover(quasi, i, alpha):
     components h: C_j -> C is.  So alpha is covered exactly when the class
     maps h with alpha.h admissible jointly cover C, one h per point: no
     bound on the family and no search over comparisons.  Each point of C
-    not yet covered, in label order, takes the first such (j, h) whose
-    image holds it; the family is the sorted set of (j, graph of alpha.h),
+    not yet covered, in order, takes the first such (j, h) whose image
+    holds it; the family is the sorted set of (j, label graph of alpha.h),
     and it is empty for an empty C.
     """
-    cls = quasi.cls
+    cls, images = quasi.cls, quasi.images
+    image = alpha.__getitem__
     family, covered = set(), set()
-    for c in cls.objects[i].carrier.labels:
+    for c in range(len(alpha)):
         if c in covered:
             continue
         found = next(((j, h) for j in range(len(cls.objects))
-                      for h in cls.homs(j, i)
-                      if c in h.table.values()
-                      and h.then(alpha).graph() in quasi.admissible[j]),
+                      for h in cls._hom_images(j, i)
+                      if c in h and tuple(map(image, h)) in images[j]),
                      None)
         if found is None:
             return None
         j, h = found
-        family.add((j, h.then(alpha).graph()))
-        covered.update(h.table.values())
-    return sorted(family)
+        family.add((j, tuple(map(image, h))))
+        covered.update(h)
+    return sorted((j, _graph(g, quasi.carrier.labels)) for j, g in family)
+
+
+def _precompositions(quasi):
+    """Each (i, j, h, alpha, alpha.h) with alpha.h not admissible (QS2),
+    alpha admissible out of object j in label-graph order, h: C_i -> C_j."""
+    cls, images, labels = quasi.cls, quasi.images, quasi.carrier.labels
+    for j in range(len(cls.objects)):
+        for alpha in sorted(images[j], key=lambda g: _graph(g, labels)):
+            image = alpha.__getitem__
+            for i in range(len(cls.objects)):
+                for h in cls._hom_images(i, j):
+                    g = tuple(map(image, h))
+                    if g not in images[i]:
+                        yield i, j, h, alpha, g
+
+
+def _covered(quasi):
+    """Each (i, alpha, family) with alpha out of object i covered but not
+    admissible (QS3), in :func:`all_maps` order."""
+    for i, obj in enumerate(quasi.cls.objects):
+        for alpha in _all_images(len(obj.carrier), len(quasi.carrier)):
+            if alpha not in quasi.images[i]:
+                family = _joint_cover(quasi, i, alpha)
+                if family is not None:
+                    yield i, alpha, family
 
 
 def saturate_admissible(carrier, cls, seed_sets):
-    """Close seed sets under the three axioms; the least valid structure."""
-    sets = [set(s) for s in seed_sets]
-    for i, obj in enumerate(cls.objects):
-        for y in carrier.labels:
-            sets[i].add(MapArrow.constant(obj.carrier, carrier, y).graph())
-    changed = True
-    while changed:
-        changed = False
-        # precomposition closure
-        for j in range(len(cls.objects)):
-            for graph in list(sets[j]):
-                alpha = MapArrow(cls.objects[j].carrier, carrier,
-                                 dict(zip(cls.objects[j].carrier.labels,
-                                          graph)))
-                for i in range(len(cls.objects)):
-                    for h in cls.homs(i, j):
-                        g = h.then(alpha).graph()
-                        if g not in sets[i]:
-                            sets[i].add(g)
-                            changed = True
-        # cover closure
-        current = QuasiSpace(carrier, cls,
-                             [frozenset(s) for s in sets], check_class=False)
-        for i, obj in enumerate(cls.objects):
-            for alpha in all_maps(obj.carrier, carrier):
-                if alpha.graph() in sets[i]:
-                    continue
-                if _joint_cover(current, i, alpha) is not None:
-                    sets[i].add(alpha.graph())
-                    changed = True
-    return [frozenset(s) for s in sets]
+    """Close seed sets of image tuples under the three axioms; the least
+    valid structure.  Each round adds the missing composites, or when
+    there are none, the covered maps."""
+    sets = [set(s) | {(y,) * len(obj.carrier) for y in range(len(carrier))}
+            for s, obj in zip(seed_sets, cls.objects)]
+    while True:
+        quasi = QuasiSpace._from_images(carrier, cls, sets)
+        missing = ([(i, g) for i, *_, g in _precompositions(quasi)]
+                   or [(i, alpha) for i, alpha, _ in _covered(quasi)])
+        if not missing:
+            return list(quasi.images)
+        for i, g in missing:
+            sets[i].add(g)
 
 
 # -- validation -----------------------------------------------------------------
@@ -240,8 +271,7 @@ def saturate_admissible(carrier, cls, seed_sets):
 
 def validate_quasi(quasi):
     """Check the class precondition and the three axioms, with witnesses."""
-    cls = quasi.cls
-    carrier = quasi.carrier
+    cls, images, labels = quasi.cls, quasi.images, quasi.carrier.labels
     violations = []
     closure = class_closure_report(cls)
     notes = ([] if closure.passed
@@ -255,31 +285,20 @@ def validate_quasi(quasi):
 
     # QS1
     for i, obj in enumerate(cls.objects):
-        for y in carrier.labels:
-            g = MapArrow.constant(obj.carrier, carrier, y).graph()
-            if g not in quasi.admissible[i]:
-                violations.append(("QS1-constants", (i, y)))
+        for y, label in enumerate(labels):
+            if (y,) * len(obj.carrier) not in images[i]:
+                violations.append(("QS1-constants", (i, label)))
 
     # QS2
-    for j in range(len(cls.objects)):
-        for alpha in quasi.arrows(j):
-            for i in range(len(cls.objects)):
-                for h in cls.homs(i, j):
-                    if not quasi.contains(i, h.then(alpha)):
-                        violations.append(
-                            ("QS2-precomposition",
-                             (i, j, h.graph(), alpha.graph())))
+    for i, j, h, alpha, _ in _precompositions(quasi):
+        violations.append(("QS2-precomposition", (
+            i, j, _graph(h, cls.objects[j].carrier.labels),
+            _graph(alpha, labels))))
 
-    # QS3; an admissible map covers itself through the identity
-    for i, obj in enumerate(cls.objects):
-        for alpha in all_maps(obj.carrier, carrier):
-            if quasi.contains(i, alpha):
-                continue
-            family = _joint_cover(quasi, i, alpha)
-            if family is not None:
-                violations.append(
-                    ("QS3-cover-closure",
-                     (i, alpha.graph(), [g for _, g in family])))
+    # QS3
+    for i, alpha, family in _covered(quasi):
+        violations.append(("QS3-cover-closure", (
+            i, _graph(alpha, labels), [g for _, g in family])))
     return ValidationReport.collect(violations, notes)
 
 
@@ -290,11 +309,8 @@ def associated_quasi(space, cls):
     """Admissible maps are exactly the continuous ones."""
     if space.monad is not cls.monad or space.quantale is not cls.quantale:
         raise CarrierMismatchError("space and class monad/quantale mismatch")
-    labels = space.carrier.labels
-    sets = [[tuple(map(labels.__getitem__, f))
-             for f in _continuous_images(obj, space)]
-            for obj in cls.objects]
-    return QuasiSpace(space.carrier, cls, sets)
+    sets = [_continuous_images(obj, space) for obj in cls.objects]
+    return QuasiSpace._from_images(space.carrier, cls, sets, check_class=True)
 
 
 def discrete_quasi(carrier, cls):
@@ -305,70 +321,61 @@ def discrete_quasi(carrier, cls):
     closure is taken; on classes where constants are already closed this is
     just the constants.
     """
-    sets = saturate_admissible(carrier, cls, [set() for _ in cls.objects])
-    return QuasiSpace(carrier, cls, sets)
+    sets = saturate_admissible(carrier, cls, [()] * len(cls.objects))
+    return QuasiSpace._from_images(carrier, cls, sets, check_class=True)
 
 
 def indiscrete_quasi(carrier, cls):
     """The greatest quasi-structure: every map is admissible."""
-    sets = [[f.graph() for f in all_maps(obj.carrier, carrier)]
-            for obj in cls.objects]
-    return QuasiSpace(carrier, cls, sets)
+    sets = [_all_images(len(o.carrier), len(carrier)) for o in cls.objects]
+    return QuasiSpace._from_images(carrier, cls, sets, check_class=True)
 
 
 def is_quasi_continuous(f, qx, qy):
-    """Composition with every admissible map stays admissible.
-
-    The composites are taken on the graphs, as label tuples.
-    """
+    """Composition with every admissible map stays admissible."""
     _shared_class(qx, qy)
     if f.dom != qx.carrier or f.cod != qy.carrier:
         raise CarrierMismatchError("map endpoints do not match")
-    image = f.table.__getitem__
+    image = qy.carrier.indices(f.table.values()).__getitem__
     return all(tuple(map(image, g)) in adm_y
-               for adm_x, adm_y in zip(qx.admissible, qy.admissible)
+               for adm_x, adm_y in zip(qx.images, qy.images)
                for g in adm_x)
 
 
-def quasi_continuous_maps(qx, qy):
-    """Every quasi-continuous map, in :func:`all_maps` order.
-
-    A candidate is its tuple of image labels, composed with the admissible
-    graphs of ``qx`` as index lists; only the maps kept are built.  As in
-    a loop of :func:`is_quasi_continuous` over :func:`all_maps`, the class is
-    checked only when there is a candidate map.
-    """
-    dom, cod = qx.carrier, qy.carrier
-    if len(dom) and not len(cod):
+def _quasi_continuous_images(qx, qy):
+    """The quasi-continuous maps as image tuples, in :func:`all_maps` order;
+    as in a loop over them, the class is checked only given a candidate."""
+    n, m = len(qx.carrier), len(qy.carrier)
+    if n and not m:
         return []
     _shared_class(qx, qy)
-    admissible = [(_index_graphs(qx, i), adm_y)
-                  for i, adm_y in enumerate(qy.admissible)]
-    kept = []
-    for f in itertools.product(cod.labels, repeat=len(dom)):
-        image = f.__getitem__
-        if all(tuple(map(image, g)) in adm_y
-               for graphs, adm_y in admissible for g in graphs):
-            kept.append(MapArrow._trusted(dom, cod, dict(zip(dom.labels, f))))
-    return kept
+    pairs = list(zip(qx.images, qy.images))
+    return [f for f in _all_images(n, m)
+            if all(tuple(map(f.__getitem__, g)) in adm_y
+                   for adm_x, adm_y in pairs for g in adm_x)]
+
+
+def quasi_continuous_maps(qx, qy):
+    """Every quasi-continuous map, in :func:`all_maps` order."""
+    return _maps_of(qx.carrier, qy.carrier, _quasi_continuous_images(qx, qy))
 
 
 # -- constructions -----------------------------------------------------------------
 
 
 def subspace_quasi(quasi, labels):
-    """Admissible into the subset iff admissible after the inclusion."""
+    """Admissible into the subset iff admissible after the inclusion:
+    the admissible maps of the quasi-space that land in the subset."""
     labels = list(labels)
     sub = Carrier(labels)
     for x in labels:
         if x not in quasi.carrier:
             raise StructuralError(f"label {x!r} not in the carrier")
     incl = MapArrow(sub, quasi.carrier, {x: x for x in labels})
-    sets = []
-    for i, obj in enumerate(quasi.cls.objects):
-        sets.append([f.graph() for f in all_maps(obj.carrier, sub)
-                     if quasi.contains(i, f.then(incl))])
-    return QuasiSpace(sub, quasi.cls, sets, check_class=False), incl
+    back = {y: k for k, y in enumerate(quasi.carrier.indices(labels))}
+    sets = [{tuple(map(back.__getitem__, g)) for g in adm
+             if all(y in back for y in g)} for adm in quasi.images]
+    return QuasiSpace._from_images(sub, quasi.cls, sets), incl
 
 
 def quotient_quasi(quasi, f):
@@ -391,27 +398,22 @@ def quotient_quasi(quasi, f):
             "quotient structure is saturated to restore the axioms",
             stacklevel=2)
     target = f.cod
+    image = target.indices(f.table.values()).__getitem__
     sets = [set() for _ in cls.objects]
     for i, obj in enumerate(cls.objects):
-        for j, src in enumerate(cls.objects):
-            surjections = [h for h in cls.homs(j, i) if h.is_surjective()]
-            if not surjections:
-                continue
-            for alpha_prime in quasi.arrows(j):
-                pushed = alpha_prime.then(f)
+        n = len(obj.carrier)
+        for j in range(len(cls.objects)):
+            surjections = [h for h in cls._hom_images(j, i)
+                           if len(set(h)) == n]
+            for alpha_prime in quasi.images[j]:
+                pushed = tuple(map(image, alpha_prime))
                 for h in surjections:
-                    # alpha . h = pushed determines alpha on the image of h,
-                    # which is all of obj, as h is onto
-                    assignment = {}
-                    for c in src.carrier.labels:
-                        want = pushed(c)
-                        if assignment.setdefault(h(c), want) != want:
-                            break
-                    else:
-                        sets[i].add(tuple(assignment[c]
-                                          for c in obj.carrier.labels))
+                    # alpha . h = pushed determines alpha, as h is onto
+                    alpha = tuple(map(dict(zip(h, pushed)).get, range(n)))
+                    if tuple(map(alpha.__getitem__, h)) == pushed:
+                        sets[i].add(alpha)
     sets = saturate_admissible(target, cls, sets)
-    return QuasiSpace(target, cls, sets, check_class=False)
+    return QuasiSpace._from_images(target, cls, sets)
 
 
 def initial_quasi(carrier, source, cls):
@@ -421,12 +423,13 @@ def initial_quasi(carrier, source, cls):
             raise CarrierMismatchError("initial source endpoints mismatch")
         if qx.cls is not cls:
             raise CarrierMismatchError("source spaces must share the class")
-    sets = []
-    for i, obj in enumerate(cls.objects):
-        sets.append(
-            [alpha.graph() for alpha in all_maps(obj.carrier, carrier)
-             if all(qx.contains(i, alpha.then(f)) for f, qx in source)])
-    return QuasiSpace(carrier, cls, sets, check_class=False)
+    pulls = [(qx.carrier.indices(f.table.values()).__getitem__, qx.images)
+             for f, qx in source]
+    sets = [[alpha for alpha in _all_images(len(obj.carrier), len(carrier))
+             if all(tuple(map(image, alpha)) in images[i]
+                    for image, images in pulls)]
+            for i, obj in enumerate(cls.objects)]
+    return QuasiSpace._from_images(carrier, cls, sets)
 
 
 def product_quasi(factors, cls=None):
@@ -459,30 +462,35 @@ def class_closure_report(cls):
 
     Only meaningful for explicit classes; the compact-Hausdorff mode is a
     size-bounded window onto a class that is closed by the standard
-    compactness facts, so it reports clean.
+    compactness facts, so it reports clean.  The report depends on the
+    class objects alone, so it is computed once per class and cached on it.
     """
     if cls.mode != "explicit":
         return ValidationReport(notes=(
             "ambient class closed under products and pullbacks; "
             "the enumerated window is a size truncation",))
+    if cls._closure is not None:
+        return cls._closure
     keys = {iso_canonical_key(obj) for obj in cls.objects}
-    violations = []
-    products = {}
+    violations, products = [], {}
     for i, a in enumerate(cls.objects):
         for j, b in enumerate(cls.objects):
-            prod, _ = products[i, j] = product(a, b)
+            prod = products[i, j] = product(a, b)[0]
             if iso_canonical_key(prod) not in keys:
                 violations.append(("product-closure", (i, j)))
-    for (i, j), (prod, (p1, p2)) in products.items():
+    for (i, j), prod in products.items():
+        # the point (x, y) of the product has index x * |b| + y
+        labels, nb = prod.carrier.labels, len(cls.objects[j].carrier)
         for k in range(len(cls.objects)):
-            for h in cls.homs(i, k):
-                for g in cls.homs(j, k):
-                    pts = [p for p in prod.carrier.labels
-                           if h(p1(p)) == g(p2(p))]
+            for h in cls._hom_images(i, k):
+                for g in cls._hom_images(j, k):
+                    pts = [labels[x * nb + y] for x, hx in enumerate(h)
+                           for y, gy in enumerate(g) if hx == gy]
                     pullback, _ = subspace(prod, pts)
                     if iso_canonical_key(pullback) not in keys:
                         violations.append(("pullback-closure", (i, j, k)))
-    return ValidationReport.collect(violations)
+    cls._closure = ValidationReport.collect(violations)
+    return cls._closure
 
 
 def exponential_quasi(qx, qy):
@@ -498,37 +506,25 @@ def exponential_quasi(qx, qy):
         raise PreconditionError(
             f"class is not closed under products/pullbacks: "
             f"{closure.violations[:3]}")
-    maps = quasi_continuous_maps(qx, qy)
+    graphs = _quasi_continuous_images(qx, qy)
+    maps = _maps_of(qx.carrier, qy.carrier, graphs)
     carrier = Carrier(map_label(f) for f in maps)
     by_label = {map_label(f): f for f in maps}
-    graphs = [f.graph() for f in maps]
-    objects = cls.objects
-    admissible = [_index_graphs(qx, j) for j in range(len(objects))]
     # The graph of b -> beta(h(b))(alpha(b)) must be admissible for every
     # h: j -> i and admissible alpha out of j.  It depends on beta only
     # through gamma = beta . h, a map out of object j into the function
     # space, so each (j, gamma) is decided once.
-    decided = {}
-
+    @functools.cache
     def lands(j, gamma):
-        ok = decided.get((j, gamma))
-        if ok is None:
-            ok = decided[j, gamma] = all(
-                tuple([graphs[m][x] for m, x in zip(gamma, alpha)])
-                in qy.admissible[j] for alpha in admissible[j])
-        return ok
+        return all(tuple([graphs[m][x] for m, x in zip(gamma, alpha)])
+                   in qy.images[j] for alpha in qx.images[j])
 
-    sets = []
-    for i, obj in enumerate(objects):
-        homs = [(j, [obj.carrier.indices(h.table.values())
-                     for h in cls.homs(j, i)])
-                for j in range(len(objects))]
-        sets.append({tuple(map(carrier.labels.__getitem__, beta))
-                     for beta in itertools.product(range(len(maps)),
-                                                   repeat=len(obj.carrier))
-                     if all(lands(j, tuple(map(beta.__getitem__, h)))
-                            for j, hs in homs for h in hs)})
-    return QuasiSpace(carrier, cls, sets, check_class=False), by_label
+    sets = [[beta for beta in _all_images(len(obj.carrier), len(maps))
+             if all(lands(j, tuple(map(beta.__getitem__, h)))
+                    for j in range(len(cls.objects))
+                    for h in cls._hom_images(j, i))]
+            for i, obj in enumerate(cls.objects)]
+    return QuasiSpace._from_images(carrier, cls, sets), by_label
 
 
 def evaluation_quasi(exp_quasi, by_label, qx, qy):
@@ -566,7 +562,5 @@ def transpose_quasi(f, qz, qx, qy, exp=None):
 def reflect_to_cgenerated(quasi):
     """Final lifting of the admissible sink; lands in the generated spaces."""
     cls = quasi.cls
-    indices = quasi.carrier.indices
-    groups = [(obj, [indices(g) for g in sorted(quasi.admissible[i])])
-              for i, obj in enumerate(cls.objects)]
-    return _final_space(quasi.carrier, cls.monad, cls.quantale, groups)
+    return _final_space(quasi.carrier, cls.monad, cls.quantale,
+                        list(zip(cls.objects, quasi.images)))

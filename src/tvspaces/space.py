@@ -30,8 +30,9 @@ order.  The continuous-map search (``_continuous_images``) yields such
 tuples, and the final-structure core (``_final_space``) takes them, grouped
 by domain space; :func:`continuous_maps` and :func:`final_structure` are
 thin wrappers that turn tuples into ``MapArrow`` objects and back.  The
-probe classes and quasi-spaces call the tuple forms, so a coreflection or
-a reflection builds no map object.
+probe classes cache their probes and class maps as tuples, and the
+quasi-spaces store their admissible maps as tuples and compose them, so a
+coreflection, a reflection or a quasi axiom builds no map object.
 """
 
 import itertools
@@ -243,13 +244,6 @@ def _maps_of(dom, cod, images):
             for f in images]
 
 
-def _continuous_map_search(x_space, y_space):
-    """:func:`_continuous_images` as maps: what :func:`continuous_maps`
-    returns."""
-    return _maps_of(x_space.carrier, y_space.carrier,
-                    _continuous_images(x_space, y_space))
-
-
 def continuous_maps(x_space, y_space):
     """Every continuous map from X to Y, in :func:`all_maps` order.
 
@@ -265,7 +259,8 @@ def continuous_maps(x_space, y_space):
     map that gets an image for each point passes every pair, and no other
     map does.  The entries are compared as kernel payloads.
     """
-    return _continuous_map_search(x_space, y_space)
+    return _maps_of(x_space.carrier, y_space.carrier,
+                    _continuous_images(x_space, y_space))
 
 
 # -- liftings and constructions ------------------------------------------------
@@ -387,14 +382,6 @@ def product(x_space, y_space):
     space = initial_structure(carrier, [(p1, x_space), (p2, y_space)],
                               x_space.monad, x_space.quantale)
     return space, (p1, p2)
-
-
-def pairing(f, g, carrier):
-    """The map ``x -> (f(x), g(x))`` into a product carrier."""
-    if f.dom != g.dom:
-        raise CarrierMismatchError("pairing needs a shared domain")
-    return MapArrow(f.dom, carrier,
-                    {x: pair_label(f(x), g(x)) for x in f.dom.labels})
 
 
 def coproduct_many(spaces):
@@ -625,14 +612,3 @@ def exponential(y_space, z_space):
     rows = kernel.function_space(b, c, images)
     return Space(carrier, monad, q, VRel._from_rows(
         carrier, carrier, q, kernel.decode(rows))), by_label
-
-
-def evaluation_map(exp_space, by_label, y_space, z_space):
-    """The evaluation out of ``exp x Y``, using the product label format."""
-    prod, _ = product(exp_space, y_space)
-    table = {}
-    for gl in exp_space.carrier.labels:
-        g = by_label[gl]
-        for y in y_space.carrier.labels:
-            table[pair_label(gl, y)] = g(y)
-    return prod, MapArrow(prod.carrier, z_space.carrier, table)

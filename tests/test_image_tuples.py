@@ -1,25 +1,31 @@
 """Differential tests of the image-tuple paths against the map-object code.
 
-The coreflection, the reflection of a quasi-space, the associated
-quasi-space, quasi-continuity, the quasi hom-sets and the quasi exponential
-run on image-index tuples and label tuples, and build ``MapArrow`` objects
-only for what they return.  The functions prefixed ``ref_`` below are the
-versions they replaced, kept as the oracle: the per-probe ``join_at`` loop
-of ``final_structure``, and the quasi functions that compose ``MapArrow``
-objects.  Every answer must equal theirs, and every error must have the
-same type and message.
+The coreflection and the whole quasi layer (the axioms, the joint covers,
+the saturation, the canonical structures, quasi-continuity, the
+constructions and the exponential) run on image-index tuples, and build
+``MapArrow`` objects only for what they return.  The functions prefixed
+``ref_`` below are the versions they replaced, kept as the oracle: the
+per-probe ``join_at`` loop of ``final_structure``, and the quasi functions
+that compose ``MapArrow`` objects.  Every answer and witness must equal
+theirs, in the same order, and every error must have the same type and
+message.
 """
 
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvspaces import (
     BudgetExceededError,
     CarrierMismatchError,
+    PreconditionError,
     StructuralError,
     TvsError,
+    ValidationReport,
     bool2,
     chain,
     cost_max,
@@ -32,23 +38,32 @@ from tvspaces.generation import ProbeClass
 from tvspaces.monad import finite_ultrafilter_monad, identity_monad
 from tvspaces.quasi import (
     QuasiSpace,
+    _joint_cover,
     associated_quasi,
     class_closure_report,
     exponential_quasi,
     indiscrete_quasi,
+    initial_quasi,
     is_quasi_continuous,
     quasi_continuous_maps,
+    quotient_quasi,
     reflect_to_cgenerated,
+    saturate_admissible,
+    subspace_quasi,
+    validate_quasi,
 )
 from tvspaces.space import (
     Space,
-    _continuous_map_search,
     _encode_distinct,
     all_maps,
+    continuous_maps,
     discrete_space,
     final_structure,
+    is_compact,
     is_continuous,
+    is_hausdorff,
     map_label,
+    validate_space,
 )
 from tvspaces.vrel import Carrier, MapArrow, VRel, reflexive_transitive_closure
 
@@ -142,6 +157,156 @@ def ref_exponential_quasi(qx, qy):
                             for h in cls.homs(j, i)
                             for alpha in qx.arrows(j))})
     return QuasiSpace(carrier, cls, sets, check_class=False), by_label
+
+
+def ref_joint_cover(quasi, i, alpha):
+    cls = quasi.cls
+    family, covered = set(), set()
+    for c in cls.objects[i].carrier.labels:
+        if c in covered:
+            continue
+        found = next(((j, h) for j in range(len(cls.objects))
+                      for h in cls.homs(j, i)
+                      if c in h.table.values()
+                      and h.then(alpha).graph() in quasi.admissible[j]),
+                     None)
+        if found is None:
+            return None
+        j, h = found
+        family.add((j, h.then(alpha).graph()))
+        covered.update(h.table.values())
+    return sorted(family)
+
+
+def ref_saturate_admissible(carrier, cls, seed_sets):
+    """On label graphs; the answer is one frozenset of them per object."""
+    sets = [set(s) for s in seed_sets]
+    for i, obj in enumerate(cls.objects):
+        for y in carrier.labels:
+            sets[i].add(MapArrow.constant(obj.carrier, carrier, y).graph())
+    changed = True
+    while changed:
+        changed = False
+        for j in range(len(cls.objects)):
+            for graph in list(sets[j]):
+                alpha = MapArrow(cls.objects[j].carrier, carrier,
+                                 dict(zip(cls.objects[j].carrier.labels,
+                                          graph)))
+                for i in range(len(cls.objects)):
+                    for h in cls.homs(i, j):
+                        g = h.then(alpha).graph()
+                        if g not in sets[i]:
+                            sets[i].add(g)
+                            changed = True
+        current = QuasiSpace(carrier, cls,
+                             [frozenset(s) for s in sets], check_class=False)
+        for i, obj in enumerate(cls.objects):
+            for alpha in all_maps(obj.carrier, carrier):
+                if alpha.graph() in sets[i]:
+                    continue
+                if ref_joint_cover(current, i, alpha) is not None:
+                    sets[i].add(alpha.graph())
+                    changed = True
+    return [frozenset(s) for s in sets]
+
+
+def ref_validate_quasi(quasi):
+    cls = quasi.cls
+    carrier = quasi.carrier
+    violations = []
+    closure = class_closure_report(cls)
+    notes = ([] if closure.passed
+             else [f"class closure gaps: {closure.violations[:3]}"])
+    for i, obj in enumerate(cls.objects):
+        if not (is_compact(obj) and is_hausdorff(obj)):
+            violations.append(("class-compact-hausdorff", (i,)))
+        if not validate_space(obj).passed:
+            violations.append(("class-object-valid", (i,)))
+    for i, obj in enumerate(cls.objects):
+        for y in carrier.labels:
+            g = MapArrow.constant(obj.carrier, carrier, y).graph()
+            if g not in quasi.admissible[i]:
+                violations.append(("QS1-constants", (i, y)))
+    for j in range(len(cls.objects)):
+        for alpha in quasi.arrows(j):
+            for i in range(len(cls.objects)):
+                for h in cls.homs(i, j):
+                    if not quasi.contains(i, h.then(alpha)):
+                        violations.append(
+                            ("QS2-precomposition",
+                             (i, j, h.graph(), alpha.graph())))
+    for i, obj in enumerate(cls.objects):
+        for alpha in all_maps(obj.carrier, carrier):
+            if quasi.contains(i, alpha):
+                continue
+            family = ref_joint_cover(quasi, i, alpha)
+            if family is not None:
+                violations.append(
+                    ("QS3-cover-closure",
+                     (i, alpha.graph(), [g for _, g in family])))
+    return ValidationReport.collect(violations, notes)
+
+
+def ref_subspace_quasi(quasi, labels):
+    labels = list(labels)
+    sub = Carrier(labels)
+    for x in labels:
+        if x not in quasi.carrier:
+            raise StructuralError(f"label {x!r} not in the carrier")
+    incl = MapArrow(sub, quasi.carrier, {x: x for x in labels})
+    sets = []
+    for i, obj in enumerate(quasi.cls.objects):
+        sets.append([f.graph() for f in all_maps(obj.carrier, sub)
+                     if quasi.contains(i, f.then(incl))])
+    return QuasiSpace(sub, quasi.cls, sets, check_class=False), incl
+
+
+def ref_quotient_quasi(quasi, f):
+    if f.dom != quasi.carrier:
+        raise CarrierMismatchError("quotient map domain mismatch")
+    if not f.is_surjective():
+        raise PreconditionError("quotient maps must be surjective")
+    cls = quasi.cls
+    closure = class_closure_report(cls)
+    if not closure.passed:
+        warnings.warn(
+            f"class is missing pullbacks {closure.violations[:3]}; the "
+            "quotient structure is saturated to restore the axioms",
+            stacklevel=2)
+    target = f.cod
+    sets = [set() for _ in cls.objects]
+    for i, obj in enumerate(cls.objects):
+        for j, src in enumerate(cls.objects):
+            surjections = [h for h in cls.homs(j, i) if h.is_surjective()]
+            if not surjections:
+                continue
+            for alpha_prime in quasi.arrows(j):
+                pushed = alpha_prime.then(f)
+                for h in surjections:
+                    assignment = {}
+                    for c in src.carrier.labels:
+                        want = pushed(c)
+                        if assignment.setdefault(h(c), want) != want:
+                            break
+                    else:
+                        sets[i].add(tuple(assignment[c]
+                                          for c in obj.carrier.labels))
+    sets = ref_saturate_admissible(target, cls, sets)
+    return QuasiSpace(target, cls, sets, check_class=False)
+
+
+def ref_initial_quasi(carrier, source, cls):
+    for f, qx in source:
+        if f.dom != carrier or f.cod != qx.carrier:
+            raise CarrierMismatchError("initial source endpoints mismatch")
+        if qx.cls is not cls:
+            raise CarrierMismatchError("source spaces must share the class")
+    sets = []
+    for i, obj in enumerate(cls.objects):
+        sets.append(
+            [alpha.graph() for alpha in all_maps(obj.carrier, carrier)
+             if all(qx.contains(i, alpha.then(f)) for f, qx in source)])
+    return QuasiSpace(carrier, cls, sets, check_class=False)
 
 
 # -- quantales and seeded inputs ----------------------------------------------
@@ -251,7 +416,7 @@ def test_probes_come_from_the_map_search_in_order(qname):
             space = random_space(q, carrier("x", n), rng)
             probes = cls.probes_into(space)
             want = [(f, obj) for obj in cls.objects
-                    for f in _continuous_map_search(obj, space)]
+                    for f in continuous_maps(obj, space)]
             assert list(probes) == want
             assert all(p[1] is w[1] for p, w in zip(probes, want))
             assert cls.probes_into(space) is probes
@@ -468,3 +633,106 @@ def test_exponential_checks_the_class_closure_first():
     got = outcome(exponential_quasi, qx, qy)
     assert got[0] is generation.PreconditionError
     assert got == outcome(ref_exponential_quasi, qx, qy)
+
+
+# -- the quasi axioms, saturation and constructions ---------------------------
+
+
+def axiom_classes():
+    """The shipped classes up to 2 and 3 points over three quantales, and
+    an explicit bool2 class that is not closed under products and holds a
+    Sierpinski object, which is not compact Hausdorff and whose class maps
+    are not all maps."""
+    b = bool2()
+    sierpinski = Carrier(["s1", "s0"])
+    explicit = ProbeClass.explicit([
+        discrete_space(Carrier(["o"]), IM, b),
+        Space.from_square(sierpinski, IM, b, VRel(
+            sierpinski, sierpinski, b, [[b.top, b.top], [b.bottom, b.top]])),
+        discrete_space(Carrier(["d1", "d0"]), IM, b)])
+    return [ProbeClass.compact_hausdorff_upto(n, q, IM)
+            for q in (b, chain(3), lukasiewicz_grid(3)) for n in (2, 3)] + [
+        explicit]
+
+
+AXIOM_CLASSES = axiom_classes()
+# label orders other than the sorted one, so that the witness orders, sorted
+# by label graph (QS2) or taken in carrier order (QS3), differ
+AXIOM_CARRIERS = [[], ["x"], ["y", "x"], ["b10", "b9", "b2"]]
+
+
+@st.composite
+def quasi_spaces(draw, cls=None):
+    """A quasi-space whose admissible sets are random sets of maps."""
+    if cls is None:
+        cls = draw(st.sampled_from(AXIOM_CLASSES))
+    c = Carrier(draw(st.sampled_from(AXIOM_CARRIERS)))
+    sets = [[f.graph() for f in all_maps(obj.carrier, c)
+             if draw(st.booleans())] for obj in cls.objects]
+    return QuasiSpace(c, cls, sets, check_class=False)
+
+
+def image_tuple(f):
+    return tuple(f.cod.indices(f.table.values()))
+
+
+def labelled(quasi, sets):
+    labels = quasi.carrier.labels
+    return [frozenset(tuple(labels[y] for y in g) for g in s) for s in sets]
+
+
+@settings(max_examples=150, deadline=None)
+@given(quasi=quasi_spaces())
+def test_axioms_covers_and_saturation_match_the_map_objects(quasi):
+    """The same violations and witnesses in the same order: QS2 takes the
+    admissible maps in label-graph order, QS3 the others in all_maps order,
+    and each cover family is sorted by label graph."""
+    cls = quasi.cls
+    assert validate_quasi(quasi) == ref_validate_quasi(quasi)
+    for i, obj in enumerate(cls.objects):
+        for alpha in all_maps(obj.carrier, quasi.carrier):
+            if not quasi.contains(i, alpha):
+                assert (_joint_cover(quasi, i, image_tuple(alpha))
+                        == ref_joint_cover(quasi, i, alpha))
+    least = saturate_admissible(quasi.carrier, cls, quasi.images)
+    assert labelled(quasi, least) == ref_saturate_admissible(
+        quasi.carrier, cls, quasi.admissible)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_constructions_match_the_map_objects(data):
+    quasi = data.draw(quasi_spaces())
+    cls, labels = quasi.cls, quasi.carrier.labels
+    # a subset of the carrier in any order, and a label it lacks
+    picked = data.draw(st.permutations(labels))[:data.draw(
+        st.integers(0, len(labels)))]
+    for sub in (picked, picked + ["w"]):
+        assert (outcome(subspace_quasi, quasi, sub)
+                == outcome(ref_subspace_quasi, quasi, sub))
+    # the initial structure along maps into quasi-spaces over the class
+    c = Carrier(data.draw(st.sampled_from(AXIOM_CARRIERS)))
+    source = []
+    for _ in range(data.draw(st.integers(0, 2))):
+        qx = data.draw(quasi_spaces(cls))
+        if len(c) and not len(qx.carrier):
+            continue
+        source.append((MapArrow(c, qx.carrier, {
+            x: data.draw(st.sampled_from(qx.carrier.labels))
+            for x in c.labels}), qx))
+    assert initial_quasi(c, source, cls) == ref_initial_quasi(c, source, cls)
+    # the quotient along a surjection onto a carrier in reverse label order
+    n = data.draw(st.integers(min(1, len(labels)), len(labels)))
+    target = Carrier([f"q{k}" for k in range(n)][::-1])
+    images = list(target.labels) + [
+        data.draw(st.sampled_from(target.labels))
+        for _ in range(len(labels) - n)]
+    f = MapArrow(quasi.carrier, target,
+                 dict(zip(labels, data.draw(st.permutations(images)))))
+    got, want = [], []
+    for fn, caught in ((quotient_quasi, got), (ref_quotient_quasi, want)):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            caught.append(fn(quasi, f))
+        caught.append([str(w.message) for w in seen])
+    assert got == want

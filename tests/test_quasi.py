@@ -170,7 +170,8 @@ class TestJointCover:
             for alpha in all_maps(obj.carrier, carrier):
                 if quasi.contains(i, alpha):
                     continue
-                family = _joint_cover(quasi, i, alpha)
+                family = _joint_cover(quasi, i,
+                                      tuple(carrier.indices(alpha.graph())))
                 cover, budget_hit = bounded_cover(quasi, i, alpha,
                                                   len(obj.carrier))
                 assert not budget_hit
@@ -224,7 +225,7 @@ class TestJointCover:
                              dict(zip(five.carrier.labels, "vwxyz")))
         assert bounded_cover(quasi, 1, bijection, 4) == (None, False)
         assert bounded_cover(quasi, 1, bijection, 5)[0] is not None
-        assert _joint_cover(quasi, 1, bijection) == [
+        assert _joint_cover(quasi, 1, tuple(range(5))) == [
             (0, (y,)) for y in "vwxyz"]
 
 
@@ -491,6 +492,23 @@ class TestClassClosure:
         report = class_closure_report(ProbeClass.explicit([ONE, TWO]))
         assert report.violations == (("product-closure", (1, 1)),) + tuple(
             ("pullback-closure", ijk) for ijk in pullbacks)
+
+    def test_report_is_computed_once_per_class(self, monkeypatch):
+        from tvspaces import quasi as quasi_module
+
+        real, calls = quasi_module.product, []
+        monkeypatch.setattr(quasi_module, "product",
+                            lambda a, b: calls.append((a, b)) or real(a, b))
+        cls = ProbeClass.explicit([ONE, TWO])
+        quasi = indiscrete_quasi(Carrier(["p"]), cls)
+        first = validate_quasi(quasi)
+        assert len(calls) == 4
+        assert validate_quasi(quasi) == first and len(calls) == 4
+        report = quasi_module.class_closure_report(cls)
+        assert first.notes == (
+            f"class closure gaps: {report.violations[:3]}",)
+        assert report.violations == quasi_module.class_closure_report(
+            ProbeClass.explicit([ONE, TWO])).violations
 
     def test_exponential_rejects_unclosed_explicit_class(self):
         cls = ProbeClass.explicit([TWO])

@@ -22,7 +22,6 @@ from tvspaces.space import (
     continuous_maps,
     coproduct,
     discrete_space,
-    evaluation_map,
     exponential,
     exponentiability_witness,
     final_structure,
@@ -37,8 +36,7 @@ from tvspaces.space import (
     is_separated,
     map_label,
     map_order_leq,
-    pair_carrier,
-    pairing,
+    pair_label,
     product,
     separatedness_witness,
     sierpinski_space,
@@ -279,17 +277,6 @@ class TestProductCoproduct:
                                     if (x1 <= x2 and y1 <= y2) else B.bottom)
                         assert sq.get(f"({x1},{y1})", f"({x2},{y2})") \
                             == expected
-
-    def test_pairing_lands_in_the_product(self):
-        prod, (p1, p2) = product(ORD_CHAIN2, ORD_CHAIN2)
-        assert pair_carrier(ORD_CHAIN2.carrier,
-                            ORD_CHAIN2.carrier) == prod.carrier
-        f = MapArrow.identity(ORD_CHAIN2.carrier)
-        g = MapArrow.constant(ORD_CHAIN2.carrier, ORD_CHAIN2.carrier, "v")
-        h = pairing(f, g, prod.carrier)
-        assert h.graph() == ("(u,v)", "(v,v)")
-        assert h.then(p1) == f and h.then(p2) == g
-        assert is_continuous(h, ORD_CHAIN2, prod)
 
     def test_coproduct_of_points_in_met(self):
         a = cp_space(["x"], [[0]])
@@ -540,7 +527,11 @@ class TestExponential:
 
     def test_evaluation_continuous(self):
         exp, by_label = exponential(ORD_CHAIN2, ORD_CHAIN2)
-        prod, ev = evaluation_map(exp, by_label, ORD_CHAIN2, ORD_CHAIN2)
+        prod, _ = product(exp, ORD_CHAIN2)
+        ev = MapArrow(prod.carrier, ORD_CHAIN2.carrier,
+                      {pair_label(gl, y): by_label[gl](y)
+                       for gl in exp.carrier.labels
+                       for y in ORD_CHAIN2.carrier.labels})
         assert is_continuous(ev, prod, ORD_CHAIN2)
 
     def test_non_exponentiable_base_rejected(self):
