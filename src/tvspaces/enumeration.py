@@ -13,35 +13,58 @@ sequence of that loop.  Transitivity is the inequality
 triangle is tested once, when the last of its three cells is set, so a
 partial square that already breaks it is abandoned with every completion.
 
-:func:`compact_hausdorff_spaces` runs the same search with the Hausdorff
-conditions as further constraints, read off the tables as they stand: in
-every row ``t``, ``a(t, i) (x) a(t, j)`` is bottom for ``i != j``, in both
-orders, and ``a(t, i) (x) a(t, i) <= k``.  A value breaking the second is
-never tried, and a pair is tested when the later of its two cells is set.
-Each constraint reads only cells already set, and the Hausdorff test checks
-the same conditions on the finished square, so pruning abandons exactly the
-completions the test would reject.  The surviving leaves are the squares
-that pass, met in the order of the full search; so the filtered sequence,
-and the first structure seen of each isomorphism class, are unchanged.
+:func:`compact_hausdorff_spaces` needs no search on a lawful table: a
+Hausdorff structure is the discrete one (Hofmann, Seal & Tholen, *Monoidal
+Topology*, ch. V).  Take a valid structure ``a`` that passes the test of
+``hausdorff_witness``: in every row ``t``, ``a(t, i) (x) a(t, j)`` is bottom
+for ``i != j`` and at most the unit ``k`` for ``i = j``.  The tensor is
+monotone with unit ``k``, and ``a(x, x) >= k``.  For ``x != y``, row ``x``
+gives ``a(x, y) = k (x) a(x, y) <= a(x, x) (x) a(x, y)``, which is bottom.
+For ``x = y``, ``a(x, x) = a(x, x) (x) k <= a(x, x) (x) a(x, x) <= k``.  So
+``a`` is the unit on the diagonal and bottom elsewhere.  Conversely the
+discrete structure is valid, compact (each row's join holds ``k (x) k =
+k``) and Hausdorff (a product with a bottom factor is bottom), so there is
+exactly one class on each size, and its only member is the discrete space.
+A table that breaks a quantale law may break the argument, so it gets the
+plain filter over every valid structure.
 
 :func:`iso_canonical_key` refines a colouring of the points to a fixed
 point (McKay & Piperno, "Practical graph isomorphism II", J. Symb. Comput.
 2014).  The square is read as its entries: a finite quantale's stored
 payloads (carrier indices), and a cost quantale's tokens, because a cost
 payload ``INF`` has no order against a ``Fraction``.  A point starts with
-its diagonal entry; each round its colour becomes the rank, among the
-sorted signatures of all points, of its colour and the sorted multiset of
-``(colour of y, a(x, y), a(y, x))`` over the points y, until the number of
-colours stops growing.  The ranks are computed from entries and earlier
-ranks alone, so an isomorphism carries each point to a point of the same
-colour, and each cell (the points of one colour) onto the cell of the same
-rank.  The key is the least matrix of entries over the orders that list
-the cells by rank, each cell in any order; when every cell is a single
-point there is one such order.  An isomorphism maps the orders of one
-space one to one onto the orders of the other with equal matrices, so
-isomorphic spaces get equal keys; and each matrix is the square of a
-relabelling, so equal keys mean isomorphic spaces.  Keys are only compared
-for equality, between spaces over one quantale.
+the colour ``(a(x, x), sorted multiset of (a(y, y), a(x, y), a(y, x)))``;
+each round its colour becomes the rank, among the sorted colours of all
+points, of its colour and the sorted multiset of ``(colour of y, a(x, y),
+a(y, x))`` over the points y.  The colours are computed from entries and
+earlier ranks alone, so an isomorphism carries each point to a point of the
+same colour, and each cell (the points of one colour) onto the cell of the
+same rank.  The key is the least matrix of entries over the orders that
+list the cells by rank, each cell in any order.  An isomorphism maps the
+orders of one space one to one onto the orders of the other with equal
+matrices, so isomorphic spaces get equal keys; and each matrix is the
+square of a relabelling, so equal keys mean isomorphic spaces.  Keys are
+only compared for equality, between spaces over one quantale.
+
+Twins cut the orders down.  Points x and y are twins when ``a(x, x) =
+a(y, y)``, ``a(x, y) = a(y, x)``, and ``a(x, z) = a(y, z)`` and ``a(z, x) =
+a(z, y)`` for every other z.  Swapping twins maps every entry onto an equal
+one, so it is an automorphism.  Twinhood is an equivalence: if x, y are
+twins and y, z are twins, for three points, then x, z are twins:
+``a(x, x) = a(y, y) = a(z, z)``; ``a(x, z) = a(y, z) = a(z, y) = a(z, x)``;
+at y, ``a(x, y) = a(x, z) = a(z, x) = a(z, y)`` and ``a(y, x) = a(z, x) =
+a(x, z) = a(y, z)``; and at every other w, ``a(x, w) = a(y, w) = a(z, w)``
+and ``a(w, x) = a(w, y) = a(w, z)``.  Twins keep equal colours, as an
+automorphism keeps colours, so each twin class lies in one cell, and every
+permutation of a twin class, a product of swaps, is an automorphism.  Two
+orders that differ by one give equal matrices, so the key takes the orders
+up to twin swaps: each twin class keeps its points in one fixed order, and
+only the positions of the classes inside a cell vary.  When every cell is
+a single twin class there is one such order.  That also stops the
+refinement: no later round can split a cell of twins, and a new colour
+begins with the old one, so the cells and their ranks are already those of
+the fixed point.  The discrete and the indiscrete spaces key at once,
+where every order of a cell of look-alike points used to be tried.
 """
 
 import itertools
@@ -71,8 +94,7 @@ def _cell_order(n):
 
     ``at[x][y]`` is the position of cell ``(x, y)``.  A triangle is the
     position triple of ``(x, y)``, ``(y, z)``, ``(x, z)``; ``closes[p]``
-    lists the triangles whose last cell is at position ``p``, and
-    ``mates[p]`` the earlier positions in the row of the cell at ``p``.
+    lists the triangles whose last cell is at position ``p``.
     """
     cells = [(x, x) for x in range(n)]
     cells += [(x, y) for x in range(n) for y in range(n) if x != y]
@@ -82,30 +104,18 @@ def _cell_order(n):
     for x, y, z in itertools.product(range(n), repeat=3):
         triangle = (pos[x, y], pos[y, z], pos[x, z])
         closes[max(triangle)].append(triangle)
-    mates = tuple(tuple(q for q in at[x] if q < p)
-                  for p, (x, _) in enumerate(cells))
-    return at, tuple(map(tuple, closes)), mates
+    return at, tuple(map(tuple, closes))
 
 
-def _valid_squares(quantale, n, bottom=None):
-    """The squares of :func:`all_valid_spaces`, as index rows, in order.
-
-    With a ``bottom`` payload, only the squares that meet the Hausdorff
-    conditions on the tables (see the module docstring).
-    """
+def _valid_squares(quantale, n):
+    """The squares of :func:`all_valid_spaces`, as index rows, in order."""
     if not quantale.is_finite:
         raise UnsupportedOperationError(
             "cannot enumerate structures over an infinite quantale")
     tensor, leq = quantale._tensor, quantale._leq
     unit = quantale._unit_index
     every = list(range(len(quantale.labels)))
-    at, closes, mates = _cell_order(n)
-    if bottom is None:
-        mates = ((),) * (n * n)
-    else:
-        apart = [[tensor[u][v] == bottom == tensor[v][u] for v in every]
-                 for u in every]
-        every = [v for v in every if leq[tensor[v][v]][unit]]
+    at, closes = _cell_order(n)
     diag = [v for v in every if leq[unit][v]]
     choices = [diag] * n + [every] * (n * n - n)
     # one DFS frame per cell: the index of its next choice to try
@@ -121,16 +131,12 @@ def _valid_squares(quantale, n, bottom=None):
             depth -= 1
             continue
         nxt[depth] = k + 1
-        v = a[depth] = choices[depth][k]
+        a[depth] = choices[depth][k]
         for p, q, r in closes[depth]:
             if not leq[tensor[a[p]][a[q]]][a[r]]:
                 break
         else:
-            for p in mates[depth]:
-                if not apart[v][a[p]]:
-                    break
-            else:
-                depth += 1
+            depth += 1
 
 
 def _space(carrier, monad, quantale, rows):
@@ -155,28 +161,74 @@ def all_valid_spaces_upto(quantale, monad, max_size, include_empty=True):
         yield from all_valid_spaces(quantale, monad, standard_carrier(size))
 
 
+def _twins(sq, x, y):
+    """Whether swapping points x and y maps the square onto itself."""
+    rx, ry = sq[x], sq[y]
+    return (rx[x] == ry[y] and rx[y] == ry[x]
+            and all(rx[z] == ry[z] and row[x] == row[y]
+                    for z, row in enumerate(sq) if z != x and z != y))
+
+
+def _twin_classes(sq, cell):
+    """The twin classes of a cell, each in carrier order."""
+    classes = []
+    for x in cell:
+        for twins in classes:
+            if _twins(sq, twins[0], x):
+                twins.append(x)
+                break
+        else:
+            classes.append([x])
+    return classes
+
+
 def _refined_cells(sq):
-    """The points of a square grouped by refined colour, by rank."""
+    """The points of a square grouped by refined colour, by rank, each
+    cell as its list of twin classes."""
     pairs = list(zip(sq, zip(*sq)))           # row x and column x
-    colour, count = [row[x] for x, row in enumerate(sq)], -1
+    diag = [row[x] for x, row in enumerate(sq)]
+    colour = [(d, tuple(sorted(zip(diag, row, col))))
+              for d, (row, col) in zip(diag, pairs)]
+    count = -1
     while True:
         rank = {c: r for r, c in enumerate(sorted(set(colour)))}
         colour = [rank[c] for c in colour]
-        if len(rank) in (count, len(sq)):     # stable, or all singletons
-            break
+        cells = [[] for _ in rank]
+        for x, c in enumerate(colour):
+            cells[c].append(x)
+        # stable, or every cell one twin class (see the module docstring)
+        if len(rank) == count or all(
+                _twins(sq, cell[0], y) for cell in cells for y in cell[1:]):
+            return [_twin_classes(sq, cell) for cell in cells]
         count = len(rank)
         colour = [(c, tuple(sorted(zip(colour, row, col))))
                   for c, (row, col) in zip(colour, pairs)]
-    cells = [[] for _ in rank]
-    for x, c in enumerate(colour):
-        cells[c].append(x)
-    return cells
+
+
+def _arrangements(classes):
+    """The orders of a cell up to permutations inside its twin classes:
+    each distinct sequence of class positions, filled in class order."""
+    seq = sorted(i for i, twins in enumerate(classes) for _ in twins)
+    while True:
+        points = [iter(twins) for twins in classes]
+        yield [next(points[i]) for i in seq]
+        # the next distinct permutation of seq, in lexicographic order
+        i = len(seq) - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(seq) - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1:] = reversed(seq[i + 1:])
 
 
 def iso_canonical_key(space):
     """A key equal for two spaces over one quantale exactly when they are
     isomorphic: the least matrix of the square over the orders of its
-    refined cells.
+    refined cells, up to swaps of twins.
 
     See the module docstring for why it is a canonical form.  The key's
     form is not part of the contract; compare keys only for equality.
@@ -184,13 +236,13 @@ def iso_canonical_key(space):
     structure = space.structure
     sq = structure.rows if space.quantale.is_finite else structure.tokens()
     cells = _refined_cells(sq)
-    if len(cells) == len(sq):               # all singletons: one order
-        order = [x for (x,) in cells]
+    if all(len(cell) == 1 for cell in cells):   # one order
+        order = [x for (twins,) in cells for x in twins]
         return (len(sq), tuple([tuple([sq[x][y] for y in order])
                                 for x in order]))
     best = None
-    for parts in itertools.product(*map(itertools.permutations, cells)):
-        # a cell has two points or more, so pick returns tuples
+    for parts in itertools.product(*map(_arrangements, cells)):
+        # some cell has two points or more, so pick returns tuples
         pick = operator.itemgetter(*[x for part in parts for x in part])
         candidate = tuple(map(pick, pick(sq)))
         if best is None or candidate < best:
@@ -200,40 +252,33 @@ def iso_canonical_key(space):
 
 @lru_cache(maxsize=16)
 def _lawful(quantale):
+    """Whether the quantale laws hold: checked once for a finite table, and
+    true of the cost quantales by their closed forms."""
     return validate_quantale(quantale).passed
 
 
 def compact_hausdorff_spaces(quantale, monad, max_size):
     """All compact Hausdorff spaces on 1..max_size points, up to isomorphism.
 
-    Finite quantales are enumerated honestly and filtered, the search
-    pruned with the Hausdorff conditions (see the module docstring); the
-    analytic cost quantales use the fact that over an integral quantale
-    with a principal monad the compact Hausdorff spaces are exactly the
-    discrete ones.
+    On a lawful table, and on the cost quantales, they are the discrete
+    spaces on 1..max_size points (see the module docstring for the proof).
+    A finite table that breaks a quantale law gets the plain filter: the
+    first valid structure of each isomorphism class that is compact and
+    Hausdorff, in the order of :func:`all_valid_spaces`.
     """
     if max_size > len(_LETTERS):
         raise StructuralError(
             f"compact Hausdorff spaces are enumerated on at most "
             f"{len(_LETTERS)} points, not {max_size}")
-    if not quantale.is_finite:
+    quantale.kernel(())           # refuses an order that is not a lattice
+    if _lawful(quantale):
         return [discrete_space(standard_carrier(size), monad, quantale)
                 for size in range(1, max_size + 1)]
-    quantale.kernel(())           # refuses an order that is not a lattice
-    # On an integral quantale row x of a valid structure has
-    # a(x, x) >= k = top, so its join reaches top (x) top = k (x) k = k
-    # and the structure is compact.  A table that breaks a quantale law
-    # may fail that argument, so it keeps the test.
-    test_compact = not (quantale.integral and _lawful(quantale))
     result, seen = [], set()
     for size in range(1, max_size + 1):
-        carrier = standard_carrier(size)
-        for square in _valid_squares(quantale, size,
-                                     quantale._bottom_index):
-            space = _space(carrier, monad, quantale, square)
-            if test_compact and not is_compact(space):
-                continue
-            if not is_hausdorff(space):
+        for space in all_valid_spaces(quantale, monad,
+                                      standard_carrier(size)):
+            if not (is_compact(space) and is_hausdorff(space)):
                 continue
             key = iso_canonical_key(space)
             if key not in seen:

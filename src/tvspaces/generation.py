@@ -11,13 +11,27 @@ tuples (see :mod:`tvspaces.space`).  The coreflection joins those tuples
 straight into the final structure; :meth:`ProbeClass.probes_into` builds
 ``(map, object)`` pairs from them only for callers that want maps.
 
+A class whose objects are all discrete, such as every compact Hausdorff
+class over a lawful table (see :mod:`tvspaces.enumeration`), coreflects
+onto the discrete space with no search, on a lawful integral table.  A
+discrete object's entries are the unit ``k`` on the diagonal and bottom
+off it.  So a probe ``f`` joins ``k`` into a diagonal cell ``(fx, fx)`` and
+bottom into every other cell it reaches: the joined square is at most the
+discrete one.  The closure joins the unit into the diagonal, and on an
+integral table it is the reflexive transitive closure, whose powers of a
+square below the discrete one stay below it (``k (x) k = k``, and bottom
+absorbs).  So the final structure is the discrete space, whatever the
+target and its probes.  A table that breaks a law may break this (a tensor
+that is the join, say, closes the discrete square to the indiscrete one),
+and a non-integral one is refused by the closure, so both keep the search.
+
 Everything computed is an immutable value.  The probe class caches its
 answers; see :class:`ProbeClass` for which caches are safe to share.
 """
 
 import warnings
 
-from .enumeration import compact_hausdorff_spaces, iso_canonical_key
+from .enumeration import _lawful, compact_hausdorff_spaces, iso_canonical_key
 from .errors import (
     BudgetExceededError,
     CarrierMismatchError,
@@ -31,6 +45,7 @@ from .space import (
     _final_space,
     _maps_of,
     continuous_maps,
+    discrete_space,
     exponential,
     exponentiability_witness,
     initial_structure,
@@ -52,8 +67,14 @@ class ProbeClass:
 
     Objects are validated at construction and deduplicated up to carrier
     relabeling, which leaves every final structure unchanged;
-    :meth:`compact_hausdorff_upto` takes the spaces its search has just
-    built valid and pairwise non-isomorphic without checking them again.
+    :meth:`compact_hausdorff_upto` takes the spaces of
+    :func:`~tvspaces.enumeration.compact_hausdorff_spaces`, valid and
+    pairwise non-isomorphic, without checking them again.
+
+    When every object is discrete (decided once, from the objects), the
+    table is lawful and integral, and the target shares the class's monad
+    and quantale, :meth:`coreflect` answers in closed form (see the module
+    docstring); every other class and target keeps the search.
 
     Caches.  Each object's exponentiability witness, the (EP) report of
     :func:`check_ep`, the :func:`~tvspaces.quasi.class_closure_report` and
@@ -96,7 +117,7 @@ class ProbeClass:
     @staticmethod
     def _trusted(objects, mode, param):
         """A class on valid, pairwise non-isomorphic spaces that share one
-        monad and quantale, as the library built them: unchecked."""
+        monad and quantale: unchecked."""
         cls = object.__new__(ProbeClass)
         cls._fill(objects, mode, param)
         return cls
@@ -112,6 +133,7 @@ class ProbeClass:
         self.param = param
         self.monad = objects[0].monad
         self.quantale = objects[0].quantale
+        self._discrete = all(map(_is_discrete, objects))
         self._image_cache = {}
         self._probe_cache = {}
         self._coreflect_cache = {}
@@ -171,15 +193,18 @@ class ProbeClass:
         space's ``key``.  The budget is checked before any search."""
         cached = self._image_cache.get(key)
         if cached is None:
-            n = len(space.carrier)
-            total = sum(n ** len(obj.carrier) for obj in self.objects)
-            if total > budget:
-                raise BudgetExceededError(
-                    f"probe enumeration needs {total} candidate maps, "
-                    f"budget is {budget}")
+            self._check_budget(space, budget)
             cached = self._image_cache[key] = tuple(
                 _continuous_images(obj, space) for obj in self.objects)
         return cached
+
+    def _check_budget(self, space, budget):
+        n = len(space.carrier)
+        total = sum(n ** len(obj.carrier) for obj in self.objects)
+        if total > budget:
+            raise BudgetExceededError(
+                f"probe enumeration needs {total} candidate maps, "
+                f"budget is {budget}")
 
     def _hom_images(self, i, j):
         """The continuous maps from object i to object j as image tuples."""
@@ -204,21 +229,33 @@ class ProbeClass:
         """The final structure of the probes into a space, cached.
 
         The probes stay image tuples: each object's are joined into the
-        result in :meth:`probes_into` order, with no map built.
+        result in :meth:`probes_into` order, with no map built, unless
+        the closed form applies (see the class docstring); it makes the
+        same budget check.
         """
         key = space.cache_key()
         cached = self._coreflect_cache.get(key)
         if cached is None:
-            images = self._images_into(space, key, budget)
-            # images cached for an equal space over another, equal
-            # quantale or monad instance: the sink check of final_structure
-            if any(images) and (space.monad is not self.monad
-                                or space.quantale is not self.quantale):
-                raise CarrierMismatchError(
-                    "sink space monad/quantale mismatch")
-            cached = self._coreflect_cache[key] = _final_space(
-                space.carrier, space.monad, space.quantale,
-                list(zip(self.objects, images)))
+            q = self.quantale
+            if (self._discrete and space.monad is self.monad
+                    and space.quantale is q and q.integral and _lawful(q)):
+                if key not in self._image_cache:
+                    self._check_budget(space, budget)
+                cached = discrete_space(space.carrier, space.monad,
+                                        space.quantale)
+            else:
+                images = self._images_into(space, key, budget)
+                # images cached for an equal space over another, equal
+                # quantale or monad instance: the sink check of
+                # final_structure
+                if any(images) and (space.monad is not self.monad
+                                    or space.quantale is not self.quantale):
+                    raise CarrierMismatchError(
+                        "sink space monad/quantale mismatch")
+                cached = _final_space(space.carrier, space.monad,
+                                      space.quantale,
+                                      list(zip(self.objects, images)))
+            self._coreflect_cache[key] = cached
         return cached
 
     def exponential_with(self, i, z_space):
@@ -228,6 +265,16 @@ class ProbeClass:
             cached = exponential(self.objects[i], z_space)
             self._exp_cache[key] = cached
         return cached
+
+
+def _is_discrete(space):
+    """Whether a space is discrete: the unit on the diagonal, bottom off
+    it.  A table with no bottom has no discrete space on two points."""
+    q, rows = space.quantale, space.structure.rows
+    unit = q.unit.payload
+    bottom = q._bottom_index if q.is_finite else q.bottom.payload
+    return all(p == (unit if i == j else bottom)
+               for i, row in enumerate(rows) for j, p in enumerate(row))
 
 
 def c_generated_structure(space, probe_class, budget=DEFAULT_MAP_BUDGET):

@@ -25,6 +25,7 @@ from tvspaces import (
     PreconditionError,
     StructuralError,
     TvsError,
+    UnsupportedOperationError,
     ValidationReport,
     bool2,
     chain,
@@ -36,6 +37,7 @@ from tvspaces import (
 from tvspaces import generation
 from tvspaces.generation import ProbeClass
 from tvspaces.monad import finite_ultrafilter_monad, identity_monad
+from tvspaces.suite import non_integral_quantale
 from tvspaces.quasi import (
     QuasiSpace,
     _joint_cover,
@@ -54,7 +56,9 @@ from tvspaces.quasi import (
 )
 from tvspaces.space import (
     Space,
+    _continuous_images,
     _encode_distinct,
+    _final_space,
     all_maps,
     continuous_maps,
     discrete_space,
@@ -94,6 +98,24 @@ def ref_final_structure(carrier, sink, monad, quantale):
     closed = kernel.close(joined)
     return Space(carrier, monad, quantale, VRel._from_rows(
         carrier, carrier, quantale, kernel.decode(closed)))
+
+
+def ref_coreflect(cls, space, budget=generation.DEFAULT_MAP_BUDGET):
+    """The search that a class of discrete objects skips: the budget
+    check, every object's continuous maps as image tuples, the sink check
+    and their final structure."""
+    n = len(space.carrier)
+    total = sum(n ** len(obj.carrier) for obj in cls.objects)
+    if total > budget:
+        raise BudgetExceededError(
+            f"probe enumeration needs {total} candidate maps, "
+            f"budget is {budget}")
+    images = [_continuous_images(obj, space) for obj in cls.objects]
+    if any(images) and (space.monad is not cls.monad
+                        or space.quantale is not cls.quantale):
+        raise CarrierMismatchError("sink space monad/quantale mismatch")
+    return _final_space(space.carrier, space.monad, space.quantale,
+                        list(zip(cls.objects, images)))
 
 
 def ref_reflect_to_cgenerated(quasi):
@@ -379,19 +401,19 @@ def random_map(dom, cod, rng):
     return MapArrow(dom, cod, {x: rng.choice(cod.labels) for x in dom.labels})
 
 
-def classes(q, rng):
+def classes(q, rng, mon=IM):
     """A shipped class, explicit ones with a 0-point object, and a class of
     two 2-point objects, one not discrete, that is taken as closed under
     products and pullbacks without a check (its mode is not "explicit")."""
-    empty = discrete_space(Carrier([]), IM, q)
-    point = discrete_space(carrier("o", 1), IM, q)
-    return [ProbeClass.compact_hausdorff_upto(2, q, IM),
+    empty = discrete_space(Carrier([]), mon, q)
+    point = discrete_space(carrier("o", 1), mon, q)
+    return [ProbeClass.compact_hausdorff_upto(2, q, mon),
             ProbeClass.explicit([empty, point]),
-            ProbeClass.explicit([random_space(q, carrier("r", 2), rng),
+            ProbeClass.explicit([random_space(q, carrier("r", 2), rng, mon),
                                  empty, point]),
             ProbeClass._trusted(
-                [point, discrete_space(carrier("d", 2), IM, q),
-                 Space.from_square(carrier("s", 2), IM, q, VRel(
+                [point, discrete_space(carrier("d", 2), mon, q),
+                 Space.from_square(carrier("s", 2), mon, q, VRel(
                      carrier("s", 2), carrier("s", 2), q,
                      [[q.top, q.top], [q.bottom, q.top]]))],
                 "compact-hausdorff-upto", 2)]
@@ -516,6 +538,84 @@ def test_final_structure_refuses_an_order_that_is_not_a_lattice():
         target = Space.from_square(c, IM, q, VRel(c, c, q, [
             [t if i == j else x for j in range(n)] for i in range(n)]))
         assert outcome(cls.coreflect, target) == want
+
+
+def join_tensor():
+    """A two-chain whose tensor is the join: the unit law fails, and the
+    closure takes a discrete square to the indiscrete one."""
+    return finite_table(["0", "1"], [[1, 1], [0, 1]], [[0, 1], [1, 1]],
+                        unit_index=1)
+
+
+# tables off the closed form: a law fails, or the closure refuses them
+OFF_FORM = {"join-tensor": join_tensor, "non-integral": non_integral_quantale}
+
+
+def coreflect_targets(q, mon, rng):
+    """Closed targets on 0 to 4 points, reflexive squares that are not
+    transitive, squares with a diagonal entry below the unit, and targets
+    over the other monad or another instance of an equal table."""
+    other = (finite_ultrafilter_monad() if mon is IM else IM)
+    targets = []
+    if q.integral:
+        targets += [random_space(q, carrier("x", n), rng, mon)
+                    for n in range(5)]
+        targets += [random_space(q, carrier("z", n), rng, other)
+                    for n in (0, 2)]
+    for n in (1, 2, 3, 4):
+        c = carrier("y", n)
+        square = [[random_value(q, rng) for _ in c] for _ in c]
+        for i in range(n):
+            square[i][i] = q.top
+        targets.append(Space.from_square(c, mon, q, VRel(c, c, q, square)))
+        square = [row[:] for row in square]
+        square[rng.randrange(n)][rng.randrange(n)] = q.bottom
+        square[n - 1][n - 1] = q.bottom
+        targets.append(Space.from_square(c, mon, q, VRel(c, c, q, square)))
+    if q.cache_key() == diamond().cache_key():
+        targets += [discrete_space(carrier("w", n), mon, diamond())
+                    for n in (0, 2)]
+    return targets
+
+
+@pytest.mark.parametrize("qname", list(QUANTALES) + list(OFF_FORM))
+@pytest.mark.parametrize("monad", [identity_monad, finite_ultrafilter_monad])
+def test_closed_form_coreflections_match_the_search(qname, monad):
+    """The closed form of a class of discrete objects against the search,
+    on every class of ``classes`` and a class of discrete objects:
+    answers, budget errors, mismatch errors and the closure's refusal."""
+    q, mon = {**QUANTALES, **OFF_FORM}[qname](), monad()
+    rng = random.Random(f"closed-form/{qname}/{mon.name}")
+    discrete = ProbeClass._trusted(
+        [discrete_space(carrier("e", n), mon, q) for n in range(4)],
+        "explicit", None)
+    assert discrete._discrete
+    tried = [discrete, ProbeClass.compact_hausdorff_upto(2, q, mon)]
+    if qname in QUANTALES:
+        tried += classes(q, rng, mon)
+    answers = set()
+    for cls in tried:
+        for target in coreflect_targets(q, mon, rng):
+            n = len(target.carrier)
+            total = sum(n ** len(obj.carrier) for obj in cls.objects)
+            for budget in (total - 1, total, generation.DEFAULT_MAP_BUDGET):
+                fresh = ProbeClass._trusted(cls.objects, cls.mode, cls.param)
+                want = outcome(ref_coreflect, cls, target, budget)
+                assert outcome(fresh.coreflect, target, budget) == want
+            answers.add(want[0] if want[0] != "ok" else
+                        want[1] == discrete_space(target.carrier, mon, q))
+            if want[0] != "ok":
+                continue
+            assert generation.is_c_generated(target, fresh) == (
+                target.structure == want[1].structure)
+            # probes cached by a call with a larger budget: no budget check
+            fresh = ProbeClass._trusted(cls.objects, cls.mode, cls.param)
+            fresh.probes_into(target)
+            assert fresh.coreflect(target, 0) == want[1]
+    if qname == "join-tensor":
+        assert False in answers       # the search's answer is not discrete
+    if qname == "non-integral":
+        assert UnsupportedOperationError in answers
 
 
 def test_budget_is_checked_before_any_search(monkeypatch):

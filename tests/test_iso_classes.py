@@ -1,16 +1,18 @@
-"""Differential tests of the canonical key and the compact Hausdorff search.
+"""Differential tests of the canonical key and the compact Hausdorff class.
 
-``iso_canonical_key`` permutes only inside the cells of a refined colouring,
-and ``compact_hausdorff_spaces`` prunes its search with the Hausdorff
-conditions.  The functions prefixed ``ref_`` below are the code they
-replaced, kept as the oracle: the least token matrix over every permutation
-of the carrier, and the Hausdorff filter over every valid structure.  The
-keys may differ from the oracle's, but they must split the structures into
-the same classes; the class lists must be equal, in equal order, and raise
-the same errors.
+``iso_canonical_key`` permutes only twin classes inside the cells of a
+refined colouring, and ``compact_hausdorff_spaces`` returns the discrete
+spaces on a lawful table.  The functions prefixed ``ref_`` below are the
+code they replaced, kept as the oracle: the least token matrix over every
+permutation of the carrier, and the Hausdorff filter over every valid
+structure.  The keys may differ from the oracle's, but they must split the
+structures into the same classes; the class lists must be equal, in equal
+order, and raise the same errors.
 """
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,7 +29,7 @@ from tvspaces import (
     lukasiewicz_grid,
 )
 from tvspaces.enumeration import (
-    _valid_squares,
+    _arrangements,
     all_valid_spaces,
     compact_hausdorff_spaces,
     iso_canonical_key,
@@ -36,7 +38,13 @@ from tvspaces.enumeration import (
 from tvspaces.generation import ProbeClass
 from tvspaces.monad import finite_ultrafilter_monad, identity_monad
 from tvspaces.quantale import validate_quantale
-from tvspaces.space import Space, discrete_space, is_compact, is_hausdorff
+from tvspaces.space import (
+    Space,
+    discrete_space,
+    indiscrete_space,
+    is_compact,
+    is_hausdorff,
+)
 from tvspaces.suite import non_integral_quantale
 from tvspaces.vrel import VRel, reflexive_transitive_closure
 
@@ -168,6 +176,63 @@ def test_key_is_invariant_under_relabelling(space, data):
                     == ref_iso_canonical_key(space)))
 
 
+def blocks(q, sizes, forward):
+    """Indiscrete blocks of these sizes: top inside a block, ``forward``
+    from a block to a later one, bottom back.  Points of one block are
+    twins; blocks of one size look alike when ``forward`` is bottom."""
+    where = [b for b, size in enumerate(sizes) for _ in range(size)]
+    carrier = standard_carrier(len(where))
+    square = [[q.top if b == c else forward if b < c else q.bottom
+               for c in where] for b in where]
+    return Space.from_square(carrier, IM, q,
+                             VRel(carrier, carrier, q, square))
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (3, 1, 3), (2, 2, 2), (1, 2, 1, 2)])
+def test_twin_blocks_give_the_reference_classes(sizes):
+    q = chain(3)
+    bottom, middle, _ = q.carrier_values()
+    rng = random.Random(f"blocks/{sizes}")
+    spaces = []
+    for forward in (bottom, middle):
+        space = blocks(q, sizes, forward)
+        n = len(space.carrier)
+        spaces += [relabelled(space, rng.sample(range(n), n))
+                   for _ in range(4)]
+    new = [iso_canonical_key(s) for s in spaces]
+    old = [ref_iso_canonical_key(s) for s in spaces]
+    assert len(set(new)) == len(set(old)) == len(set(zip(new, old))) == 2
+
+
+def test_twins_key_without_trying_their_orders():
+    """A discrete or indiscrete space is one cell of twins: one order, where
+    the ten-point key used to try 10! of them."""
+    for make in (discrete_space, indiscrete_space):
+        keys = [iso_canonical_key(make(standard_carrier(n), IM, bool2()))
+                for n in range(11)]
+        assert len(set(keys)) == 11
+
+
+@pytest.mark.parametrize("classes", [[[0]], [[0, 1]], [[0], [1], [2]],
+                                     [[0, 3], [1], [2, 4]], [[0, 1, 2], [3]]])
+def test_arrangements_are_the_orders_up_to_twin_swaps(classes):
+    got = [tuple(order) for order in _arrangements(classes)]
+    n = sum(map(len, classes))
+    # one order per sequence of class positions: n! over the twin orders
+    want = math.factorial(n)
+    for twins in classes:
+        want //= math.factorial(len(twins))
+    assert len(got) == len(set(got)) == want
+    rank = {x: i for i, twins in enumerate(classes) for x in twins}
+    assert {tuple(rank[x] for x in order) for order in got} == {
+        tuple(rank[x] for x in order)
+        for order in itertools.permutations(range(n))}
+    # each twin class keeps its own order
+    for order in got:
+        for twins in classes:
+            assert [x for x in order if x in twins] == twins
+
+
 # -- the compact Hausdorff class ----------------------------------------------
 
 
@@ -222,6 +287,8 @@ CLASS_CASES = [
     ("chain3", lambda: chain(3), 3),
     ("chain4", lambda: chain(4), 3),
     ("chain5", lambda: chain(5), 3),
+    ("luk2", lambda: lukasiewicz_grid(2), 3),
+    ("luk3", lambda: lukasiewicz_grid(3), 3),
     ("luk4", lambda: lukasiewicz_grid(4), 3),
     ("luk10", lambda: lukasiewicz_grid(10), 2),
     ("non-integral", non_integral_quantale, 3),
@@ -244,14 +311,23 @@ NOT_LATTICE_CASES = [
 
 @pytest.mark.parametrize("name,make,max_size", CLASS_CASES,
                          ids=[c[0] for c in CLASS_CASES])
-def test_pruning_keeps_exactly_the_hausdorff_squares(name, make, max_size):
+def test_lawful_hausdorff_squares_are_the_discrete_square(name, make,
+                                                          max_size):
+    """The lemma behind the closed form, on every valid square: over a
+    lawful table the only Hausdorff structure is the discrete one."""
     q = make()
+    lawful = validate_quantale(q).passed
+    assert lawful == (name not in ("broken-integral", "one-sided"))
     for n in range(max_size + 1):
         carrier = standard_carrier(n)
-        pruned = list(_valid_squares(q, n, q._bottom_index))
-        assert pruned == [s.structure.rows
-                          for s in all_valid_spaces(q, IM, carrier)
-                          if is_hausdorff(s)]
+        hausdorff = [s.structure.rows
+                     for s in all_valid_spaces(q, IM, carrier)
+                     if is_hausdorff(s)]
+        if lawful:
+            assert hausdorff == [discrete_space(carrier, IM, q).structure.rows]
+    if name == "broken-integral":
+        # its unit tensors itself to bottom: every valid square is Hausdorff
+        assert len(hausdorff) == 64
 
 
 @pytest.mark.parametrize("monad", [identity_monad, finite_ultrafilter_monad])

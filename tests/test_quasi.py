@@ -493,6 +493,20 @@ class TestClassClosure:
         assert report.violations == (("product-closure", (1, 1)),) + tuple(
             ("pullback-closure", ijk) for ijk in pullbacks)
 
+    def test_report_on_the_discrete_three_point_class(self):
+        from tvspaces.enumeration import standard_carrier
+        from tvspaces.quasi import class_closure_report
+
+        # its product has 9 points, and 405 of the 27 x 27 pullbacks of
+        # its maps have other than 3 points; the keys of those discrete
+        # spaces take one order each, where they took up to 9! of them
+        cls = ProbeClass.explicit([discrete_space(standard_carrier(3), IM,
+                                                  B)])
+        report = class_closure_report(cls)
+        assert len(report.violations) == 406
+        assert report.violations == (("product-closure", (0, 0)),) + (
+            ("pullback-closure", (0, 0, 0)),) * 405
+
     def test_report_is_computed_once_per_class(self, monkeypatch):
         from tvspaces import quasi as quasi_module
 
