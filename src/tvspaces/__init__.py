@@ -88,7 +88,6 @@ from .quasi import (
     exponential_quasi,
     indiscrete_quasi,
     initial_quasi,
-    is_covered,
     is_quasi_continuous,
     product_quasi,
     quotient_quasi,

@@ -43,6 +43,7 @@ from .space import (
     Space,
     _continuous_images,
     _final_space,
+    _is_discrete,
     _maps_of,
     continuous_maps,
     discrete_space,
@@ -74,12 +75,14 @@ class ProbeClass:
     When every object is discrete (decided once, from the objects), the
     table is lawful and integral, and the target shares the class's monad
     and quantale, :meth:`coreflect` answers in closed form (see the module
-    docstring); every other class and target keeps the search.
+    docstring); every other class and target keeps the search.  The quasi
+    layer reads the same flag (see :mod:`tvspaces.quasi`).
 
     Caches.  Each object's exponentiability witness, the (EP) report of
-    :func:`check_ep`, the :func:`~tvspaces.quasi.class_closure_report` and
-    the class maps between two objects, as image tuples, are computed once
-    per class and cached on it.  They depend on the objects alone, an
+    :func:`check_ep`, the :func:`~tvspaces.quasi.class_closure_report`, the
+    class-object checks of :func:`~tvspaces.quasi.validate_quasi` and the
+    class maps between two objects, as image tuples, are computed once per
+    class and cached on it.  They depend on the objects alone, an
     immutable tuple, so these caches are safe to share: a cached value
     never goes stale, and callers that race on an empty entry at worst
     compute it twice and store equal values.  The image, probe,
@@ -87,9 +90,12 @@ class ProbeClass:
     :meth:`~tvspaces.space.Space.cache_key`, its labels and payload rows,
     so their entries never go stale either and a race stores equal values;
     they are safe to share, but they grow with every new target and are
-    never evicted.  The budget is checked only when nothing is cached for
-    the target, so a call with a small budget gets the cached answer of an
-    earlier call with a larger one; a call that raises caches nothing.
+    never evicted.  The coreflection and exponential caches hold only
+    targets over the class's own monad and quantale instances, so an equal
+    target over other instances never gets an answer over the class's.
+    The budget is checked only when nothing is cached for the target, so a
+    call with a small budget gets the cached answer of an earlier call with
+    a larger one; a call that raises caches nothing.
     Cached values are returned, not copied: the lists of image tuples and
     the label dictionaries from :meth:`exponential_with` must not be
     modified.
@@ -142,6 +148,7 @@ class ProbeClass:
         self._witness_cache = {}
         self._ep = None
         self._closure = None
+        self._faults = None
 
     # -- constructors -------------------------------------------------------
 
@@ -234,11 +241,14 @@ class ProbeClass:
         same budget check.
         """
         key = space.cache_key()
-        cached = self._coreflect_cache.get(key)
+        shared = self._shares_tables(space)
+        # only a target over the class's own monad and quantale instances
+        # reads or fills the cache: an equal target over another instance
+        # gets its own answer or error
+        cached = self._coreflect_cache.get(key) if shared else None
         if cached is None:
             q = self.quantale
-            if (self._discrete and space.monad is self.monad
-                    and space.quantale is q and q.integral and _lawful(q)):
+            if shared and self._discrete and q.integral and _lawful(q):
                 if key not in self._image_cache:
                     self._check_budget(space, budget)
                 cached = discrete_space(space.carrier, space.monad,
@@ -248,33 +258,28 @@ class ProbeClass:
                 # images cached for an equal space over another, equal
                 # quantale or monad instance: the sink check of
                 # final_structure
-                if any(images) and (space.monad is not self.monad
-                                    or space.quantale is not self.quantale):
+                if any(images) and not shared:
                     raise CarrierMismatchError(
                         "sink space monad/quantale mismatch")
                 cached = _final_space(space.carrier, space.monad,
                                       space.quantale,
                                       list(zip(self.objects, images)))
-            self._coreflect_cache[key] = cached
+            if shared:
+                self._coreflect_cache[key] = cached
         return cached
 
+    def _shares_tables(self, space):
+        return space.monad is self.monad and space.quantale is self.quantale
+
     def exponential_with(self, i, z_space):
+        if not self._shares_tables(z_space):
+            return exponential(self.objects[i], z_space)
         key = (i, z_space.cache_key())
         cached = self._exp_cache.get(key)
         if cached is None:
             cached = exponential(self.objects[i], z_space)
             self._exp_cache[key] = cached
         return cached
-
-
-def _is_discrete(space):
-    """Whether a space is discrete: the unit on the diagonal, bottom off
-    it.  A table with no bottom has no discrete space on two points."""
-    q, rows = space.quantale, space.structure.rows
-    unit = q.unit.payload
-    bottom = q._bottom_index if q.is_finite else q.bottom.payload
-    return all(p == (unit if i == j else bottom)
-               for i, row in enumerate(rows) for j, p in enumerate(row))
 
 
 def c_generated_structure(space, probe_class, budget=DEFAULT_MAP_BUDGET):

@@ -12,15 +12,38 @@ A map is the tuple of its image indices (see :mod:`tvspaces.space`), so the
 axioms and constructions compose tuples: ``g`` after ``h`` is
 ``tuple(map(g.__getitem__, h))``.  Labels and maps are built only for
 witnesses, the :attr:`QuasiSpace.admissible` view and returned maps.
+
+Over a class of discrete objects, the only quasi-structure on a finite
+carrier is the indiscrete one: every map is admissible.  The source paper
+(arXiv 1908.04287) takes quasi-spaces over the compact Hausdorff spaces,
+which on a finite carrier over a lawful table are the discrete spaces (see
+:mod:`tvspaces.enumeration`); Spanier's axioms give the same on finite
+discrete objects ("Quasi-topologies", Duke Math. J. 30, 1963).  Proof:
+every map between discrete objects is continuous, as distinct points have
+entry bottom and a point has the unit ``k``, which its image has too.
+Take ``alpha: C -> X``.  If C is empty, the empty family covers alpha (the
+empty comparison is onto C), so QS3 admits it.  Otherwise each point c of
+C is the image of the constant class map ``h_c`` out of a nonempty object,
+which every probe class has; ``alpha . h_c`` is constant, so QS1 admits
+it, and these maps cover alpha, so QS3 admits alpha.
+
+So :func:`discrete_quasi` and :func:`quotient_quasi` return every map, and
+refuse a class with an object that is not discrete: it is not compact
+Hausdorff, or its table breaks a quantale law.  With no lemma, full
+admissible sets pass every axiom and take in every composite, so
+:func:`validate_quasi`, :func:`quasi_continuous_maps`,
+:func:`initial_quasi` and :func:`exponential_quasi` answer them with no
+loop.  :func:`class_closure_report` compares a class of discrete objects
+by sizes: products and subspaces of discrete spaces are discrete, and
+discrete spaces are isomorphic exactly when they have one size.
 """
 
 import functools
 import itertools
 import warnings
-from dataclasses import dataclass
+from collections import Counter
 
 from .errors import (
-    BudgetExceededError,
     CarrierMismatchError,
     PreconditionError,
     StructuralError,
@@ -29,10 +52,7 @@ from .space import (
     _continuous_images,
     _final_space,
     _maps_of,
-    coproduct_many,
-    copairing,
     is_compact,
-    is_continuous,
     is_hausdorff,
     map_label,
     pair_label,
@@ -44,32 +64,25 @@ from .enumeration import iso_canonical_key
 from .validation import ValidationReport
 from .vrel import Carrier, MapArrow
 
-DEFAULT_ETA_BUDGET = 20_000
 
-
-@dataclass(frozen=True)
-class Cover:
-    """A witnessed cover: the family plus the surjective comparison."""
-
-    family: tuple
-    eta: object
-
-    def verify(self, alpha):
-        """The triangle commutes and the comparison is onto."""
-        if not self.eta.is_surjective():
-            return False
-        offset = 0
-        for _, piece in self.family:
-            for c in piece.dom.labels:
-                if alpha(self.eta(f"{offset}:{c}")) != piece(c):
-                    return False
-            offset += 1
-        return True
+def _class_faults(cls):
+    """The class-object violations of :func:`validate_quasi`.  They depend
+    on the class objects alone, so they are computed once per class and
+    cached on it."""
+    if cls._faults is None:
+        faults = []
+        for i, obj in enumerate(cls.objects):
+            if not (is_compact(obj) and is_hausdorff(obj)):
+                faults.append(("class-compact-hausdorff", (i,)))
+            if not validate_space(obj).passed:
+                faults.append(("class-object-valid", (i,)))
+        cls._faults = tuple(faults)
+    return cls._faults
 
 
 def _check_class(cls):
-    for i, obj in enumerate(cls.objects):
-        if not (is_compact(obj) and is_hausdorff(obj)):
+    for kind, (i,) in _class_faults(cls):
+        if kind == "class-compact-hausdorff":
             raise PreconditionError(
                 f"class object #{i} is not compact Hausdorff")
 
@@ -142,58 +155,26 @@ def _all_images(n, m):
     return itertools.product(range(m), repeat=n)
 
 
+def _every_map(carrier, cls):
+    """The indiscrete structure's image-tuple sets."""
+    return [frozenset(_all_images(len(obj.carrier), len(carrier)))
+            for obj in cls.objects]
+
+
+def _full(quasi):
+    """Whether every map is admissible: object i's set holds all
+    |X|^|C_i| image tuples."""
+    m = len(quasi.carrier)
+    return all(len(s) == m ** len(obj.carrier)
+               for s, obj in zip(quasi.images, quasi.cls.objects))
+
+
 def _graph(g, labels):
     """The label graph of an image tuple."""
     return tuple(map(labels.__getitem__, g))
 
 
 # -- covers ---------------------------------------------------------------------
-
-
-def is_covered(alpha, family, cls, eta_budget=DEFAULT_ETA_BUDGET):
-    """Search for a surjective continuous comparison realizing a cover.
-
-    ``alpha`` is a map out of a class object's carrier; ``family`` is a list
-    of ``(space, map)`` pairs with the same codomain.  Returns the witness
-    map out of the family coproduct, or None.  The candidate count is fiber
-    constrained; exceeding ``eta_budget`` raises, which is distinct from a
-    definitive negative.  The empty family covers only an empty class object.
-    """
-    target = next((obj for obj in cls.objects if obj.carrier == alpha.dom),
-                  None)
-    if target is None:
-        raise PreconditionError("the covered map must start at a class object")
-    for src, _ in family:
-        if not any(src is obj or src.carrier == obj.carrier
-                   and src == obj for obj in cls.objects):
-            raise PreconditionError("family sources must be class objects")
-    if not family:
-        return (None if len(alpha.dom)
-                else Cover((), MapArrow.identity(alpha.dom)))
-    summed, injections = coproduct_many([src for src, _ in family])
-    copair = copairing([f for _, f in family], summed.carrier)
-    fibers = []
-    for p in summed.carrier.labels:
-        want = copair(p)
-        fiber = [c for c in alpha.dom.labels if alpha(c) == want]
-        if not fiber:
-            return None
-        fibers.append(fiber)
-    count = 1
-    for fiber in fibers:
-        count *= len(fiber)
-        if count > eta_budget:
-            raise BudgetExceededError(
-                f"cover search needs {count}+ candidate comparisons, "
-                f"budget is {eta_budget}")
-    for choice in itertools.product(*fibers):
-        eta = MapArrow(summed.carrier, alpha.dom,
-                       dict(zip(summed.carrier.labels, choice)))
-        if not eta.is_surjective():
-            continue
-        if is_continuous(eta, summed, target):
-            return Cover(tuple(family), eta)
-    return None
 
 
 def _joint_cover(quasi, i, alpha):
@@ -250,38 +231,19 @@ def _covered(quasi):
                     yield i, alpha, family
 
 
-def saturate_admissible(carrier, cls, seed_sets):
-    """Close seed sets of image tuples under the three axioms; the least
-    valid structure.  Each round adds the missing composites, or when
-    there are none, the covered maps."""
-    sets = [set(s) | {(y,) * len(obj.carrier) for y in range(len(carrier))}
-            for s, obj in zip(seed_sets, cls.objects)]
-    while True:
-        quasi = QuasiSpace._from_images(carrier, cls, sets)
-        missing = ([(i, g) for i, *_, g in _precompositions(quasi)]
-                   or [(i, alpha) for i, alpha, _ in _covered(quasi)])
-        if not missing:
-            return list(quasi.images)
-        for i, g in missing:
-            sets[i].add(g)
-
-
 # -- validation -----------------------------------------------------------------
 
 
 def validate_quasi(quasi):
     """Check the class precondition and the three axioms, with witnesses."""
     cls, images, labels = quasi.cls, quasi.images, quasi.carrier.labels
-    violations = []
     closure = class_closure_report(cls)
     notes = ([] if closure.passed
              else [f"class closure gaps: {closure.violations[:3]}"])
+    violations = list(_class_faults(cls))
 
-    for i, obj in enumerate(cls.objects):
-        if not (is_compact(obj) and is_hausdorff(obj)):
-            violations.append(("class-compact-hausdorff", (i,)))
-        if not validate_space(obj).passed:
-            violations.append(("class-object-valid", (i,)))
+    if _full(quasi):      # every constant, composite and covered map
+        return ValidationReport.collect(violations, notes)
 
     # QS1
     for i, obj in enumerate(cls.objects):
@@ -314,21 +276,20 @@ def associated_quasi(space, cls):
 
 
 def discrete_quasi(carrier, cls):
-    """The least quasi-structure: the cover closure of the constant maps.
-
-    Constants alone need not satisfy the cover axiom (a family of constants
-    can cover a nonconstant map out of a disconnected class object), so the
-    closure is taken; on classes where constants are already closed this is
-    just the constants.
-    """
-    sets = saturate_admissible(carrier, cls, [()] * len(cls.objects))
-    return QuasiSpace._from_images(carrier, cls, sets, check_class=True)
+    """The least quasi-structure: the closure of the constant maps under
+    the axioms, which is every map over a class of discrete objects (see
+    the module docstring); any other class is refused."""
+    _check_class(cls)
+    if not cls._discrete:
+        raise PreconditionError(
+            "the least quasi-structure needs discrete class objects")
+    return QuasiSpace._from_images(carrier, cls, _every_map(carrier, cls))
 
 
 def indiscrete_quasi(carrier, cls):
     """The greatest quasi-structure: every map is admissible."""
-    sets = [_all_images(len(o.carrier), len(carrier)) for o in cls.objects]
-    return QuasiSpace._from_images(carrier, cls, sets, check_class=True)
+    return QuasiSpace._from_images(carrier, cls, _every_map(carrier, cls),
+                                   check_class=True)
 
 
 def is_quasi_continuous(f, qx, qy):
@@ -349,6 +310,8 @@ def _quasi_continuous_images(qx, qy):
     if n and not m:
         return []
     _shared_class(qx, qy)
+    if _full(qy):
+        return list(_all_images(n, m))
     pairs = list(zip(qx.images, qy.images))
     return [f for f in _all_images(n, m)
             if all(tuple(map(f.__getitem__, g)) in adm_y
@@ -379,41 +342,22 @@ def subspace_quasi(quasi, labels):
 
 
 def quotient_quasi(quasi, f):
-    """Final quasi-structure along a surjection.
-
-    The base rule admits a map when it factors through an admissible map
-    over a surjective comparison inside the class; the result is then
-    saturated so the axioms hold even when the class is missing pullbacks,
-    which keeps the map a final morphism.
-    """
+    """Final quasi-structure along a surjection: every map, the only
+    structure over a class of discrete objects (see the module docstring);
+    any other class is refused.  A class missing pullbacks is warned
+    about."""
     if f.dom != quasi.carrier:
         raise CarrierMismatchError("quotient map domain mismatch")
     if not f.is_surjective():
         raise PreconditionError("quotient maps must be surjective")
-    cls = quasi.cls
-    closure = class_closure_report(cls)
+    least = discrete_quasi(f.cod, quasi.cls)
+    closure = class_closure_report(quasi.cls)
     if not closure.passed:
         warnings.warn(
             f"class is missing pullbacks {closure.violations[:3]}; the "
             "quotient structure is saturated to restore the axioms",
             stacklevel=2)
-    target = f.cod
-    image = target.indices(f.table.values()).__getitem__
-    sets = [set() for _ in cls.objects]
-    for i, obj in enumerate(cls.objects):
-        n = len(obj.carrier)
-        for j in range(len(cls.objects)):
-            surjections = [h for h in cls._hom_images(j, i)
-                           if len(set(h)) == n]
-            for alpha_prime in quasi.images[j]:
-                pushed = tuple(map(image, alpha_prime))
-                for h in surjections:
-                    # alpha . h = pushed determines alpha, as h is onto
-                    alpha = tuple(map(dict(zip(h, pushed)).get, range(n)))
-                    if tuple(map(alpha.__getitem__, h)) == pushed:
-                        sets[i].add(alpha)
-    sets = saturate_admissible(target, cls, sets)
-    return QuasiSpace._from_images(target, cls, sets)
+    return least
 
 
 def initial_quasi(carrier, source, cls):
@@ -423,6 +367,9 @@ def initial_quasi(carrier, source, cls):
             raise CarrierMismatchError("initial source endpoints mismatch")
         if qx.cls is not cls:
             raise CarrierMismatchError("source spaces must share the class")
+    if all(_full(qx) for _, qx in source):
+        return QuasiSpace._from_images(carrier, cls,
+                                       _every_map(carrier, cls))
     pulls = [(qx.carrier.indices(f.table.values()).__getitem__, qx.images)
              for f, qx in source]
     sets = [[alpha for alpha in _all_images(len(obj.carrier), len(carrier))
@@ -464,13 +411,38 @@ def class_closure_report(cls):
     size-bounded window onto a class that is closed by the standard
     compactness facts, so it reports clean.  The report depends on the
     class objects alone, so it is computed once per class and cached on it.
+    A class of discrete objects is compared by sizes (see the module
+    docstring), in the same order.
     """
     if cls.mode != "explicit":
         return ValidationReport(notes=(
             "ambient class closed under products and pullbacks; "
             "the enumerated window is a size truncation",))
-    if cls._closure is not None:
-        return cls._closure
+    if cls._closure is None:
+        cls._closure = ValidationReport.collect(
+            _discrete_closure_gaps(cls) if cls._discrete
+            else _closure_gaps(cls))
+    return cls._closure
+
+
+def _discrete_closure_gaps(cls):
+    sizes = [len(obj.carrier) for obj in cls.objects]
+    have = set(sizes)
+    violations = [("product-closure", (i, j))
+                  for i, a in enumerate(sizes) for j, b in enumerate(sizes)
+                  if a * b not in have]
+    for i, j, k in itertools.product(range(len(sizes)), repeat=3):
+        for h in cls._hom_images(i, k):
+            # the pullback of h and g holds the (x, y) with h(x) = g(y)
+            fibre = Counter(h)
+            violations.extend(
+                ("pullback-closure", (i, j, k))
+                for g in cls._hom_images(j, k)
+                if sum(map(fibre.__getitem__, g)) not in have)
+    return violations
+
+
+def _closure_gaps(cls):
     keys = {iso_canonical_key(obj) for obj in cls.objects}
     violations, products = [], {}
     for i, a in enumerate(cls.objects):
@@ -489,8 +461,7 @@ def class_closure_report(cls):
                     pullback, _ = subspace(prod, pts)
                     if iso_canonical_key(pullback) not in keys:
                         violations.append(("pullback-closure", (i, j, k)))
-    cls._closure = ValidationReport.collect(violations)
-    return cls._closure
+    return violations
 
 
 def exponential_quasi(qx, qy):
@@ -514,6 +485,10 @@ def exponential_quasi(qx, qy):
     # h: j -> i and admissible alpha out of j.  It depends on beta only
     # through gamma = beta . h, a map out of object j into the function
     # space, so each (j, gamma) is decided once.
+    if _full(qy):     # every evaluation lands in qy
+        return (QuasiSpace._from_images(carrier, cls,
+                                        _every_map(carrier, cls)), by_label)
+
     @functools.cache
     def lands(j, gamma):
         return all(tuple([graphs[m][x] for m, x in zip(gamma, alpha)])

@@ -187,6 +187,8 @@ def _continuous_images(x_space, y_space):
     :func:`all_maps` order.  Its errors are those of :func:`is_continuous` on
     the first candidate map, and, as in a loop over :func:`all_maps`,
     nothing is checked when there is no candidate map (X nonempty, Y empty).
+    Out of a discrete X no pair of distinct points constrains a map, so
+    the maps are all those into the y with ``k <= b(y, y)``: no search.
     """
     n, m = len(x_space.carrier), len(y_space.carrier)
     if n and not m:
@@ -196,6 +198,9 @@ def _continuous_images(x_space, y_space):
         (x_space.structure.rows, y_space.structure.rows))
     below = kernel.below
     ys = range(m)
+    if _is_discrete(x_space):
+        return list(itertools.product(
+            [y for y in ys if below(kernel.unit, b[y][y])], repeat=n))
     # per entry v of a and point y of Y, as bitsets over Y:
     # out_of[v][y] holds the y' with v <= b(y, y'), into[v][y] those with
     # v <= b(y', y)
@@ -234,6 +239,16 @@ def _continuous_images(x_space, y_space):
             if i < n:
                 untried[i] = narrowed[i]
     return found
+
+
+def _is_discrete(space):
+    """Whether a space is discrete: the unit on the diagonal, bottom off
+    it.  A table with no bottom has no discrete space on two points."""
+    q, rows = space.quantale, space.structure.rows
+    unit = q.unit.payload
+    bottom = q._bottom_index if q.is_finite else q.bottom.payload
+    return all(p == (unit if i == j else bottom)
+               for i, row in enumerate(rows) for j, p in enumerate(row))
 
 
 def _maps_of(dom, cod, images):

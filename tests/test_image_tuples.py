@@ -38,11 +38,13 @@ from tvspaces import generation
 from tvspaces.generation import ProbeClass
 from tvspaces.monad import finite_ultrafilter_monad, identity_monad
 from tvspaces.suite import non_integral_quantale
+from tvspaces.enumeration import iso_canonical_key
 from tvspaces.quasi import (
     QuasiSpace,
     _joint_cover,
     associated_quasi,
     class_closure_report,
+    discrete_quasi,
     exponential_quasi,
     indiscrete_quasi,
     initial_quasi,
@@ -50,7 +52,6 @@ from tvspaces.quasi import (
     quasi_continuous_maps,
     quotient_quasi,
     reflect_to_cgenerated,
-    saturate_admissible,
     subspace_quasi,
     validate_quasi,
 )
@@ -59,14 +60,18 @@ from tvspaces.space import (
     _continuous_images,
     _encode_distinct,
     _final_space,
+    _is_discrete,
     all_maps,
     continuous_maps,
     discrete_space,
+    exponential,
     final_structure,
     is_compact,
     is_continuous,
     is_hausdorff,
     map_label,
+    product,
+    subspace,
     validate_space,
 )
 from tvspaces.vrel import Carrier, MapArrow, VRel, reflexive_transitive_closure
@@ -179,6 +184,27 @@ def ref_exponential_quasi(qx, qy):
                             for h in cls.homs(j, i)
                             for alpha in qx.arrows(j))})
     return QuasiSpace(carrier, cls, sets, check_class=False), by_label
+
+
+def ref_class_closure_report(cls):
+    """Every product and pullback compared by its isomorphism key."""
+    keys = {iso_canonical_key(obj) for obj in cls.objects}
+    violations, products = [], {}
+    for i, a in enumerate(cls.objects):
+        for j, b in enumerate(cls.objects):
+            prod = products[i, j] = product(a, b)[0]
+            if iso_canonical_key(prod) not in keys:
+                violations.append(("product-closure", (i, j)))
+    for (i, j), prod in products.items():
+        labels, nb = prod.carrier.labels, len(cls.objects[j].carrier)
+        for k in range(len(cls.objects)):
+            for h in cls._hom_images(i, k):
+                for g in cls._hom_images(j, k):
+                    pts = [labels[x * nb + y] for x, hx in enumerate(h)
+                           for y, gy in enumerate(g) if hx == gy]
+                    if iso_canonical_key(subspace(prod, pts)[0]) not in keys:
+                        violations.append(("pullback-closure", (i, j, k)))
+    return ValidationReport.collect(violations)
 
 
 def ref_joint_cover(quasi, i, alpha):
@@ -739,10 +765,12 @@ def test_exponential_checks_the_class_closure_first():
 
 
 def axiom_classes():
-    """The shipped classes up to 2 and 3 points over three quantales, and
-    an explicit bool2 class that is not closed under products and holds a
+    """The shipped classes up to 2 and 3 points over three quantales, an
+    explicit bool2 class that is not closed under products and holds a
     Sierpinski object, which is not compact Hausdorff and whose class maps
-    are not all maps."""
+    are not all maps, and the class of one such object over a non-integral
+    table, whose only class map is the identity: its least structure is
+    the constants, not every map."""
     b = bool2()
     sierpinski = Carrier(["s1", "s0"])
     explicit = ProbeClass.explicit([
@@ -750,9 +778,12 @@ def axiom_classes():
         Space.from_square(sierpinski, IM, b, VRel(
             sierpinski, sierpinski, b, [[b.top, b.top], [b.bottom, b.top]])),
         discrete_space(Carrier(["d1", "d0"]), IM, b)])
+    q = non_integral_quantale()
+    rigid = ProbeClass.explicit([Space.from_square(sierpinski, IM, q, VRel(
+        sierpinski, sierpinski, q, [[q.unit, q.top], [q.bottom, q.unit]]))])
     return [ProbeClass.compact_hausdorff_upto(n, q, IM)
             for q in (b, chain(3), lukasiewicz_grid(3)) for n in (2, 3)] + [
-        explicit]
+        explicit, rigid]
 
 
 AXIOM_CLASSES = axiom_classes()
@@ -783,7 +814,7 @@ def labelled(quasi, sets):
 
 @settings(max_examples=150, deadline=None)
 @given(quasi=quasi_spaces())
-def test_axioms_covers_and_saturation_match_the_map_objects(quasi):
+def test_axioms_and_covers_match_the_map_objects(quasi):
     """The same violations and witnesses in the same order: QS2 takes the
     admissible maps in label-graph order, QS3 the others in all_maps order,
     and each cover family is sorted by label graph."""
@@ -794,9 +825,6 @@ def test_axioms_covers_and_saturation_match_the_map_objects(quasi):
             if not quasi.contains(i, alpha):
                 assert (_joint_cover(quasi, i, image_tuple(alpha))
                         == ref_joint_cover(quasi, i, alpha))
-    least = saturate_admissible(quasi.carrier, cls, quasi.images)
-    assert labelled(quasi, least) == ref_saturate_admissible(
-        quasi.carrier, cls, quasi.admissible)
 
 
 @settings(max_examples=100, deadline=None)
@@ -829,6 +857,9 @@ def test_constructions_match_the_map_objects(data):
         for _ in range(len(labels) - n)]
     f = MapArrow(quasi.carrier, target,
                  dict(zip(labels, data.draw(st.permutations(images)))))
+    if not cls._discrete:
+        assert outcome(quotient_quasi, quasi, f)[0] is PreconditionError
+        return
     got, want = [], []
     for fn, caught in ((quotient_quasi, got), (ref_quotient_quasi, want)):
         with warnings.catch_warnings(record=True) as seen:
@@ -836,3 +867,193 @@ def test_constructions_match_the_map_objects(data):
             caught.append(fn(quasi, f))
         caught.append([str(w.message) for w in seen])
     assert got == want
+
+
+# -- closed forms over classes of discrete objects ----------------------------
+
+
+def mid_unit_chain():
+    """bot < mid < top with tensor min and unit mid: the unit law fails."""
+    leq = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
+    tensor = [[0, 0, 0], [0, 1, 1], [0, 1, 2]]
+    return finite_table(["bot", "mid", "top"], leq, tensor, unit_index=1)
+
+
+@pytest.mark.parametrize("qname", list(QUANTALES) + ["mid-unit"])
+@pytest.mark.parametrize("monad", [identity_monad, finite_ultrafilter_monad])
+def test_maps_out_of_a_discrete_space_are_a_product(qname, monad):
+    """Out of a discrete domain, the maps taken with no search are those
+    of the filter over every map, in order, with its errors; targets
+    include squares with a diagonal entry below the unit, into whose
+    points not every map is continuous."""
+    q = {**QUANTALES, "mid-unit": mid_unit_chain}[qname]()
+    mon = monad()
+    rng = random.Random(f"discrete-domain/{qname}/{mon.name}")
+    other = finite_ultrafilter_monad() if mon is IM else IM
+    narrowed = False
+    for n in range(4):
+        dom = discrete_space(carrier("d", n), mon, q)
+        assert _is_discrete(dom)
+        targets = [discrete_space(carrier("t", 2), other, q)]
+        for m in range(4):
+            c = carrier("y", m)
+            if q.integral:
+                targets.append(random_space(q, c, rng, mon))
+            square = [[random_value(q, rng) for _ in c] for _ in c]
+            targets.append(Space.from_square(c, mon, q,
+                                             VRel(c, c, q, square)))
+        for target in targets:
+            want = outcome(lambda: [
+                image_tuple(f) for f in all_maps(dom.carrier, target.carrier)
+                if is_continuous(f, dom, target)])
+            assert outcome(_continuous_images, dom, target) == want
+            if want[0] == "ok" and n:
+                narrowed |= (len(want[1]) < len(target.carrier) ** n)
+    assert narrowed
+
+
+DISCRETE_TABLES = {"bool2": bool2, "chain3": lambda: chain(3),
+                   "luk3": lambda: lukasiewicz_grid(3),
+                   "mid-unit": mid_unit_chain}
+
+
+def discrete_classes():
+    """The compact-Hausdorff classes up to 1, 2 and 3 points over four
+    tables, one of them unlawful, under both monads, and explicit classes
+    of discrete objects with an empty one: one closed under products and
+    pullbacks, one not."""
+    out = []
+    for make in DISCRETE_TABLES.values():
+        q = make()
+        for mon in (IM, finite_ultrafilter_monad()):
+            out += [ProbeClass.compact_hausdorff_upto(n, q, mon)
+                    for n in (1, 2, 3)]
+            empty, point, two = (discrete_space(carrier(p, k), mon, q)
+                                 for p, k in (("e", 0), ("o", 1), ("d", 2)))
+            out += [ProbeClass.explicit([empty, point]),
+                    ProbeClass.explicit([two, empty, point])]
+    return out
+
+
+DISCRETE_CLASSES = discrete_classes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_quasi_closed_forms_match_the_saturation_and_the_filters(data):
+    """Over a class of discrete objects: the least structure over random
+    seeds and the least structure are every map, as the saturation finds;
+    validation, quasi-continuous maps, initial structures, quotients and
+    exponentials equal the map-object versions, with and without full
+    admissible sets."""
+    cls = data.draw(st.sampled_from(DISCRETE_CLASSES))
+    assert cls._discrete
+    seeded = data.draw(quasi_spaces(cls))
+    c = seeded.carrier
+    full = indiscrete_quasi(c, cls)
+    assert ref_saturate_admissible(c, cls, seeded.admissible) == list(
+        full.admissible)
+    assert discrete_quasi(c, cls) == full
+    assert full.admissible == tuple(ref_saturate_admissible(
+        c, cls, [()] * len(cls.objects)))
+    for quasi in (seeded, full):
+        assert validate_quasi(quasi) == ref_validate_quasi(quasi)
+    # hom-sets and the initial structure, out of or along full and seeded
+    # quasi-spaces on a second carrier
+    other = data.draw(quasi_spaces(cls))
+    d = other.carrier
+    others = [indiscrete_quasi(d, cls), other]
+    for qx in (seeded, full):
+        for qy in others:
+            assert (quasi_continuous_maps(qx, qy)
+                    == ref_quasi_continuous_maps(qx, qy))
+    maps = list(all_maps(c, d))
+    if maps:
+        source = [(data.draw(st.sampled_from(maps)), qy) for qy in others]
+        for picked in ([], source[:1], source):
+            assert (initial_quasi(c, picked, cls)
+                    == ref_initial_quasi(c, picked, cls))
+    # the quotient along a surjection onto a prefix of the carrier
+    labels = c.labels
+    if labels:
+        target = Carrier(labels[:data.draw(st.integers(1, len(labels)))])
+        f = MapArrow(c, target, {x: target.labels[k % len(target)]
+                                 for k, x in enumerate(labels)})
+        got, want = [], []
+        for fn, caught in ((quotient_quasi, got), (ref_quotient_quasi, want)):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                caught.append(fn(seeded, f))
+            caught.append([str(w.message) for w in seen])
+        assert got == want
+    # the exponential, where its function space stays small
+    if len(c) <= 2 and len(d) <= 2 and max(
+            len(obj.carrier) for obj in cls.objects) <= 2:
+        for qy in others:
+            assert outcome(exponential_quasi, seeded, qy) == outcome(
+                ref_exponential_quasi, seeded, qy)
+
+
+@pytest.mark.parametrize("qname", list(DISCRETE_TABLES) + ["cost-plus"])
+def test_discrete_closure_reports_match_the_iso_keys(qname):
+    """Sizes decide the report of a class of discrete objects: the same
+    violations, in order and with their repeats, as the keys."""
+    q = {**DISCRETE_TABLES, "cost-plus": cost_plus}[qname]()
+    for mon in (IM, finite_ultrafilter_monad()):
+        for sizes in ([1], [2], [3], [0, 1], [0, 2], [1, 2], [1, 3],
+                      [0, 1, 2], [2, 3]):
+            cls = ProbeClass.explicit([discrete_space(carrier(f"s{n}", n),
+                                                      mon, q)
+                                       for n in sizes])
+            assert cls._discrete
+            assert class_closure_report(cls) == ref_class_closure_report(cls)
+
+
+def test_a_target_over_other_table_instances_misses_the_caches():
+    """A target equal to a cached one but over another instance of an
+    equal table gets what a fresh class gives, not the cached answer over
+    the class's table."""
+    q1, q2 = diamond(), diamond()
+    assert q1 is not q2 and q1.cache_key() == q2.cache_key()
+    c = carrier("x", 2)
+    cls = ProbeClass.compact_hausdorff_upto(2, q1, IM)
+    own = discrete_space(c, IM, q1)
+    assert cls.coreflect(own).quantale is q1
+    cls.exponential_with(1, own)
+    other = discrete_space(c, IM, q2)
+    assert other.cache_key() == own.cache_key()
+    fresh = ProbeClass.compact_hausdorff_upto(2, q1, IM)
+    want = (CarrierMismatchError, "spaces use different quantales")
+    assert outcome(fresh.coreflect, other) == want
+    assert outcome(cls.coreflect, other) == want
+    assert outcome(generation.is_c_generated, other, cls) == want
+    assert outcome(exponential, cls.objects[1], other) == want
+    assert outcome(cls.exponential_with, 1, other) == want
+    assert cls.coreflect(own).quantale is q1
+
+
+def test_classes_with_an_object_that_is_not_discrete_are_refused():
+    """The least and the quotient structure need a class of discrete
+    objects: over the rigid class of ``axiom_classes`` the saturation of
+    the constants is not every map."""
+    explicit, rigid = AXIOM_CLASSES[-2:]
+    c = Carrier(["y", "x"])
+    assert ref_saturate_admissible(c, rigid, [()]) == [
+        frozenset({("y", "y"), ("x", "x")})]
+    for cls, index in ((explicit, 1), (rigid, 0)):
+        assert not cls._discrete
+        quasi = random_quasi(cls, c, random.Random("refused"))
+        want = (PreconditionError,
+                f"class object #{index} is not compact Hausdorff")
+        assert outcome(discrete_quasi, c, cls) == want
+        assert outcome(quotient_quasi, quasi,
+                       MapArrow.identity(c)) == want
+    # a compact Hausdorff object that is not discrete needs a table that
+    # breaks a law; the flag stands in for one here
+    cls = ProbeClass.compact_hausdorff_upto(2, bool2(), IM)
+    cls._discrete = False
+    want = (PreconditionError,
+            "the least quasi-structure needs discrete class objects")
+    assert outcome(discrete_quasi, c, cls) == want
+    assert outcome(quotient_quasi, indiscrete_quasi(c, cls),
+                   MapArrow.identity(c)) == want

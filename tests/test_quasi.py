@@ -1,5 +1,6 @@
 import itertools
 import os
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from tvspaces.generation import ProbeClass, is_c_generated
 from tvspaces.monad import identity_monad
 from tvspaces.quantale import chain, lukasiewicz_grid
 from tvspaces.quasi import (
-    DEFAULT_ETA_BUDGET,
     QuasiSpace,
     _joint_cover,
     associated_quasi,
@@ -20,13 +20,11 @@ from tvspaces.quasi import (
     exponential_quasi,
     indiscrete_quasi,
     initial_quasi,
-    is_covered,
     is_quasi_continuous,
     product_quasi,
     quasi_continuous_maps,
     quotient_quasi,
     reflect_to_cgenerated,
-    saturate_admissible,
     subspace_quasi,
     transpose_quasi,
     validate_quasi,
@@ -35,8 +33,11 @@ from tvspaces.space import (
     Space,
     all_maps,
     continuous_maps,
+    coproduct_many,
+    copairing,
     discrete_space,
     final_structure,
+    is_continuous,
 )
 from tvspaces.textio import parse_workspace
 from tvspaces.vrel import Carrier, MapArrow, VRel
@@ -45,6 +46,77 @@ B = bool2()
 IM = identity_monad()
 CLS = ProbeClass.compact_hausdorff_upto(2, B, IM)
 ONE, TWO = CLS.objects  # the singleton and the two-point discrete space
+
+
+# -- the cover search, kept as the oracle of the joint-image test -------------
+
+DEFAULT_ETA_BUDGET = 20_000
+
+
+@dataclass(frozen=True)
+class Cover:
+    """A witnessed cover: the family plus the surjective comparison."""
+
+    family: tuple
+    eta: object
+
+    def verify(self, alpha):
+        """The triangle commutes and the comparison is onto."""
+        if not self.eta.is_surjective():
+            return False
+        offset = 0
+        for _, piece in self.family:
+            for c in piece.dom.labels:
+                if alpha(self.eta(f"{offset}:{c}")) != piece(c):
+                    return False
+            offset += 1
+        return True
+
+
+def is_covered(alpha, family, cls, eta_budget=DEFAULT_ETA_BUDGET):
+    """Search for a surjective continuous comparison realizing a cover.
+
+    ``alpha`` is a map out of a class object's carrier; ``family`` is a list
+    of ``(space, map)`` pairs with the same codomain.  Returns the witness
+    map out of the family coproduct, or None.  The candidate count is fiber
+    constrained; exceeding ``eta_budget`` raises, which is distinct from a
+    definitive negative.  The empty family covers only an empty class object.
+    """
+    target = next((obj for obj in cls.objects if obj.carrier == alpha.dom),
+                  None)
+    if target is None:
+        raise PreconditionError("the covered map must start at a class object")
+    for src, _ in family:
+        if not any(src is obj or src.carrier == obj.carrier
+                   and src == obj for obj in cls.objects):
+            raise PreconditionError("family sources must be class objects")
+    if not family:
+        return (None if len(alpha.dom)
+                else Cover((), MapArrow.identity(alpha.dom)))
+    summed, _ = coproduct_many([src for src, _ in family])
+    copair = copairing([f for _, f in family], summed.carrier)
+    fibers = []
+    for p in summed.carrier.labels:
+        want = copair(p)
+        fiber = [c for c in alpha.dom.labels if alpha(c) == want]
+        if not fiber:
+            return None
+        fibers.append(fiber)
+    count = 1
+    for fiber in fibers:
+        count *= len(fiber)
+        if count > eta_budget:
+            raise BudgetExceededError(
+                f"cover search needs {count}+ candidate comparisons, "
+                f"budget is {eta_budget}")
+    for choice in itertools.product(*fibers):
+        eta = MapArrow(summed.carrier, alpha.dom,
+                       dict(zip(summed.carrier.labels, choice)))
+        if not eta.is_surjective():
+            continue
+        if is_continuous(eta, summed, target):
+            return Cover(tuple(family), eta)
+    return None
 
 
 def b_space(labels, raw):
@@ -255,8 +327,6 @@ class TestEmptyClassObject:
         least = discrete_quasi(nothing, self.EMPTY_CLS)
         assert least.admissible == (frozenset({()}), frozenset())
         assert validate_quasi(least).passed
-        assert saturate_admissible(nothing, self.EMPTY_CLS,
-                                   [set(), set()]) == list(least.admissible)
 
 
 class TestValidate:
@@ -281,6 +351,18 @@ class TestValidate:
         sierp_cls = ProbeClass.sierpinski(B, IM)
         with pytest.raises(PreconditionError):
             QuasiSpace(Carrier(["p"]), sierp_cls, [set()])
+
+    def test_class_objects_must_be_valid(self):
+        # a point whose diagonal entry is below the unit, in a class that
+        # takes its objects unchecked
+        point = Carrier(["o"])
+        bare = Space.from_square(point, IM, B,
+                                 VRel(point, point, B, [[B.bottom]]))
+        cls = ProbeClass._trusted([ONE, bare], "explicit", None)
+        full = QuasiSpace(Carrier(["p"]), cls, [{("p",)}, {("p",)}],
+                          check_class=False)
+        assert validate_quasi(full).violations == (
+            ("class-compact-hausdorff", (1,)), ("class-object-valid", (1,)))
 
 
 class TestAssociated:
@@ -510,14 +592,14 @@ class TestClassClosure:
     def test_report_is_computed_once_per_class(self, monkeypatch):
         from tvspaces import quasi as quasi_module
 
-        real, calls = quasi_module.product, []
-        monkeypatch.setattr(quasi_module, "product",
-                            lambda a, b: calls.append((a, b)) or real(a, b))
+        real, calls = quasi_module._discrete_closure_gaps, []
+        monkeypatch.setattr(quasi_module, "_discrete_closure_gaps",
+                            lambda cls: calls.append(cls) or real(cls))
         cls = ProbeClass.explicit([ONE, TWO])
         quasi = indiscrete_quasi(Carrier(["p"]), cls)
         first = validate_quasi(quasi)
-        assert len(calls) == 4
-        assert validate_quasi(quasi) == first and len(calls) == 4
+        assert calls == [cls]
+        assert validate_quasi(quasi) == first and calls == [cls]
         report = quasi_module.class_closure_report(cls)
         assert first.notes == (
             f"class closure gaps: {report.violations[:3]}",)
