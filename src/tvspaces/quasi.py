@@ -23,25 +23,21 @@ every map between discrete objects is continuous, as distinct points have
 entry bottom and a point has the unit ``k``, which its image has too.
 Take ``alpha: C -> X``.  If C is empty, the empty family covers alpha (the
 empty comparison is onto C), so QS3 admits it.  Otherwise each point c of
-C is the image of the constant class map ``h_c`` out of a nonempty object,
-which every probe class has; ``alpha . h_c`` is constant, so QS1 admits
+C is the image of the constant map ``h_c: C -> C``, a class map since C
+is a nonempty discrete object; ``alpha . h_c`` is constant, so QS1 admits
 it, and these maps cover alpha, so QS3 admits alpha.
 
 So :func:`discrete_quasi` and :func:`quotient_quasi` return every map, and
 refuse a class with an object that is not discrete: it is not compact
 Hausdorff, or its table breaks a quantale law.  With no lemma, full
 admissible sets pass every axiom and take in every composite, so
-:func:`validate_quasi`, :func:`quasi_continuous_maps`,
-:func:`initial_quasi` and :func:`exponential_quasi` answer them with no
-loop.  :func:`class_closure_report` compares a class of discrete objects
-by sizes: products and subspaces of discrete spaces are discrete, and
-discrete spaces are isomorphic exactly when they have one size.
+:func:`validate_quasi`, :func:`quasi_continuous_maps` and
+:func:`exponential_quasi` answer them with no loop.
 """
 
 import functools
 import itertools
 import warnings
-from collections import Counter
 
 from .errors import (
     CarrierMismatchError,
@@ -354,8 +350,7 @@ def quotient_quasi(quasi, f):
     closure = class_closure_report(quasi.cls)
     if not closure.passed:
         warnings.warn(
-            f"class is missing pullbacks {closure.violations[:3]}; the "
-            "quotient structure is saturated to restore the axioms",
+            f"class is missing pullbacks {closure.violations[:3]}",
             stacklevel=2)
     return least
 
@@ -367,9 +362,6 @@ def initial_quasi(carrier, source, cls):
             raise CarrierMismatchError("initial source endpoints mismatch")
         if qx.cls is not cls:
             raise CarrierMismatchError("source spaces must share the class")
-    if all(_full(qx) for _, qx in source):
-        return QuasiSpace._from_images(carrier, cls,
-                                       _every_map(carrier, cls))
     pulls = [(qx.carrier.indices(f.table.values()).__getitem__, qx.images)
              for f, qx in source]
     sets = [[alpha for alpha in _all_images(len(obj.carrier), len(carrier))
@@ -411,35 +403,14 @@ def class_closure_report(cls):
     size-bounded window onto a class that is closed by the standard
     compactness facts, so it reports clean.  The report depends on the
     class objects alone, so it is computed once per class and cached on it.
-    A class of discrete objects is compared by sizes (see the module
-    docstring), in the same order.
     """
     if cls.mode != "explicit":
         return ValidationReport(notes=(
             "ambient class closed under products and pullbacks; "
             "the enumerated window is a size truncation",))
     if cls._closure is None:
-        cls._closure = ValidationReport.collect(
-            _discrete_closure_gaps(cls) if cls._discrete
-            else _closure_gaps(cls))
+        cls._closure = ValidationReport.collect(_closure_gaps(cls))
     return cls._closure
-
-
-def _discrete_closure_gaps(cls):
-    sizes = [len(obj.carrier) for obj in cls.objects]
-    have = set(sizes)
-    violations = [("product-closure", (i, j))
-                  for i, a in enumerate(sizes) for j, b in enumerate(sizes)
-                  if a * b not in have]
-    for i, j, k in itertools.product(range(len(sizes)), repeat=3):
-        for h in cls._hom_images(i, k):
-            # the pullback of h and g holds the (x, y) with h(x) = g(y)
-            fibre = Counter(h)
-            violations.extend(
-                ("pullback-closure", (i, j, k))
-                for g in cls._hom_images(j, k)
-                if sum(map(fibre.__getitem__, g)) not in have)
-    return violations
 
 
 def _closure_gaps(cls):
@@ -481,14 +452,14 @@ def exponential_quasi(qx, qy):
     maps = _maps_of(qx.carrier, qy.carrier, graphs)
     carrier = Carrier(map_label(f) for f in maps)
     by_label = {map_label(f): f for f in maps}
-    # The graph of b -> beta(h(b))(alpha(b)) must be admissible for every
-    # h: j -> i and admissible alpha out of j.  It depends on beta only
-    # through gamma = beta . h, a map out of object j into the function
-    # space, so each (j, gamma) is decided once.
     if _full(qy):     # every evaluation lands in qy
         return (QuasiSpace._from_images(carrier, cls,
                                         _every_map(carrier, cls)), by_label)
 
+    # The graph of b -> beta(h(b))(alpha(b)) must be admissible for every
+    # h: j -> i and admissible alpha out of j.  It depends on beta only
+    # through gamma = beta . h, a map out of object j into the function
+    # space, so each (j, gamma) is decided once.
     @functools.cache
     def lands(j, gamma):
         return all(tuple([graphs[m][x] for m, x in zip(gamma, alpha)])
