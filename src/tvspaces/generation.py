@@ -42,9 +42,9 @@ from .monad import identity_monad
 from .space import (
     Space,
     _continuous_images,
+    _curry,
     _final_space,
     _is_discrete,
-    _maps_of,
     continuous_maps,
     discrete_space,
     exponential,
@@ -52,7 +52,6 @@ from .space import (
     initial_structure,
     is_continuous,
     map_label,
-    pair_label,
     product,
     pair_carrier,
     sierpinski_space,
@@ -90,9 +89,9 @@ class ProbeClass:
     :meth:`~tvspaces.space.Space.cache_key`, its labels and payload rows,
     so their entries never go stale either and a race stores equal values;
     they are safe to share, but they grow with every new target and are
-    never evicted.  The coreflection and exponential caches hold only
-    targets over the class's own monad and quantale instances, so an equal
-    target over other instances never gets an answer over the class's.
+    never evicted.  They hold only targets over the class's own monad and
+    quantale instances, so an equal target over other instances never gets
+    an answer over the class's.
     The budget is checked only when nothing is cached for the target, so a
     call with a small budget gets the cached answer of an earlier call with
     a larger one; a call that raises caches nothing.
@@ -185,24 +184,34 @@ class ProbeClass:
         objects is checked against the budget before anything is searched;
         overflowing raises instead of truncating.
         """
-        key = space.cache_key()
-        cached = self._probe_cache.get(key)
-        if cached is None:
-            images = self._images_into(space, key, budget)
-            cached = self._probe_cache[key] = tuple(
-                (f, obj) for obj, fs in zip(self.objects, images)
-                for f in _maps_of(obj.carrier, space.carrier, fs))
-        return cached
+        def build():
+            images = self._images_into(space, budget)
+            return tuple(
+                (MapArrow._from_images(obj.carrier, space.carrier, f), obj)
+                for obj, fs in zip(self.objects, images) for f in fs)
+        return self._cached(self._probe_cache, space.cache_key(), space,
+                            build)
 
-    def _images_into(self, space, key, budget):
+    def _images_into(self, space, budget):
         """Per object, its continuous maps into a space as image-index
-        tuples (see ``space._continuous_images``); cached under the
-        space's ``key``.  The budget is checked before any search."""
-        cached = self._image_cache.get(key)
-        if cached is None:
+        tuples (see ``space._continuous_images``), cached.  The budget is
+        checked before any search."""
+        def search():
             self._check_budget(space, budget)
-            cached = self._image_cache[key] = tuple(
-                _continuous_images(obj, space) for obj in self.objects)
+            return tuple(_continuous_images(obj, space)
+                         for obj in self.objects)
+        return self._cached(self._image_cache, space.cache_key(), space,
+                            search)
+
+    def _cached(self, cache, key, space, compute):
+        """``compute()``, cached under ``key`` for a space over the class's
+        own monad and quantale instances: an equal space over other
+        instances gets its own answer or error."""
+        if not self._shares_tables(space):
+            return compute()
+        cached = cache.get(key)
+        if cached is None:
+            cached = cache[key] = compute()
         return cached
 
     def _check_budget(self, space, budget):
@@ -223,8 +232,9 @@ class ProbeClass:
 
     def homs(self, i, j):
         """Continuous maps between class objects."""
-        return _maps_of(self.objects[i].carrier, self.objects[j].carrier,
-                        self._hom_images(i, j))
+        dom, cod = self.objects[i].carrier, self.objects[j].carrier
+        return [MapArrow._from_images(dom, cod, f)
+                for f in self._hom_images(i, j)]
 
     def exponentiability_witness(self, i):
         """The exponentiability witness of object i, cached."""
@@ -240,46 +250,25 @@ class ProbeClass:
         the closed form applies (see the class docstring); it makes the
         same budget check.
         """
-        key = space.cache_key()
-        shared = self._shares_tables(space)
-        # only a target over the class's own monad and quantale instances
-        # reads or fills the cache: an equal target over another instance
-        # gets its own answer or error
-        cached = self._coreflect_cache.get(key) if shared else None
-        if cached is None:
-            q = self.quantale
-            if shared and self._discrete and q.integral and _lawful(q):
+        key, q = space.cache_key(), space.quantale
+
+        def compute():
+            if (self._shares_tables(space) and self._discrete
+                    and q.integral and _lawful(q)):
                 if key not in self._image_cache:
                     self._check_budget(space, budget)
-                cached = discrete_space(space.carrier, space.monad,
-                                        space.quantale)
-            else:
-                images = self._images_into(space, key, budget)
-                # images cached for an equal space over another, equal
-                # quantale or monad instance: the sink check of
-                # final_structure
-                if any(images) and not shared:
-                    raise CarrierMismatchError(
-                        "sink space monad/quantale mismatch")
-                cached = _final_space(space.carrier, space.monad,
-                                      space.quantale,
-                                      list(zip(self.objects, images)))
-            if shared:
-                self._coreflect_cache[key] = cached
-        return cached
+                return discrete_space(space.carrier, space.monad, q)
+            return _final_space(space.carrier, space.monad, q, list(
+                zip(self.objects, self._images_into(space, budget))))
+        return self._cached(self._coreflect_cache, key, space, compute)
 
     def _shares_tables(self, space):
         return space.monad is self.monad and space.quantale is self.quantale
 
     def exponential_with(self, i, z_space):
-        if not self._shares_tables(z_space):
-            return exponential(self.objects[i], z_space)
-        key = (i, z_space.cache_key())
-        cached = self._exp_cache.get(key)
-        if cached is None:
-            cached = exponential(self.objects[i], z_space)
-            self._exp_cache[key] = cached
-        return cached
+        return self._cached(self._exp_cache, (i, z_space.cache_key()),
+                            z_space,
+                            lambda: exponential(self.objects[i], z_space))
 
 
 def c_generated_structure(space, probe_class, budget=DEFAULT_MAP_BUDGET):
@@ -354,19 +343,19 @@ def cmap_space(y_space, z_space, probe_class, budget=DEFAULT_MAP_BUDGET):
             stacklevel=2)
     y_core = probe_class.coreflect(y_space, budget)
     maps = continuous_maps(y_core, z_space)
-    carrier = Carrier(map_label(f) for f in maps)
-    by_label = {map_label(f): f for f in maps}
+    carrier = Carrier(map(map_label, maps))
+    by_label = dict(zip(carrier.labels, maps))
     source = []
-    seen_targets = set()
-    for probe, src in probe_class.probes_into(y_space, budget):
-        i = probe_class.objects.index(src)
-        exp_space, exp_labels = probe_class.exponential_with(i, z_space)
-        table = {map_label(g): map_label(probe.then(g)) for g in maps}
-        arrow = MapArrow(carrier, exp_space.carrier, table)
-        dedup = (i, arrow.graph())
-        if dedup not in seen_targets:
-            seen_targets.add(dedup)
-            source.append((arrow, exp_space))
+    # probe p sends g to g . p, a continuous map out of the probe's object
+    # and so a point of that object's exponential
+    for i, probes in enumerate(probe_class._images_into(y_space, budget)):
+        exp_space, exp_maps = probe_class.exponential_with(i, z_space)
+        point = {g.images: k for k, g in enumerate(exp_maps.values())}
+        arrows = dict.fromkeys(
+            tuple([point[tuple(map(g.images.__getitem__, p))] for g in maps])
+            for p in probes)
+        source.extend((MapArrow._from_images(carrier, exp_space.carrier, f),
+                       exp_space) for f in arrows)
     space = initial_structure(carrier, source, y_space.monad,
                               y_space.quantale)
     return space, by_label
@@ -381,24 +370,9 @@ def transpose_cmap(f, x_space, y_space, z_space, probe_class, cmap=None):
     """
     if cmap is None:
         cmap = cmap_space(y_space, z_space, probe_class)
-    cmap_sp, by_label = cmap
-    if f.dom != pair_carrier(x_space.carrier, y_space.carrier):
-        raise CarrierMismatchError(
-            "transpose needs the canonical product carrier as domain")
-    if f.cod != z_space.carrier:
-        raise CarrierMismatchError("transpose codomain mismatch")
-    table = {}
-    for x in x_space.carrier.labels:
-        slice_map = MapArrow._trusted(
-            y_space.carrier, z_space.carrier,
-            {y: f(pair_label(x, y)) for y in y_space.carrier.labels})
-        label = map_label(slice_map)
-        if label not in cmap_sp.carrier:
-            raise StructuralError(
-                f"slice at {x!r} is not class-continuous; the transpose "
-                "does not land in the function space")
-        table[x] = label
-    return MapArrow._trusted(x_space.carrier, cmap_sp.carrier, table)
+    return _curry(f, x_space.carrier, y_space.carrier, z_space.carrier,
+                  cmap[0].carrier, "class-continuous; the transpose does "
+                  "not land in the function space")
 
 
 def untranspose_cmap(g, x_space, y_space, z_space, probe_class, cmap=None):
@@ -408,13 +382,10 @@ def untranspose_cmap(g, x_space, y_space, z_space, probe_class, cmap=None):
     cmap_sp, by_label = cmap
     if g.dom != x_space.carrier or g.cod != cmap_sp.carrier:
         raise CarrierMismatchError("untranspose endpoints mismatch")
-    table = {}
-    for x in x_space.carrier.labels:
-        slice_map = by_label[g(x)]
-        for y in y_space.carrier.labels:
-            table[pair_label(x, y)] = slice_map(y)
-    return MapArrow._trusted(pair_carrier(x_space.carrier, y_space.carrier),
-                             z_space.carrier, table)
+    labels = cmap_sp.carrier.labels
+    return MapArrow._from_images(
+        pair_carrier(x_space.carrier, y_space.carrier), z_space.carrier,
+        [z for k in g.images for z in by_label[labels[k]].images])
 
 
 # -- the specialization / expansion pair ----------------------------------------

@@ -8,10 +8,11 @@ finite family of admissible maps through a surjective continuous comparison
 out of the family's coproduct (QS3).  QS3 is decided exactly, with no bound
 on the family, by the joint images of class maps (see :func:`_joint_cover`).
 
-A map is the tuple of its image indices (see :mod:`tvspaces.space`), so the
+A map is the tuple of its image indices (see :mod:`tvspaces.space`), which
+a returned :class:`~tvspaces.vrel.MapArrow` stores as ``images``, so the
 axioms and constructions compose tuples: ``g`` after ``h`` is
-``tuple(map(g.__getitem__, h))``.  Labels and maps are built only for
-witnesses, the :attr:`QuasiSpace.admissible` view and returned maps.
+``tuple(map(g.__getitem__, h))``.  Labels are built only for witnesses and
+the :attr:`QuasiSpace.admissible` view.
 
 Over a class of discrete objects, the only quasi-structure on a finite
 carrier is the indiscrete one: every map is admissible.  The source paper
@@ -46,12 +47,11 @@ from .errors import (
 )
 from .space import (
     _continuous_images,
+    _curry,
     _final_space,
-    _maps_of,
     is_compact,
     is_hausdorff,
     map_label,
-    pair_label,
     product,
     subspace,
     validate_space,
@@ -121,12 +121,12 @@ class QuasiSpace:
                      for s in self.images)
 
     def contains(self, i, f):
-        index = self.carrier._index.get
-        return tuple(map(index, f.table.values())) in self.images[i]
+        return f.cod == self.carrier and f.images in self.images[i]
 
     def arrows(self, i):
-        return sorted(_maps_of(self.cls.objects[i].carrier, self.carrier,
-                               self.images[i]), key=MapArrow.graph)
+        dom = self.cls.objects[i].carrier
+        return sorted((MapArrow._from_images(dom, self.carrier, g)
+                       for g in self.images[i]), key=MapArrow.graph)
 
     def __eq__(self, other):
         return (isinstance(other, QuasiSpace)
@@ -293,7 +293,7 @@ def is_quasi_continuous(f, qx, qy):
     _shared_class(qx, qy)
     if f.dom != qx.carrier or f.cod != qy.carrier:
         raise CarrierMismatchError("map endpoints do not match")
-    image = qy.carrier.indices(f.table.values()).__getitem__
+    image = f.images.__getitem__
     return all(tuple(map(image, g)) in adm_y
                for adm_x, adm_y in zip(qx.images, qy.images)
                for g in adm_x)
@@ -316,7 +316,8 @@ def _quasi_continuous_images(qx, qy):
 
 def quasi_continuous_maps(qx, qy):
     """Every quasi-continuous map, in :func:`all_maps` order."""
-    return _maps_of(qx.carrier, qy.carrier, _quasi_continuous_images(qx, qy))
+    return [MapArrow._from_images(qx.carrier, qy.carrier, f)
+            for f in _quasi_continuous_images(qx, qy)]
 
 
 # -- constructions -----------------------------------------------------------------
@@ -330,8 +331,9 @@ def subspace_quasi(quasi, labels):
     for x in labels:
         if x not in quasi.carrier:
             raise StructuralError(f"label {x!r} not in the carrier")
-    incl = MapArrow(sub, quasi.carrier, {x: x for x in labels})
-    back = {y: k for k, y in enumerate(quasi.carrier.indices(labels))}
+    incl = MapArrow._from_images(sub, quasi.carrier,
+                                 quasi.carrier.indices(labels))
+    back = {y: k for k, y in enumerate(incl.images)}
     sets = [{tuple(map(back.__getitem__, g)) for g in adm
              if all(y in back for y in g)} for adm in quasi.images]
     return QuasiSpace._from_images(sub, quasi.cls, sets), incl
@@ -362,8 +364,7 @@ def initial_quasi(carrier, source, cls):
             raise CarrierMismatchError("initial source endpoints mismatch")
         if qx.cls is not cls:
             raise CarrierMismatchError("source spaces must share the class")
-    pulls = [(qx.carrier.indices(f.table.values()).__getitem__, qx.images)
-             for f, qx in source]
+    pulls = [(f.images.__getitem__, qx.images) for f, qx in source]
     sets = [[alpha for alpha in _all_images(len(obj.carrier), len(carrier))
              if all(tuple(map(image, alpha)) in images[i]
                     for image, images in pulls)]
@@ -381,16 +382,16 @@ def product_quasi(factors, cls=None):
     cls = factors[0].cls
     for q in factors[1:]:
         _shared_class(factors[0], q)
-    combos = list(itertools.product(*[q.carrier.labels for q in factors]))
-    labels = ["(" + ",".join(combo) + ")" for combo in combos]
-    carrier = Carrier(labels)
-    projections = [
-        MapArrow._trusted(carrier, q.carrier,
-                          {label: combo[idx]
-                           for label, combo in zip(labels, combos)})
-        for idx, q in enumerate(factors)]
+    combos = list(itertools.product(*[range(len(q.carrier))
+                                      for q in factors]))
+    carrier = Carrier(
+        "(" + ",".join(q.carrier.labels[x] for q, x in zip(factors, combo))
+        + ")" for combo in combos)
+    projections = tuple(
+        MapArrow._from_images(carrier, q.carrier, [c[k] for c in combos])
+        for k, q in enumerate(factors))
     source = list(zip(projections, factors))
-    return initial_quasi(carrier, source, cls), tuple(projections)
+    return initial_quasi(carrier, source, cls), projections
 
 
 # -- exponentials -------------------------------------------------------------------
@@ -449,9 +450,9 @@ def exponential_quasi(qx, qy):
             f"class is not closed under products/pullbacks: "
             f"{closure.violations[:3]}")
     graphs = _quasi_continuous_images(qx, qy)
-    maps = _maps_of(qx.carrier, qy.carrier, graphs)
-    carrier = Carrier(map_label(f) for f in maps)
-    by_label = {map_label(f): f for f in maps}
+    maps = [MapArrow._from_images(qx.carrier, qy.carrier, g) for g in graphs]
+    carrier = Carrier(map(map_label, maps))
+    by_label = dict(zip(carrier.labels, maps))
     if _full(qy):     # every evaluation lands in qy
         return (QuasiSpace._from_images(carrier, cls,
                                         _every_map(carrier, cls)), by_label)
@@ -476,30 +477,17 @@ def exponential_quasi(qx, qy):
 def evaluation_quasi(exp_quasi, by_label, qx, qy):
     """The evaluation map out of the product with the source."""
     prod, _ = product_quasi([exp_quasi, qx])
-    table = {}
-    for gl in exp_quasi.carrier.labels:
-        g = by_label[gl]
-        for x in qx.carrier.labels:
-            table[pair_label(gl, x)] = g(x)
-    return prod, MapArrow(prod.carrier, qy.carrier, table)
+    return prod, MapArrow._from_images(
+        prod.carrier, qy.carrier,
+        [y for g in exp_quasi.carrier for y in by_label[g].images])
 
 
 def transpose_quasi(f, qz, qx, qy, exp=None):
     """Curry a map off a product of quasi-spaces into the function space."""
     if exp is None:
         exp = exponential_quasi(qx, qy)
-    exp_quasi, by_label = exp
-    table = {}
-    for z in qz.carrier.labels:
-        slice_map = MapArrow(qx.carrier, qy.carrier,
-                             {x: f(pair_label(z, x))
-                              for x in qx.carrier.labels})
-        label = map_label(slice_map)
-        if label not in exp_quasi.carrier:
-            raise StructuralError(
-                f"slice at {z!r} is not quasi-continuous")
-        table[z] = label
-    return MapArrow(qz.carrier, exp_quasi.carrier, table)
+    return _curry(f, qz.carrier, qx.carrier, qy.carrier, exp[0].carrier,
+                  "quasi-continuous")
 
 
 # -- reflection into generated spaces -------------------------------------------------

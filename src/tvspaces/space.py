@@ -25,14 +25,14 @@ scale, so two entries are equal exactly when they are the same value, and
 the kernel's order, tensor, join, meet and implication agree with the
 ``Value`` ones.  Encoding a matrix again per map would give the same rows.
 
-Inside the library a map is the tuple of its image indices in domain
-order.  The continuous-map search (``_continuous_images``) yields such
-tuples, and the final-structure core (``_final_space``) takes them, grouped
-by domain space; :func:`continuous_maps` and :func:`final_structure` are
-thin wrappers that turn tuples into ``MapArrow`` objects and back.  The
-probe classes cache their probes and class maps as tuples, and the
-quasi-spaces store their admissible maps as tuples and compose them, so a
-coreflection, a reflection or a quasi axiom builds no map object.
+A map is the tuple of its image indices in domain order: a
+:class:`~tvspaces.vrel.MapArrow` stores that tuple, and the predicates and
+constructions read and build it with no label in between.  The
+continuous-map search (``_continuous_images``) yields such tuples, and the
+final-structure core (``_final_space``) takes them, grouped by domain
+space.  The probe classes cache their probes and class maps as tuples, and
+the quasi-spaces store their admissible maps as tuples and compose them, so
+a coreflection, a reflection or a quasi axiom builds no map object.
 """
 
 import itertools
@@ -143,7 +143,7 @@ def continuity_witness(f, x_space, y_space):
     a, b = x_space.structure.rows, y_space.structure.rows
     kernel = x_space.quantale.kernel((a, b))
     row, row_below = kernel.row, kernel.row_below
-    indices = f.cod.indices(f.table.values())
+    indices = f.images
     pulled = {}                       # image row fi of b, pulled back along f
     # row by row, so that a map failing early is rejected early
     for i, fi in enumerate(indices):
@@ -169,15 +169,15 @@ def is_fully_faithful(f, x_space, y_space):
         raise CarrierMismatchError("map endpoints do not match the spaces")
     a, b = x_space.structure.rows, y_space.structure.rows
     row = x_space.quantale.kernel((a, b)).row
-    indices = f.cod.indices(f.table.values())
+    indices = f.images
     return all(row(a[i]) == row(b[fi], indices)
                for i, fi in enumerate(indices))
 
 
 def all_maps(dom, cod):
     """Every total map between two carriers, in deterministic order."""
-    for images in itertools.product(cod.labels, repeat=len(dom)):
-        yield MapArrow._trusted(dom, cod, dict(zip(dom.labels, images)))
+    for images in itertools.product(range(len(cod)), repeat=len(dom)):
+        yield MapArrow._from_images(dom, cod, images)
 
 
 def _continuous_images(x_space, y_space):
@@ -251,14 +251,6 @@ def _is_discrete(space):
                for i, row in enumerate(rows) for j, p in enumerate(row))
 
 
-def _maps_of(dom, cod, images):
-    """The maps with these image-index tuples, built unchecked."""
-    xs, labels = dom.labels, cod.labels
-    return [MapArrow._trusted(dom, cod,
-                              {x: labels[y] for x, y in zip(xs, f)})
-            for f in images]
-
-
 def continuous_maps(x_space, y_space):
     """Every continuous map from X to Y, in :func:`all_maps` order.
 
@@ -274,8 +266,8 @@ def continuous_maps(x_space, y_space):
     map that gets an image for each point passes every pair, and no other
     map does.  The entries are compared as kernel payloads.
     """
-    return _maps_of(x_space.carrier, y_space.carrier,
-                    _continuous_images(x_space, y_space))
+    return [MapArrow._from_images(x_space.carrier, y_space.carrier, f)
+            for f in _continuous_images(x_space, y_space)]
 
 
 # -- liftings and constructions ------------------------------------------------
@@ -288,9 +280,9 @@ def subspace(space, labels):
         if x not in space.carrier:
             raise StructuralError(f"label {x!r} is not in the carrier")
     sub = Carrier(labels)
-    incl = MapArrow(sub, space.carrier, {x: x for x in labels})
-    a = space.structure.rows
     indices = space.carrier.indices(labels)
+    incl = MapArrow._from_images(sub, space.carrier, indices)
+    a = space.structure.rows
     rows = [[a[i][j] for j in indices] for i in indices]
     return Space(sub, space.monad, space.quantale,
                  VRel._from_rows(sub, sub, space.quantale, rows)), incl
@@ -316,8 +308,7 @@ def initial_structure(carrier, source, monad, quantale):
     kernel, payloads = _encode_distinct(quantale, [y for _, y in source])
     pulled = []                       # per map, row x of b pulled back
     for f, y in source:
-        b = payloads[id(y.structure)]
-        indices = y.carrier.indices(f.table.values())
+        b, indices = payloads[id(y.structure)], f.images
         rows = {fi: [b[fi][j] for j in indices] for fi in set(indices)}
         pulled.append([rows[fi] for fi in indices])
     n = len(carrier)
@@ -345,11 +336,10 @@ def final_structure(carrier, sink, monad, quantale):
             raise CarrierMismatchError("sink space monad/quantale mismatch")
     groups = []
     for f, x in sink:
-        images = carrier.indices(f.table.values())
         if groups and groups[-1][0] is x:
-            groups[-1][1].append(images)
+            groups[-1][1].append(f.images)
         else:
-            groups.append((x, [images]))
+            groups.append((x, [f.images]))
     return _final_space(carrier, monad, quantale, groups)
 
 
@@ -388,12 +378,11 @@ def product(x_space, y_space):
     """Binary product: initial lifting along the two projections."""
     _check_compatible(x_space, y_space)
     carrier = pair_carrier(x_space.carrier, y_space.carrier)
-    pairs = list(zip(carrier.labels, itertools.product(
-        x_space.carrier.labels, y_space.carrier.labels)))
-    p1 = MapArrow._trusted(carrier, x_space.carrier,
-                           {p: x for p, (x, _) in pairs})
-    p2 = MapArrow._trusted(carrier, y_space.carrier,
-                           {p: y for p, (_, y) in pairs})
+    n, m = len(x_space.carrier), len(y_space.carrier)
+    p1 = MapArrow._from_images(carrier, x_space.carrier,
+                               [x for x in range(n) for _ in range(m)])
+    p2 = MapArrow._from_images(carrier, y_space.carrier,
+                               [y for _ in range(n) for y in range(m)])
     space = initial_structure(carrier, [(p1, x_space), (p2, y_space)],
                               x_space.monad, x_space.quantale)
     return space, (p1, p2)
@@ -408,15 +397,14 @@ def coproduct_many(spaces):
     labels = [f"{i}:{x}" for i, s in enumerate(spaces)
               for x in s.carrier.labels]
     carrier = Carrier(labels)
-    injections = [
-        MapArrow(s.carrier, carrier, {x: f"{i}:{x}" for x in s.carrier.labels})
-        for i, s in enumerate(spaces)]
     bot = quantale.bottom.payload
-    rows, before = [], 0
+    rows, injections, before = [], [], 0
     for s in spaces:
         after = len(carrier) - before - len(s.carrier)
         rows.extend((bot,) * before + row + (bot,) * after
                     for row in s.structure.rows)
+        injections.append(MapArrow._from_images(
+            s.carrier, carrier, range(before, before + len(s.carrier))))
         before += len(s.carrier)
     return Space(carrier, monad, quantale, VRel._from_rows(
         carrier, carrier, quantale, rows)), injections
@@ -428,12 +416,16 @@ def coproduct(x_space, y_space):
 
 
 def copairing(maps, carrier):
-    """The map out of a disjoint union induced by one map per summand."""
-    table = {}
-    for i, f in enumerate(maps):
-        for x in f.dom.labels:
-            table[f"{i}:{x}"] = f(x)
-    return MapArrow(carrier, maps[0].cod, table) if maps else None
+    """The map out of a disjoint union induced by one map per summand;
+    ``carrier`` is the union's, as :func:`coproduct_many` labels it."""
+    if not maps:
+        return None
+    labels = tuple(f"{i}:{x}" for i, f in enumerate(maps) for x in f.dom)
+    if carrier.labels != labels or any(f.cod != maps[0].cod for f in maps):
+        raise CarrierMismatchError(
+            "copairing needs the union carrier and one codomain")
+    return MapArrow._from_images(carrier, maps[0].cod,
+                                 [y for f in maps for y in f.images])
 
 
 # -- predicates ----------------------------------------------------------------
@@ -600,7 +592,27 @@ def is_exponentiable(space):
 
 def map_label(f):
     """Canonical carrier label of a map: its images in domain order."""
-    return "[" + ",".join(f.graph()) + "]"
+    return "[" + ",".join(map(f.cod.labels.__getitem__, f.images)) + "]"
+
+
+def _curry(f, x_carrier, y_carrier, z_carrier, fn_carrier, kind):
+    """Transpose ``f : X x Y -> Z`` into ``X -> fn_carrier``, a function
+    space on maps ``Y -> Z`` labelled by :func:`map_label`: each slice
+    ``y -> f(x, y)`` goes to its point, and a slice with none is not
+    ``kind`` and raises."""
+    if f.dom != pair_carrier(x_carrier, y_carrier):
+        raise CarrierMismatchError(
+            "transpose needs the canonical product carrier as domain")
+    if f.cod != z_carrier:
+        raise CarrierMismatchError("transpose codomain mismatch")
+    point, m, images = fn_carrier._index, len(y_carrier), []
+    for i, x in enumerate(x_carrier.labels):
+        k = point.get(map_label(MapArrow._from_images(
+            y_carrier, z_carrier, f.images[i * m:(i + 1) * m])))
+        if k is None:
+            raise StructuralError(f"slice at {x!r} is not {kind}")
+        images.append(k)
+    return MapArrow._from_images(x_carrier, fn_carrier, images)
 
 
 def exponential(y_space, z_space):
@@ -623,7 +635,6 @@ def exponential(y_space, z_space):
     by_label = {map_label(f): f for f in maps}
     kernel, (b, c) = q.encode((y_space.structure.rows,
                                z_space.structure.rows))
-    images = [z_space.carrier.indices(f.table.values()) for f in maps]
-    rows = kernel.function_space(b, c, images)
+    rows = kernel.function_space(b, c, [f.images for f in maps])
     return Space(carrier, monad, q, VRel._from_rows(
         carrier, carrier, q, kernel.decode(rows))), by_label

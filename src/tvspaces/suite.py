@@ -58,7 +58,6 @@ from .space import (
     is_compact,
     is_continuous,
     is_hausdorff,
-    pair_label,
     product,
     sierpinski_space,
     validate_space,
@@ -355,22 +354,22 @@ def battery_cmap_cartesian_closed(level="full"):
                         prod_space = get_product(x_space, y_space)
                         prod_core = cls.coreflect(prod_space)
                         x_core = cls.coreflect(x_space)
-                        f_set = {f.graph(): f for f in
+                        f_set = {f.images: f for f in
                                  continuous_maps(prod_core, z_space)}
-                        g_all = {g.graph() for g in
+                        g_all = {g.images for g in
                                  continuous_maps(x_core, cm)}
                         transposed = set()
                         for f in f_set.values():
                             g = transpose_cmap(f, x_space, y_space, z_space,
                                                cls, cmap=(cm, by_label))
-                            result.check(g.graph() in g_all,
+                            result.check(g.images in g_all,
                                          "transpose not class-continuous")
                             back = untranspose_cmap(g, x_space, y_space,
                                                     z_space, cls,
                                                     cmap=(cm, by_label))
                             result.check(back == f,
                                          "untranspose . transpose != id")
-                            transposed.add(g.graph())
+                            transposed.add(g.images)
                         result.check(
                             transposed == g_all,
                             f"{q.describe()}/{cls.spec_token()}: currying "
@@ -446,16 +445,16 @@ def battery_quasi_adjoints(level="full"):
             dq = discrete_quasi(carrier, cls)
             iq = indiscrete_quasi(carrier, cls)
             for target in quasi_battery:
-                everything = {f.graph()
+                everything = {f.images
                               for f in all_maps(carrier, target.carrier)}
-                got = {f.graph()
+                got = {f.images
                        for f in quasi_continuous_maps(dq, target)}
                 result.check(got == everything,
                              f"{q.describe()}: D adjunction fails at "
                              f"size {size}")
-                everything = {f.graph()
+                everything = {f.images
                               for f in all_maps(target.carrier, carrier)}
-                got = {f.graph()
+                got = {f.images
                        for f in quasi_continuous_maps(target, iq)}
                 result.check(got == everything,
                              f"{q.describe()}: I adjunction fails at "
@@ -503,23 +502,22 @@ def battery_quasi_cartesian_closed(level="full"):
                     zprod, _ = product_quasi([qz, qx])
                     f_graphs = {}
                     for f in quasi_continuous_maps(zprod, qy):
-                        f_graphs[f.graph()] = f
-                    g_graphs = {g.graph()
+                        f_graphs[f.images] = f
+                    g_graphs = {g.images
                                 for g in quasi_continuous_maps(qz, exp)}
                     transposed = set()
                     for f in f_graphs.values():
                         g = transpose_quasi(f, qz, qx, qy,
                                             exp=(exp, by_label))
-                        result.check(g.graph() in g_graphs,
+                        result.check(g.images in g_graphs,
                                      "quasi transpose not quasi-continuous")
-                        back = MapArrow(
+                        back = MapArrow._from_images(
                             zprod.carrier, qy.carrier,
-                            {pair_label(z, x): by_label[g(z)](x)
-                             for z in qz.carrier.labels
-                             for x in qx.carrier.labels})
+                            [y for k in g.images for y in
+                             by_label[exp.carrier.labels[k]].images])
                         result.check(back == f,
                                      "quasi untranspose . transpose != id")
-                        transposed.add(g.graph())
+                        transposed.add(g.images)
                     result.check(transposed == g_graphs,
                                  f"{q.describe()}: quasi currying not a "
                                  "bijection")
@@ -555,9 +553,9 @@ def battery_reflection(level="full"):
             ax = associated_quasi(x_space, cls)
             for y_space in spaces:
                 ay = associated_quasi(y_space, cls)
-                cont = {f.graph()
+                cont = {f.images
                         for f in continuous_maps(x_space, y_space)}
-                quasi = {f.graph()
+                quasi = {f.images
                          for f in quasi_continuous_maps(ax, ay)}
                 result.check(cont == quasi,
                              f"{q.describe()}: hom-set equality fails "

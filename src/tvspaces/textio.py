@@ -222,6 +222,8 @@ def _parse_map(statements, block):
             if left not in dom or right not in cod:
                 raise _TokenError(f"assignment {word!r} uses foreign labels",
                                   index)
+            if left in table:
+                raise _TokenError(f"label {left!r} assigned twice", index)
             table[left] = right
     try:
         return MapArrow(dom, cod, table)
@@ -410,7 +412,7 @@ def print_map(name, f):
     lines = [f"map {name} {{"]
     lines.append(_line("  dom", f.dom.labels))
     lines.append(_line("  cod", f.cod.labels))
-    assigns = " ".join(f"{x}->{f.table[x]}" for x in f.dom.labels)
+    assigns = " ".join(f"{x}->{y}" for x, y in zip(f.dom.labels, f.graph()))
     lines.append("  " + assigns if assigns else "")
     lines.append("}")
     return "\n".join(line for line in lines if line) + "\n"

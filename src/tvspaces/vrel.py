@@ -13,6 +13,11 @@ right by construction and go through ``VRel._from_rows`` unchecked.
 (see :mod:`tvspaces.quantale`) on the stored rows and store the rows it
 returns: exactly the entrywise ``Value`` answers.  A finite table whose
 order is not a complete lattice has no kernel, so they refuse it.
+
+A map stores ``images``, its image indices in domain order, the same way:
+``MapArrow(dom, cod, table)`` checks a label table, ``table``, ``__call__``
+and ``graph`` read labels on demand, and ``MapArrow._from_images`` is the
+unchecked constructor.
 """
 
 from .errors import (
@@ -68,9 +73,10 @@ class Carrier:
 
 
 class MapArrow:
-    """A total function between carriers, given by its lookup table."""
+    """A total function between carriers: ``images[i]`` is the index in
+    ``cod`` of the image of ``dom.labels[i]``."""
 
-    __slots__ = ("dom", "cod", "table")
+    __slots__ = ("dom", "cod", "images")
 
     def __init__(self, dom, cod, table):
         missing = [x for x in dom.labels if x not in table]
@@ -83,50 +89,57 @@ class MapArrow:
                 raise StructuralError(f"map hits foreign label {y!r}")
         self.dom = dom
         self.cod = cod
-        self.table = {x: table[x] for x in dom.labels}
+        self.images = tuple([cod._index[table[x]] for x in dom.labels])
 
     @staticmethod
-    def _trusted(dom, cod, table):
-        """A map the library built total and in range, keyed in dom order."""
+    def _from_images(dom, cod, images):
+        """These image indices, computed by the library, so unchecked."""
         f = object.__new__(MapArrow)
-        f.dom, f.cod, f.table = dom, cod, table
+        f.dom, f.cod, f.images = dom, cod, tuple(images)
         return f
 
     @staticmethod
     def identity(carrier):
-        return MapArrow._trusted(carrier, carrier,
-                                 {x: x for x in carrier.labels})
+        return MapArrow._from_images(carrier, carrier, range(len(carrier)))
 
     @staticmethod
     def constant(dom, cod, y):
-        return MapArrow(dom, cod, {x: y for x in dom.labels})
+        if dom.labels and y not in cod:
+            raise StructuralError(f"map hits foreign label {y!r}")
+        return MapArrow._from_images(
+            dom, cod, (cod._index[y],) * len(dom) if dom.labels else ())
+
+    @property
+    def table(self):
+        """The images as a label dictionary, keyed in domain order."""
+        return dict(zip(self.dom.labels, self.graph()))
 
     def __call__(self, label):
-        return self.table[label]
+        return self.cod.labels[self.images[self.dom._index[label]]]
 
     def then(self, other):
         """Post-compose: ``f.then(g)`` is the map x -> g(f(x))."""
         if self.cod != other.dom:
             raise CarrierMismatchError("composition carriers do not match")
-        return MapArrow._trusted(
-            self.dom, other.cod,
-            {x: other.table[y] for x, y in self.table.items()})
+        return MapArrow._from_images(
+            self.dom, other.cod, map(other.images.__getitem__, self.images))
 
     def graph(self):
-        return tuple(self.table[x] for x in self.dom.labels)
+        return tuple(map(self.cod.labels.__getitem__, self.images))
 
     def is_surjective(self):
-        return set(self.table.values()) == set(self.cod.labels)
+        return len(set(self.images)) == len(self.cod)
 
     def __eq__(self, other):
         return (isinstance(other, MapArrow) and self.dom == other.dom
-                and self.cod == other.cod and self.table == other.table)
+                and self.cod == other.cod and self.images == other.images)
 
     def __hash__(self):
         return hash((self.dom.labels, self.cod.labels, self.graph()))
 
     def __repr__(self):
-        assign = " ".join(f"{x}->{y}" for x, y in self.table.items())
+        assign = " ".join(f"{x}->{y}"
+                          for x, y in zip(self.dom.labels, self.graph()))
         return f"MapArrow({assign or 'empty'})"
 
 
@@ -221,9 +234,10 @@ def _same_shape(r, s):
 def from_map(f, quantale):
     """Embed a map as a relation: unit on the graph, bottom elsewhere."""
     k, bot = quantale.unit.payload, quantale.bottom.payload
+    width = range(len(f.cod))
     return VRel._from_rows(f.dom, f.cod, quantale,
-                           [[k if f.table[x] == y else bot
-                             for y in f.cod.labels] for x in f.dom.labels])
+                           [[k if fx == y else bot for y in width]
+                            for fx in f.images])
 
 
 def identity_rel(carrier, quantale):

@@ -200,6 +200,8 @@ NOT_A_LATTICE = ("error: join undefined in quantale finite-table(z,x,y,u,v,t):"
      "parse error: line 4, column 3: field 'quantale' needs a value\n"),
     ("duplicate_labels.txt", 2,
      "error: duplicate carrier labels in ('a', 'a')\n"),
+    ("duplicate_assignment.txt", 2,
+     "parse error: line 5, column 8: label 'a' assigned twice\n"),
     ("unknown_quasi_monad.txt", 2,
      "parse error: line 5, column 9: unknown monad 'filter'\n"),
     ("quasi_no_budget.txt", 1, QS3_WITNESSES),

@@ -636,18 +636,20 @@ def test_budget_is_checked_before_any_search(monkeypatch):
 
 
 def test_cached_images_keep_the_sink_check():
-    """A target equal to a cached one, but over another instance of an
-    equal table, meets the check that the cached probes met."""
+    """A target equal to one whose probes are cached, but over another
+    instance of an equal table, gets what a fresh class gives."""
     q1, q2 = diamond(), diamond()
     assert q1 is not q2 and q1.cache_key() == q2.cache_key()
     cls = ProbeClass.compact_hausdorff_upto(2, q1, IM)
     c = carrier("x", 2)
     cls.probes_into(discrete_space(c, IM, q1))
     other = discrete_space(c, IM, q2)
-    got = outcome(cls.coreflect, other)
-    assert got == (CarrierMismatchError, "sink space monad/quantale mismatch")
-    assert got == outcome(ref_final_structure, c, cls.probes_into(other), IM,
-                          q2)
+    fresh = ProbeClass.compact_hausdorff_upto(2, q1, IM)
+    want = outcome(fresh.coreflect, other)
+    assert want == (CarrierMismatchError, "spaces use different quantales")
+    assert outcome(cls.coreflect, other) == want
+    assert outcome(fresh.probes_into, other) == want
+    assert outcome(cls.probes_into, other) == want
 
 
 # -- quasi-spaces -------------------------------------------------------------
@@ -980,12 +982,21 @@ def test_a_target_over_other_table_instances_misses_the_caches():
     own = discrete_space(c, IM, q1)
     assert cls.coreflect(own).quantale is q1
     cls.exponential_with(1, own)
+    identity = MapArrow.identity(c)
+    assert generation.is_c_continuous(identity, own, own, cls)
+    assert len(generation.cmap_space(own, own, cls)[0].carrier) == 4
     other = discrete_space(c, IM, q2)
     assert other.cache_key() == own.cache_key()
     fresh = ProbeClass.compact_hausdorff_upto(2, q1, IM)
     want = (CarrierMismatchError, "spaces use different quantales")
-    assert outcome(fresh.coreflect, other) == want
-    assert outcome(cls.coreflect, other) == want
+    for call in (lambda k: k.coreflect(other),
+                 lambda k: k.probes_into(other),
+                 lambda k: generation.is_c_continuous(identity, other, other,
+                                                      k),
+                 lambda k: generation.cmap_space(other, own, k),
+                 lambda k: generation.cmap_space(own, other, k)):
+        assert outcome(call, fresh) == want
+        assert outcome(call, cls) == want
     assert outcome(generation.is_c_generated, other, cls) == want
     assert outcome(exponential, cls.objects[1], other) == want
     assert outcome(cls.exponential_with, 1, other) == want

@@ -389,6 +389,8 @@ def _ref_parse_map(statements, block_tok):
             if left not in dom or right not in cod:
                 raise _ref_error(
                     f"assignment {tok.text!r} uses foreign labels", tok)
+            if left in table:
+                raise _ref_error(f"label {left!r} assigned twice", tok)
             table[left] = right
     try:
         return MapArrow(dom, cod, table)

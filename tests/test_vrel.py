@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from tvspaces import (
     cost_plus,
     lukasiewicz_grid,
 )
+from tvspaces.space import all_maps
 from tvspaces.vrel import (
     Carrier,
     MapArrow,
@@ -249,3 +251,178 @@ def test_closure_is_closure_operator(data):
     bigger = rel_join(r, data.draw(rel_strategy(q, c, c)))
     assert rel_leq(closed, reflexive_transitive_closure(bigger))
     assert rel_leq(compose(closed, closed), closed)
+
+
+# -- the dict-backed map, kept as the oracle of MapArrow -----------------------
+
+
+class RefMapArrow:
+    """A map stored as its label table: the form MapArrow had before it
+    stored image indices."""
+
+    __slots__ = ("dom", "cod", "table")
+
+    def __init__(self, dom, cod, table):
+        missing = [x for x in dom.labels if x not in table]
+        if missing:
+            raise StructuralError(f"map not total, missing {missing}")
+        for x, y in table.items():
+            if x not in dom:
+                raise StructuralError(f"map defined on foreign label {x!r}")
+            if y not in cod:
+                raise StructuralError(f"map hits foreign label {y!r}")
+        self.dom = dom
+        self.cod = cod
+        self.table = {x: table[x] for x in dom.labels}
+
+    @staticmethod
+    def _trusted(dom, cod, table):
+        f = object.__new__(RefMapArrow)
+        f.dom, f.cod, f.table = dom, cod, table
+        return f
+
+    @staticmethod
+    def identity(carrier):
+        return RefMapArrow._trusted(carrier, carrier,
+                                    {x: x for x in carrier.labels})
+
+    @staticmethod
+    def constant(dom, cod, y):
+        return RefMapArrow(dom, cod, {x: y for x in dom.labels})
+
+    def __call__(self, label):
+        return self.table[label]
+
+    def then(self, other):
+        if self.cod != other.dom:
+            raise CarrierMismatchError("composition carriers do not match")
+        return RefMapArrow._trusted(
+            self.dom, other.cod,
+            {x: other.table[y] for x, y in self.table.items()})
+
+    def graph(self):
+        return tuple(self.table[x] for x in self.dom.labels)
+
+    def is_surjective(self):
+        return set(self.table.values()) == set(self.cod.labels)
+
+    def __eq__(self, other):
+        return (isinstance(other, RefMapArrow) and self.dom == other.dom
+                and self.cod == other.cod and self.table == other.table)
+
+    def __hash__(self):
+        return hash((self.dom.labels, self.cod.labels, self.graph()))
+
+    def __repr__(self):
+        assign = " ".join(f"{x}->{y}" for x, y in self.table.items())
+        return f"MapArrow({assign or 'empty'})"
+
+
+def ref_all_maps(dom, cod):
+    for images in itertools.product(cod.labels, repeat=len(dom)):
+        yield RefMapArrow._trusted(dom, cod, dict(zip(dom.labels, images)))
+
+
+# carriers whose label order is not sorted order, and the empty carrier
+MAP_CARRIERS = [Carrier(labels) for labels in (
+    [], ["a"], ["y", "x"], ["b10", "b9", "b2"], ["x", "a", "y"])]
+FOREIGN = ["z", "b1", "A", ""]
+
+
+def map_outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:          # the types and texts must agree
+        return (type(exc), str(exc))
+
+
+def assert_same_map(f, ref):
+    """Every view of a new map equals the reference's."""
+    assert type(f) is MapArrow
+    assert (f.dom, f.cod) == (ref.dom, ref.cod)
+    assert f.table == ref.table and list(f.table) == list(ref.table)
+    assert f.graph() == ref.graph()
+    assert f.images == tuple(ref.cod.index(y) for y in ref.graph())
+    assert [f(x) for x in f.dom] == [ref(x) for x in ref.dom]
+    for x in FOREIGN:
+        assert map_outcome(f, x) == map_outcome(ref, x)
+        assert map_outcome(f, x)[0] is KeyError
+    assert f.is_surjective() == ref.is_surjective()
+    assert hash(f) == hash(ref) and repr(f) == repr(ref)
+
+
+@st.composite
+def label_tables(draw, dom, cod):
+    """A table that is usually a map: each domain label, sometimes left
+    out, sent into the codomain, sometimes outside it, and sometimes a
+    foreign key; or, rarely, no dict at all."""
+    shape = draw(st.sampled_from(("dict",) * 8 + ("list", "pairs")))
+    inside = list(cod) or FOREIGN
+    table = {}
+    for x in dom:
+        if draw(st.integers(0, 9)):
+            table[x] = draw(st.sampled_from(
+                inside * 4 + FOREIGN[:1])) if draw(st.integers(0, 9)) \
+                else draw(st.sampled_from(FOREIGN))
+    if not draw(st.integers(0, 9)):
+        table[draw(st.sampled_from(FOREIGN))] = draw(st.sampled_from(inside))
+    if shape == "list":
+        return list(table.values())
+    if shape == "pairs":
+        return list(table.items())
+    return table
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.data())
+def test_map_arrows_match_the_dict_backed_reference(data):
+    """Construction and its errors, the label views, composition and its
+    error, identity, constants, equality, hash and repr."""
+    dom, cod, far = (data.draw(st.sampled_from(MAP_CARRIERS))
+                     for _ in range(3))
+    table = data.draw(label_tables(dom, cod))
+    got = map_outcome(MapArrow, dom, cod, table)
+    want = map_outcome(RefMapArrow, dom, cod, table)
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got == want
+        return
+    f, ref = got[1], want[1]
+    assert_same_map(f, ref)
+    other = data.draw(label_tables(dom, cod).filter(
+        lambda t: map_outcome(RefMapArrow, dom, cod, t)[0] == "ok"))
+    g, ref_g = MapArrow(dom, cod, other), RefMapArrow(dom, cod, other)
+    assert (f == g) == (ref == ref_g) and (f != g) == (ref != ref_g)
+    assert f != ref_g and f != dict(f.table) and f != f.graph()
+    for h, ref_h in zip(all_maps(dom, far), ref_all_maps(dom, far)):
+        assert (f == h) == (ref == ref_h)
+    for h, ref_h in zip(all_maps(cod, far), ref_all_maps(cod, far)):
+        assert_same_map(f.then(h), ref.then(ref_h))
+    for h, ref_h in zip(all_maps(far, cod), ref_all_maps(far, cod)):
+        composed = map_outcome(f.then, h)
+        assert composed[0] == (
+            "ok" if far == cod else CarrierMismatchError)
+        if composed[0] == "ok":
+            assert_same_map(composed[1], ref.then(ref_h))
+        else:
+            assert composed == map_outcome(ref.then, ref_h)
+    assert_same_map(MapArrow.identity(dom), RefMapArrow.identity(dom))
+    assert f.then(MapArrow.identity(cod)) == f
+    for y in list(cod) + FOREIGN:
+        got = map_outcome(MapArrow.constant, dom, cod, y)
+        want = map_outcome(RefMapArrow.constant, dom, cod, y)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            assert_same_map(got[1], want[1])
+        else:
+            assert got == want
+
+
+@pytest.mark.parametrize("dom", MAP_CARRIERS)
+@pytest.mark.parametrize("cod", MAP_CARRIERS)
+def test_all_maps_match_the_reference_order(dom, cod):
+    got, want = list(all_maps(dom, cod)), list(ref_all_maps(dom, cod))
+    assert len(got) == len(want) == len(cod) ** len(dom)
+    for f, ref in zip(got, want):
+        assert_same_map(f, ref)
+    assert len(set(got)) == len(got)
