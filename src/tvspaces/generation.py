@@ -25,8 +25,8 @@ target and its probes.  A table that breaks a law may break this (a tensor
 that is the join, say, closes the discrete square to the indiscrete one),
 and a non-integral one is refused by the closure, so both keep the search.
 
-Everything computed is an immutable value.  The probe class caches its
-answers; see :class:`ProbeClass` for which caches are safe to share.
+Everything computed is an immutable value.  The probe class memoises its
+answers in one dict; see :class:`ProbeClass` for why it is safe to share.
 """
 
 import warnings
@@ -60,6 +60,7 @@ from .space import (
 from .vrel import Carrier, MapArrow
 
 DEFAULT_MAP_BUDGET = 2_000_000
+_MISSING = object()     # a memo miss; a cached None is a hit
 
 
 class ProbeClass:
@@ -77,30 +78,27 @@ class ProbeClass:
     docstring); every other class and target keeps the search.  The quasi
     layer reads the same flag (see :mod:`tvspaces.quasi`).
 
-    Caches.  Each object's exponentiability witness, the (EP) report of
-    :func:`check_ep`, the :func:`~tvspaces.quasi.class_closure_report`, the
-    class-object checks of :func:`~tvspaces.quasi.validate_quasi` and the
-    class maps between two objects, as image tuples, are computed once per
-    class and cached on it.  They depend on the objects alone, an
-    immutable tuple, so these caches are safe to share: a cached value
-    never goes stale, and callers that race on an empty entry at worst
-    compute it twice and store equal values.  The image, probe,
-    coreflection and exponential caches are keyed by the target's
-    :meth:`~tvspaces.space.Space.cache_key`, its labels and payload rows,
-    so their entries never go stale either and a race stores equal values;
-    they are safe to share, but they grow with every new target and are
-    never evicted.  They hold only targets over the class's own monad and
-    quantale instances, so an equal target over other instances never gets
-    an answer over the class's.
-    The budget is checked only when nothing is cached for the target, so a
-    call with a small budget gets the cached answer of an earlier call with
-    a larger one; a call that raises caches nothing.
-    Cached values are returned, not copied: the lists of image tuples and
-    the label dictionaries from :meth:`exponential_with` must not be
-    modified.
+    ``spec`` is the specifier the named constructors set: ``explicit``,
+    ``sierpinski`` or ``compact-hausdorff-upto:N``.
+
+    One memo.  Every class-derived answer is computed once and kept in one
+    dict by :meth:`_cached`.  An answer on the objects alone (class maps,
+    witnesses, the (EP) report, the quasi layer's object checks and
+    closure report) is always kept.  An answer for a target space is keyed
+    by its :meth:`~tvspaces.space.Space.cache_key` and kept only when the
+    target is over the class's own monad and quantale instances, so an
+    equal target over other instances gets its own answer or error.  The
+    objects are immutable and the keys are whole values, so an entry never
+    goes stale and a race on a missing entry stores equal values: the memo
+    is safe to share, but never evicted.  A cached ``None`` is a hit.  The
+    budget is checked only on a miss, so a small budget gets the answer of
+    an earlier, larger one; a call that raises caches nothing.  Cached
+    values are returned, not copied, and must not be modified.
     """
 
-    def __init__(self, objects, mode="explicit", param=None):
+    __slots__ = ("objects", "spec", "monad", "quantale", "_discrete", "_memo")
+
+    def __init__(self, objects, spec="explicit"):
         objects = list(objects)
         deduped, seen = [], set()
         for obj in objects:
@@ -117,60 +115,61 @@ class ProbeClass:
             if key not in seen:
                 seen.add(key)
                 deduped.append(obj)
-        self._fill(deduped, mode, param)
+        self._fill(deduped, spec)
 
     @staticmethod
-    def _trusted(objects, mode, param):
+    def _trusted(objects, spec):
         """A class on valid, pairwise non-isomorphic spaces that share one
         monad and quantale: unchecked."""
         cls = object.__new__(ProbeClass)
-        cls._fill(objects, mode, param)
+        cls._fill(objects, spec)
         return cls
 
-    def _fill(self, objects, mode, param):
+    def _fill(self, objects, spec):
         if not objects:
             raise PreconditionError("a probe class needs at least one object")
         if all(len(obj.carrier) == 0 for obj in objects):
             raise PreconditionError(
                 "a probe class needs a nonempty generating space")
         self.objects = tuple(objects)
-        self.mode = mode
-        self.param = param
+        self.spec = spec
         self.monad = objects[0].monad
         self.quantale = objects[0].quantale
         self._discrete = all(map(_is_discrete, objects))
-        self._image_cache = {}
-        self._probe_cache = {}
-        self._coreflect_cache = {}
-        self._exp_cache = {}
-        self._hom_cache = {}
-        self._witness_cache = {}
-        self._ep = None
-        self._closure = None
-        self._faults = None
+        self._memo = {}
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def explicit(spaces):
-        return ProbeClass(spaces, mode="explicit")
+        return ProbeClass(spaces)
 
     @staticmethod
     def compact_hausdorff_upto(n, quantale, monad):
         objects = compact_hausdorff_spaces(quantale, monad, n)
-        return ProbeClass._trusted(objects, "compact-hausdorff-upto", n)
+        return ProbeClass._trusted(objects, f"compact-hausdorff-upto:{n}")
 
     @staticmethod
     def sierpinski(quantale, monad, grid=None):
         return ProbeClass([sierpinski_space(quantale, monad, grid)],
-                          mode="sierpinski")
+                          "sierpinski")
 
     def spec_token(self):
-        if self.mode == "compact-hausdorff-upto":
-            return f"compact-hausdorff-upto:{self.param}"
-        if self.mode == "sierpinski":
-            return "sierpinski"
-        return "explicit"
+        return self.spec
+
+    def _cached(self, key, compute, space=None):
+        """``compute()``, memoised under ``key``; with a target ``space``,
+        only when it is over the class's own monad and quantale instances
+        (see the class docstring)."""
+        if space is not None and not self._shares_tables(space):
+            return compute()
+        value = self._memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._memo[key] = compute()
+        return value
+
+    def _shares_tables(self, space):
+        return space.monad is self.monad and space.quantale is self.quantale
 
     # -- probes -------------------------------------------------------------
 
@@ -189,8 +188,7 @@ class ProbeClass:
             return tuple(
                 (MapArrow._from_images(obj.carrier, space.carrier, f), obj)
                 for obj, fs in zip(self.objects, images) for f in fs)
-        return self._cached(self._probe_cache, space.cache_key(), space,
-                            build)
+        return self._cached(("probes", space.cache_key()), build, space)
 
     def _images_into(self, space, budget):
         """Per object, its continuous maps into a space as image-index
@@ -200,19 +198,7 @@ class ProbeClass:
             self._check_budget(space, budget)
             return tuple(_continuous_images(obj, space)
                          for obj in self.objects)
-        return self._cached(self._image_cache, space.cache_key(), space,
-                            search)
-
-    def _cached(self, cache, key, space, compute):
-        """``compute()``, cached under ``key`` for a space over the class's
-        own monad and quantale instances: an equal space over other
-        instances gets its own answer or error."""
-        if not self._shares_tables(space):
-            return compute()
-        cached = cache.get(key)
-        if cached is None:
-            cached = cache[key] = compute()
-        return cached
+        return self._cached(("images", space.cache_key()), search, space)
 
     def _check_budget(self, space, budget):
         n = len(space.carrier)
@@ -224,11 +210,8 @@ class ProbeClass:
 
     def _hom_images(self, i, j):
         """The continuous maps from object i to object j as image tuples."""
-        cached = self._hom_cache.get((i, j))
-        if cached is None:
-            cached = self._hom_cache[i, j] = _continuous_images(
-                self.objects[i], self.objects[j])
-        return cached
+        return self._cached(("homs", i, j), lambda: _continuous_images(
+            self.objects[i], self.objects[j]))
 
     def homs(self, i, j):
         """Continuous maps between class objects."""
@@ -238,9 +221,8 @@ class ProbeClass:
 
     def exponentiability_witness(self, i):
         """The exponentiability witness of object i, cached."""
-        if i not in self._witness_cache:
-            self._witness_cache[i] = exponentiability_witness(self.objects[i])
-        return self._witness_cache[i]
+        return self._cached(("witness", i), lambda: exponentiability_witness(
+            self.objects[i]))
 
     def coreflect(self, space, budget=DEFAULT_MAP_BUDGET):
         """The final structure of the probes into a space, cached.
@@ -255,20 +237,17 @@ class ProbeClass:
         def compute():
             if (self._shares_tables(space) and self._discrete
                     and q.integral and _lawful(q)):
-                if key not in self._image_cache:
+                if ("images", key) not in self._memo:
                     self._check_budget(space, budget)
                 return discrete_space(space.carrier, space.monad, q)
             return _final_space(space.carrier, space.monad, q, list(
                 zip(self.objects, self._images_into(space, budget))))
-        return self._cached(self._coreflect_cache, key, space, compute)
-
-    def _shares_tables(self, space):
-        return space.monad is self.monad and space.quantale is self.quantale
+        return self._cached(("coreflect", key), compute, space)
 
     def exponential_with(self, i, z_space):
-        return self._cached(self._exp_cache, (i, z_space.cache_key()),
-                            z_space,
-                            lambda: exponential(self.objects[i], z_space))
+        return self._cached(("exp", i, z_space.cache_key()),
+                            lambda: exponential(self.objects[i], z_space),
+                            z_space)
 
 
 def c_generated_structure(space, probe_class, budget=DEFAULT_MAP_BUDGET):
@@ -282,21 +261,10 @@ def is_c_generated(space, probe_class, budget=DEFAULT_MAP_BUDGET):
 
 def is_c_continuous(f, x_space, y_space, probe_class,
                     budget=DEFAULT_MAP_BUDGET):
-    """Class-continuity, computed probe-by-probe.
-
-    Cross-checked against the equivalent formulation through the
-    coreflection; the two can only disagree if an invariant is broken.
-    """
-    probewise = all(
-        is_continuous(p.then(f), src, y_space)
-        for p, src in probe_class.probes_into(x_space, budget))
-    coreflected = is_continuous(f, probe_class.coreflect(x_space, budget),
-                                y_space)
-    if probewise != coreflected:
-        raise RuntimeError(
-            "class-continuity mismatch between the probe test and the "
-            "coreflection test; final-structure invariant is broken")
-    return probewise
+    """Class-continuity: ``f`` is continuous after every probe into
+    ``x_space``, which holds exactly when it is continuous out of the
+    coreflection, the final structure of those probes."""
+    return is_continuous(f, probe_class.coreflect(x_space, budget), y_space)
 
 
 def check_ep(probe_class):
@@ -307,7 +275,7 @@ def check_ep(probe_class):
     and the second lists pairs whose binary product is not class-generated.
     The report is computed once per class and cached on it.
     """
-    if probe_class._ep is None:
+    def compute():
         objects = probe_class.objects
         non_expo = [i for i in range(len(objects))
                     if probe_class.exponentiability_witness(i) is not None]
@@ -317,8 +285,8 @@ def check_ep(probe_class):
                 prod, _ = product(objects[i], objects[j])
                 if not is_c_generated(prod, probe_class):
                     bad_products.append((i, j))
-        probe_class._ep = (tuple(non_expo), tuple(bad_products))
-    non_expo, bad_products = probe_class._ep
+        return tuple(non_expo), tuple(bad_products)
+    non_expo, bad_products = probe_class._cached(("ep",), compute)
     return list(non_expo), list(bad_products)
 
 

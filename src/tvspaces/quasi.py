@@ -65,15 +65,15 @@ def _class_faults(cls):
     """The class-object violations of :func:`validate_quasi`.  They depend
     on the class objects alone, so they are computed once per class and
     cached on it."""
-    if cls._faults is None:
+    def compute():
         faults = []
         for i, obj in enumerate(cls.objects):
             if not (is_compact(obj) and is_hausdorff(obj)):
                 faults.append(("class-compact-hausdorff", (i,)))
             if not validate_space(obj).passed:
                 faults.append(("class-object-valid", (i,)))
-        cls._faults = tuple(faults)
-    return cls._faults
+        return tuple(faults)
+    return cls._cached(("faults",), compute)
 
 
 def _check_class(cls):
@@ -400,18 +400,18 @@ def product_quasi(factors, cls=None):
 def class_closure_report(cls):
     """Binary products and pullbacks of class maps, up to isomorphism.
 
-    Only meaningful for explicit classes; the compact-Hausdorff mode is a
-    size-bounded window onto a class that is closed by the standard
-    compactness facts, so it reports clean.  The report depends on the
-    class objects alone, so it is computed once per class and cached on it.
+    A ``compact-hausdorff-upto:N`` class is a size-bounded window onto a
+    class that is closed by the standard compactness facts, so it reports
+    clean; every other class, the Sierpinski one included, is checked.  The
+    report depends on the class objects alone, so it is computed once per
+    class and cached on it.
     """
-    if cls.mode != "explicit":
+    if cls.spec.startswith("compact-hausdorff-upto:"):
         return ValidationReport(notes=(
             "ambient class closed under products and pullbacks; "
             "the enumerated window is a size truncation",))
-    if cls._closure is None:
-        cls._closure = ValidationReport.collect(_closure_gaps(cls))
-    return cls._closure
+    return cls._cached(("closure",),
+                       lambda: ValidationReport.collect(_closure_gaps(cls)))
 
 
 def _closure_gaps(cls):

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 
 from tvspaces import (
@@ -54,6 +57,55 @@ ORD_CHAIN2 = b_space(["u", "v"], [[1, 1], [0, 1]])
 POINT_CLASS = ProbeClass.explicit([b_space(["*"], [[1]])])
 SIERP_CLASS = ProbeClass.sierpinski(B, IM)
 CH2_CLASS = ProbeClass.compact_hausdorff_upto(2, B, IM)
+
+
+def test_spec_token_names_the_constructor():
+    assert POINT_CLASS.spec_token() == "explicit"
+    assert SIERP_CLASS.spec_token() == "sierpinski"
+    assert CH2_CLASS.spec_token() == "compact-hausdorff-upto:2"
+    assert ProbeClass(POINT_CLASS.objects).spec_token() == "explicit"
+
+
+def test_class_derived_answers_live_in_one_memo():
+    cls = ProbeClass.compact_hausdorff_upto(2, B, IM)
+    cls.coreflect(ORD_CHAIN2)
+    check_ep(cls)
+    assert {key[0] for key in cls._memo} == {"coreflect", "ep", "witness"}
+    with pytest.raises(AttributeError):
+        cls._ep = ([], [])
+
+
+def test_threads_sharing_one_class_get_the_single_thread_answers():
+    """The memo stores without a lock: threads that race on a missing
+    entry compute it twice and store equal values."""
+    spaces = list(all_valid_spaces_upto(B, IM, 2, include_empty=False))
+
+    def answers(cls):
+        return ([cls.coreflect(x) for x in spaces],
+                [cls.probes_into(x) for x in spaces], check_ep(cls))
+
+    want = answers(ProbeClass.sierpinski(B, IM))
+    shared = ProbeClass.sierpinski(B, IM)
+    got, errors = [], []
+
+    def work():
+        try:
+            got.append(answers(shared))
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and got == [want] * 4
 
 
 class TestEnumerateProbes:
@@ -132,6 +184,12 @@ class TestCContinuity:
         f = MapArrow(ind.carrier, sierp.carrier, {"x": "1", "y": "0"})
         assert not is_continuous(f, ind, sierp)
         assert is_c_continuous(f, ind, sierp, POINT_CLASS)
+
+    def test_mismatched_map_is_refused_by_the_coreflection_test(self):
+        f = MapArrow.identity(Carrier(["a", "b"]))
+        with pytest.raises(CarrierMismatchError) as exc:
+            is_c_continuous(f, ORD_CHAIN2, ORD_CHAIN2, CH2_CLASS)
+        assert str(exc.value) == "map endpoints do not match the spaces"
 
     def test_three_way_equivalence(self):
         # probewise == continuous from the coreflection

@@ -405,7 +405,8 @@ def random_map(dom, cod, rng):
 def classes(q, rng, mon=IM):
     """A shipped class, explicit ones with a 0-point object, and a class of
     two 2-point objects, one not discrete, that is taken as closed under
-    products and pullbacks without a check (its mode is not "explicit")."""
+    products and pullbacks without a check (its spec is
+    ``compact-hausdorff-upto:2``)."""
     empty = discrete_space(Carrier([]), mon, q)
     point = discrete_space(carrier("o", 1), mon, q)
     return [ProbeClass.compact_hausdorff_upto(2, q, mon),
@@ -417,7 +418,7 @@ def classes(q, rng, mon=IM):
                  Space.from_square(carrier("s", 2), mon, q, VRel(
                      carrier("s", 2), carrier("s", 2), q,
                      [[q.top, q.top], [q.bottom, q.top]]))],
-                "compact-hausdorff-upto", 2)]
+                "compact-hausdorff-upto:2")]
 
 
 def random_quasi(cls, c, rng, keep=0.5):
@@ -456,7 +457,7 @@ def test_coreflections_match_the_per_probe_loop(qname):
                                        IM, q)
             assert got == want
             # the probes, once cached, give the same answer to a new class
-            fresh = ProbeClass._trusted(cls.objects, cls.mode, cls.param)
+            fresh = ProbeClass._trusted(cls.objects, cls.spec)
             fresh.probes_into(space)
             assert fresh.coreflect(space) == want
 
@@ -535,7 +536,7 @@ def test_final_structure_refuses_an_order_that_is_not_a_lattice():
             sink = [(random_map(edge, c, rng), rng.choice(spaces))
                     for _ in range(rng.randrange(1, 6))]
             assert outcome(final_structure, c, sink, IM, q) == want
-        cls = ProbeClass._trusted(spaces[:2], "explicit", None)
+        cls = ProbeClass._trusted(spaces[:2], "explicit")
         target = Space.from_square(c, IM, q, VRel(c, c, q, [
             [t if i == j else x for j in range(n)] for i in range(n)]))
         assert outcome(cls.coreflect, target) == want
@@ -589,7 +590,7 @@ def test_closed_form_coreflections_match_the_search(qname, monad):
     rng = random.Random(f"closed-form/{qname}/{mon.name}")
     discrete = ProbeClass._trusted(
         [discrete_space(carrier("e", n), mon, q) for n in range(4)],
-        "explicit", None)
+        "explicit")
     assert discrete._discrete
     tried = [discrete, ProbeClass.compact_hausdorff_upto(2, q, mon)]
     if qname in QUANTALES:
@@ -600,7 +601,7 @@ def test_closed_form_coreflections_match_the_search(qname, monad):
             n = len(target.carrier)
             total = sum(n ** len(obj.carrier) for obj in cls.objects)
             for budget in (total - 1, total, generation.DEFAULT_MAP_BUDGET):
-                fresh = ProbeClass._trusted(cls.objects, cls.mode, cls.param)
+                fresh = ProbeClass._trusted(cls.objects, cls.spec)
                 want = outcome(ref_coreflect, cls, target, budget)
                 assert outcome(fresh.coreflect, target, budget) == want
             answers.add(want[0] if want[0] != "ok" else
@@ -610,7 +611,7 @@ def test_closed_form_coreflections_match_the_search(qname, monad):
             assert generation.is_c_generated(target, fresh) == (
                 target.structure == want[1].structure)
             # probes cached by a call with a larger budget: no budget check
-            fresh = ProbeClass._trusted(cls.objects, cls.mode, cls.param)
+            fresh = ProbeClass._trusted(cls.objects, cls.spec)
             fresh.probes_into(target)
             assert fresh.coreflect(target, 0) == want[1]
     if qname == "join-tensor":

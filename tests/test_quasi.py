@@ -358,7 +358,7 @@ class TestValidate:
         point = Carrier(["o"])
         bare = Space.from_square(point, IM, B,
                                  VRel(point, point, B, [[B.bottom]]))
-        cls = ProbeClass._trusted([ONE, bare], "explicit", None)
+        cls = ProbeClass._trusted([ONE, bare], "explicit")
         full = QuasiSpace(Carrier(["p"]), cls, [{("p",)}, {("p",)}],
                           check_class=False)
         assert validate_quasi(full).violations == (
@@ -605,6 +605,57 @@ class TestClassClosure:
             f"class closure gaps: {report.violations[:3]}",)
         assert report.violations == quasi_module.class_closure_report(
             ProbeClass.explicit([ONE, TWO])).violations
+
+    def test_sierpinski_class_is_checked_like_its_explicit_class(self):
+        """Only a compact-Hausdorff window is taken as closed: the
+        Sierpinski class reports the gaps of the explicit class on its one
+        object, and the exponential refuses it."""
+        from tvspaces.quasi import class_closure_report
+        from tvspaces.space import sierpinski_space
+
+        sierp = ProbeClass.sierpinski(B, IM)
+        report = class_closure_report(sierp)
+        assert report == class_closure_report(
+            ProbeClass.explicit([sierpinski_space(B, IM)]))
+        assert report.violations[0] == ("product-closure", (0, 0))
+        assert any(kind == "pullback-closure"
+                   for kind, _ in report.violations)
+        quasi = QuasiSpace(Carrier(["p"]), sierp, [{("p", "p")}],
+                           check_class=False)
+        with pytest.raises(PreconditionError) as exc:
+            exponential_quasi(quasi, quasi)
+        assert str(exc.value).startswith(
+            "class is not closed under products/pullbacks: "
+            "(('product-closure', (0, 0))")
+
+    def test_validation_reads_the_class_memo(self, monkeypatch):
+        """Two validations on one class check each object once and search
+        the class maps between two objects once per pair."""
+        from tvspaces import generation
+        from tvspaces import quasi as quasi_module
+
+        calls = []
+        for module, name in ((quasi_module, "is_compact"),
+                             (quasi_module, "validate_space"),
+                             (generation, "_continuous_images")):
+            def counted(*args, fn=getattr(module, name), name=name):
+                calls.append((name, *map(id, args)))
+                return fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        cls = ProbeClass.explicit([ONE, TWO])
+        c = Carrier(["p", "q"])
+        constants = [{(y,) * len(obj.carrier) for y in c.labels}
+                     for obj in cls.objects]
+        quasi = QuasiSpace(c, cls, constants, check_class=False)
+        first = validate_quasi(quasi)
+        assert any(kind == "QS3-cover-closure"
+                   for kind, _ in first.violations)
+        assert validate_quasi(quasi) == first
+        ids = [id(obj) for obj in cls.objects]
+        assert sorted(calls) == sorted(
+            [("is_compact", i) for i in ids]
+            + [("validate_space", i) for i in ids]
+            + [("_continuous_images", i, j) for i in ids for j in ids])
 
     def test_exponential_rejects_unclosed_explicit_class(self):
         cls = ProbeClass.explicit([TWO])
