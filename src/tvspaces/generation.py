@@ -79,7 +79,9 @@ class ProbeClass:
     layer reads the same flag (see :mod:`tvspaces.quasi`).
 
     ``spec`` is the specifier the named constructors set: ``explicit``,
-    ``sierpinski`` or ``compact-hausdorff-upto:N``.
+    ``sierpinski`` or ``compact-hausdorff-upto:N``.  Only
+    :meth:`compact_hausdorff_upto` makes a :meth:`is_enumerated_window`
+    class, whose closure the quasi layer trusts.
 
     One memo.  Every class-derived answer is computed once and kept in one
     dict by :meth:`_cached`.  An answer on the objects alone (class maps,
@@ -98,7 +100,7 @@ class ProbeClass:
 
     __slots__ = ("objects", "spec", "monad", "quantale", "_discrete", "_memo")
 
-    def __init__(self, objects, spec="explicit"):
+    def __init__(self, objects):
         objects = list(objects)
         deduped, seen = [], set()
         for obj in objects:
@@ -115,7 +117,7 @@ class ProbeClass:
             if key not in seen:
                 seen.add(key)
                 deduped.append(obj)
-        self._fill(deduped, spec)
+        self._fill(deduped, "explicit")
 
     @staticmethod
     def _trusted(objects, spec):
@@ -151,11 +153,18 @@ class ProbeClass:
 
     @staticmethod
     def sierpinski(quantale, monad, grid=None):
-        return ProbeClass([sierpinski_space(quantale, monad, grid)],
-                          "sierpinski")
+        cls = ProbeClass([sierpinski_space(quantale, monad, grid)])
+        cls.spec = "sierpinski"
+        return cls
 
     def spec_token(self):
         return self.spec
+
+    def is_enumerated_window(self):
+        """Whether the class is a size-bounded window of all compact
+        Hausdorff spaces over its table, as :meth:`compact_hausdorff_upto`
+        builds."""
+        return self.spec.startswith("compact-hausdorff-upto:")
 
     def _cached(self, key, compute, space=None):
         """``compute()``, memoised under ``key``; with a target ``space``,

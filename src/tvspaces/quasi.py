@@ -406,7 +406,7 @@ def class_closure_report(cls):
     report depends on the class objects alone, so it is computed once per
     class and cached on it.
     """
-    if cls.spec.startswith("compact-hausdorff-upto:"):
+    if cls.is_enumerated_window():
         return ValidationReport(notes=(
             "ambient class closed under products and pullbacks; "
             "the enumerated window is a size truncation",))

@@ -377,10 +377,17 @@ def battery_cmap_cartesian_closed(level="full"):
                             f"({len(x_space.carrier)},{len(y_space.carrier)},"
                             f"{len(z_space.carrier)})")
                         if f_set:
+                            # every map out of the coreflection passes the
+                            # probe-by-probe test, which is_c_continuous
+                            # no longer runs
+                            probes = cls.probes_into(prod_space)
                             probe_f = next(iter(f_set.values()))
                             result.check(
                                 is_c_continuous(probe_f, prod_space, z_space,
-                                                cls),
+                                                cls)
+                                and all(is_continuous(p.then(f), src, z_space)
+                                        for f in f_set.values()
+                                        for p, src in probes),
                                 "probewise class-continuity disagrees")
     return result
 

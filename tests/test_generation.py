@@ -66,6 +66,17 @@ def test_spec_token_names_the_constructor():
     assert ProbeClass(POINT_CLASS.objects).spec_token() == "explicit"
 
 
+def test_only_the_enumerated_class_is_a_trusted_window():
+    """The constructor sets no spec, so no class of arbitrary objects can
+    pass for a compact Hausdorff window and skip the closure checks."""
+    assert CH2_CLASS.is_enumerated_window()
+    for cls in (POINT_CLASS, SIERP_CLASS,
+                ProbeClass.explicit(CH2_CLASS.objects)):
+        assert not cls.is_enumerated_window()
+    with pytest.raises(TypeError):
+        ProbeClass(CH2_CLASS.objects, "compact-hausdorff-upto:9")
+
+
 def test_class_derived_answers_live_in_one_memo():
     cls = ProbeClass.compact_hausdorff_upto(2, B, IM)
     cls.coreflect(ORD_CHAIN2)
@@ -206,6 +217,7 @@ class TestCContinuity:
                             for p, src in cls.probes_into(x))
                         assert probewise == is_continuous(f, xc, y)
                         assert probewise == is_continuous(f, xc, yc)
+                        assert probewise == is_c_continuous(f, x, y, cls)
 
 
 class TestColimitPresentation:
