@@ -17,11 +17,11 @@ operation checks its arguments with ``_check``.  A relation stores the bare
 payloads of its entries (see :mod:`tvspaces.vrel`); ``value_of`` and
 ``token_of`` turn a stored payload into its ``Value`` or token unchecked.
 The matrix kernels behind ``vrel.compose``, the closure and the space
-predicates and constructions work on those payload rows, and this module
-alone decides how: :meth:`Quantale.encode` gives the kernel for one
-operation and the kernel rows of some payload matrices (``Quantale.kernel``
-and the kernel's ``row`` do the same one row at a time, for scans that may
-stop early), and the kernel's ``decode`` turns result rows into payloads.
+predicates and constructions work on kernel rows, and this module alone
+decides how: :meth:`Quantale.encode` gives the kernel for one operation on
+some relations and the kernel rows of each (``Quantale.kernel`` and the
+kernel's ``row`` do the same one row at a time, for scans that may stop
+early), and the kernel's ``decode`` turns result rows into payloads.
 
 * Finite quantales compute on the payloads, the carrier indices of the
   tables; the kernel reads ``_tensor``, ``_join2`` and ``_leq`` directly,
@@ -36,7 +36,12 @@ stop early), and the kernel's ``decode`` turns result rows into payloads.
   ``steps * M + 1`` for a bound ``M`` on every finite entry (the largest
   numerator times the scale).  A sum that involves the sentinel is at least
   the sentinel, and results are clamped back to it, so a finite sum is
-  never read as ``inf`` and ``inf`` never as finite.
+  never read as ``inf`` and ``inf`` never as finite.  Each relation is
+  rescaled once: on its first kernel use it keeps its cost form (see
+  ``_cost_form``), its rows as integers over its own scale, the lcm of its
+  own denominators.  An operation's scale is the lcm of its relations'
+  scales, so its kernel rows are the stored rows times a whole factor, and
+  a relation already on that scale is copied, not multiplied.
 """
 
 import math
@@ -134,17 +139,18 @@ class Quantale:
                 )
 
     # subclasses implement: tensor, _hom_payload, leq, meet, join2,
-    # bottom/top/unit, value_of, token_of, parse_value, cache_key, and kernel
+    # bottom/top/unit, value_of, token_of, parse_value, cache_key,
+    # kernel(relations, steps), and the flags integral, lean,
+    # totally_ordered and meet_tensor (the tensor is the lattice meet)
 
-    def encode(self, matrices, steps=1):
-        """The kernel for some payload matrices, and their kernel rows.
+    def encode(self, relations, steps=1):
+        """The kernel for some relations, and the kernel rows of each.
 
         ``steps`` bounds how many entries one sum of the operation adds up.
         The rows are fresh lists, so a kernel operation may write to them.
         """
-        kernel = self.kernel(matrices, steps)
-        row = kernel.row
-        return kernel, [[row(r) for r in m] for m in matrices]
+        kernel = self.kernel(relations, steps)
+        return kernel, [kernel.rows(r) for r in relations]
 
     def value_token(self, v):
         self._check(v)
@@ -224,6 +230,7 @@ class FiniteQuantale(Quantale):
         self._heyting = self._derive_residual(self._meet2)
         self._flaw = self._lattice_flaw()
         self._kernel = None if self._flaw else _FiniteKernel(self)
+        self.meet_tensor = self._tensor == self._meet2
 
     # -- table derivation -------------------------------------------------
 
@@ -318,7 +325,7 @@ class FiniteQuantale(Quantale):
     def _hom_payload(self, a, b):
         return self._entry(self._hom, a, b, "hom")
 
-    def kernel(self, matrices, steps=1):
+    def kernel(self, relations, steps=1):
         """The index kernel, shared by every operation on this quantale.
 
         Refused when the order is not a complete lattice.
@@ -430,6 +437,7 @@ class CostQuantale(Quantale):
         assert flavor in ("plus", "max")
         self.kind = "cost-plus" if flavor == "plus" else "cost-max"
         self._flavor = flavor
+        self.meet_tensor = flavor == "max"
         self._zero = Value(self, Fraction(0))
         self._inf = Value(self, INF)
 
@@ -463,18 +471,17 @@ class CostQuantale(Quantale):
             return self._zero
         return Value(self, v.payload)
 
-    def kernel(self, matrices, steps=1):
-        """A scaled-integer kernel for the entries of these matrices.
+    def kernel(self, relations, steps=1):
+        """A scaled-integer kernel for the entries of these relations.
 
         The scale is the lcm of their denominators, and ``inf`` is set above
         ``steps`` times the largest numerator times the scale, so no finite
         sum of ``steps`` entries reaches it.
         """
-        ratios = [p.as_integer_ratio() for m in matrices for row in m
-                  for p in row if p is not INF]
-        scale = math.lcm(*{d for _, d in ratios})
+        forms = [_cost_form(r) for r in relations]
+        scale = math.lcm(*[s for s, _, _ in forms])
         # n * (scale // d) <= n * scale bounds every entry
-        largest = max(ratios, default=(0, 1))[0] * scale
+        largest = max([n for _, n, _ in forms], default=0) * scale
         return _CostKernel(self, scale, max(steps, 1) * largest + 1)
 
     def _hom_payload(self, a, b):
@@ -527,6 +534,31 @@ class CostQuantale(Quantale):
 # -- payload kernels ----------------------------------------------------------
 
 
+def _cost_form(rel):
+    """A cost relation's kernel form, filled on its first kernel use.
+
+    The form is ``(scale, largest, rows)``: the lcm of the denominators of
+    the relation's entries, their largest numerator, and its rows as
+    integers over that scale, ``None`` marking ``inf``.  It lives in the
+    relation's ``_cost_form`` slot, which only this module reads or
+    writes.  Threads that race on an empty slot each store the same form,
+    and a relation never changes, so the form is never stale.
+    """
+    try:
+        return rel._cost_form
+    except AttributeError:
+        pass
+    ratios = [[None if p is INF else p.as_integer_ratio() for p in row]
+              for row in rel.rows]
+    finite = [r for row in ratios for r in row if r is not None]
+    scale = math.lcm(*{d for _, d in finite})
+    form = rel._cost_form = (
+        scale, max(finite, default=(0, 1))[0],
+        tuple([tuple([None if r is None else r[0] * (scale // r[1])
+                      for r in row]) for row in ratios]))
+    return form
+
+
 def _rows_by(fold, rows, width, empty):
     """Entrywise ``fold`` (``max`` or ``min``) of equally long rows."""
     if not rows:
@@ -572,9 +604,10 @@ class _Kernel:
     """Matrix operations on the kernel rows of one quantale.
 
     Subclasses give ``unit``, ``bottom`` and ``top`` (kernel entries),
-    ``row(payloads, indices=None)`` (the kernel row of a stored payload row,
-    or of ``payloads[j]`` for j in ``indices``, as a fresh list),
-    ``decode(rows)`` (the payload rows of kernel rows), ``below(a, b)`` and
+    ``rows(rel)`` (the kernel rows of a relation the kernel was made for, as
+    fresh lists), ``row(rel, i, indices=None)`` (its row i, or the entries
+    of row i at ``indices``, as a fresh list), ``decode(rows)`` (the
+    payload rows of kernel rows), ``below(a, b)`` and
     ``row_below(ra, rb)`` (the quantale order on entries and on whole rows),
     ``tensor(a, b)``, ``meet(a, b)`` and ``heyting(a, b)`` on entries,
     ``compose(left, right, width)``, ``close(rows)``, and three folds:
@@ -721,10 +754,15 @@ class _FiniteKernel(_Kernel):
                             for x in range(n)]
 
     @staticmethod
-    def row(payloads, indices=None):
+    def rows(rel):
+        return list(map(list, rel.rows))
+
+    @staticmethod
+    def row(rel, i, indices=None):
+        row = rel.rows[i]
         if indices is None:
-            return list(payloads)
-        return [payloads[j] for j in indices]
+            return list(row)
+        return [row[j] for j in indices]
 
     @staticmethod
     def decode(rows):
@@ -878,7 +916,11 @@ class _CostKernel(_Kernel):
 
     The quantale order is the reversed numeric order, join is ``min`` and the
     tensor is ``+`` or ``max``.  An ``inf`` entry tensors every term to
-    ``inf``, which the ``min`` ignores, so its terms are skipped.
+    ``inf``, which the ``min`` ignores, so its terms are skipped.  The rows
+    of a relation are its stored cost form (see ``_cost_form``) times
+    ``scale`` over the form's scale, with the sentinel for ``inf``, so no
+    entry is rescaled from its ``Fraction``.  ``decode`` builds one payload
+    per distinct integer of its rows.
     """
 
     def __init__(self, q, scale, inf):
@@ -886,27 +928,31 @@ class _CostKernel(_Kernel):
         self.scale = scale
         self.inf = self.bottom = inf
         self.unit = self.top = 0
-        self._payloads = {}
 
-    def row(self, payloads, indices=None):
+    def _scaled(self, scale, entries):
+        """Kernel entries of stored form entries over ``scale``."""
+        inf, k = self.inf, self.scale // scale
+        if k == 1:
+            return [inf if x is None else x for x in entries]
+        return [inf if x is None else x * k for x in entries]
+
+    def rows(self, rel):
+        scale, _, rows = rel._cost_form
+        return [self._scaled(scale, row) for row in rows]
+
+    def row(self, rel, i, indices=None):
+        scale, _, rows = rel._cost_form
+        row = rows[i]
         if indices is not None:
-            payloads = [payloads[j] for j in indices]
-        scale, inf = self.scale, self.inf
-        return [inf if p is INF
-                else (r := p.as_integer_ratio())[0] * (scale // r[1])
-                for p in payloads]
+            row = [row[j] for j in indices]
+        return self._scaled(scale, row)
 
     def decode(self, rows):
-        payload = self.payload
-        return [[payload(x) for x in row] for row in rows]
-
-    def payload(self, x):
-        """The stored payload of a kernel entry."""
-        p = self._payloads.get(x)
-        if p is None:
-            p = self._payloads[x] = (
-                INF if x >= self.inf else Fraction(x, self.scale))
-        return p
+        scale, inf = self.scale, self.inf
+        payload = {x: INF if x >= inf else Fraction(x, scale)
+                   for x in set().union(*rows)}
+        get = payload.__getitem__
+        return [list(map(get, row)) for row in rows]
 
     @staticmethod
     def below(a, b):

@@ -44,9 +44,14 @@ from .vrel import Carrier, MapArrow, VRel, identity_rel
 
 
 class Space:
-    """A finite carrier, a monad tag and a reflexive, transitive square."""
+    """A finite carrier, a monad tag and a reflexive, transitive square.
 
-    __slots__ = ("carrier", "monad", "quantale", "structure")
+    ``cache_key`` is built on its first call and kept in ``_key``; a space
+    never changes, so the key is never stale, and threads that race on it
+    store equal keys.
+    """
+
+    __slots__ = ("carrier", "monad", "quantale", "structure", "_key")
 
     def __init__(self, carrier, monad, quantale, structure):
         if structure.dom != carrier or structure.cod != carrier:
@@ -67,8 +72,13 @@ class Space:
         return Space(carrier, monad, quantale, square)
 
     def cache_key(self):
-        return (self.quantale.cache_key(), self.monad.name,
-                self.carrier.labels, self.structure.rows)
+        try:
+            return self._key
+        except AttributeError:
+            pass
+        key = self._key = (self.quantale.cache_key(), self.monad.name,
+                           self.carrier.labels, self.structure.rows)
+        return key
 
     def __eq__(self, other):
         return (isinstance(other, Space)
@@ -91,9 +101,9 @@ def _encode_distinct(quantale, spaces, steps=1):
     Each distinct structure is encoded once; the rows come back keyed by
     the ``id`` of the structure.
     """
-    distinct = {id(s.structure): s.structure.rows for s in spaces}
-    kernel, payloads = quantale.encode(list(distinct.values()), steps)
-    return kernel, dict(zip(distinct, payloads))
+    distinct = {id(s.structure): s.structure for s in spaces}
+    kernel, rows = quantale.encode(list(distinct.values()), steps)
+    return kernel, dict(zip(distinct, rows))
 
 
 def _check_compatible(*spaces):
@@ -116,7 +126,7 @@ def validate_space(space):
     """
     q, rows = space.quantale, space.structure.rows
     labels = space.carrier.labels
-    kernel, (a,) = q.encode((rows,), steps=2)
+    kernel, (a,) = q.encode((space.structure,), steps=2)
     violations = []
     for i, x in enumerate(labels):
         if not kernel.below(kernel.unit, a[i][i]):
@@ -140,7 +150,7 @@ def continuity_witness(f, x_space, y_space):
     _check_compatible(x_space, y_space)
     if f.dom != x_space.carrier or f.cod != y_space.carrier:
         raise CarrierMismatchError("map endpoints do not match the spaces")
-    a, b = x_space.structure.rows, y_space.structure.rows
+    a, b = x_space.structure, y_space.structure
     kernel = x_space.quantale.kernel((a, b))
     row, row_below = kernel.row, kernel.row_below
     indices = f.images
@@ -149,8 +159,8 @@ def continuity_witness(f, x_space, y_space):
     for i, fi in enumerate(indices):
         rb = pulled.get(fi)
         if rb is None:
-            rb = pulled[fi] = row(b[fi], indices)
-        ra = row(a[i])
+            rb = pulled[fi] = row(b, fi, indices)
+        ra = row(a, i)
         if not row_below(ra, rb):
             j = kernel.row_failures(ra, rb)[0]
             labels = x_space.carrier.labels
@@ -167,10 +177,10 @@ def is_fully_faithful(f, x_space, y_space):
     _check_compatible(x_space, y_space)
     if f.dom != x_space.carrier or f.cod != y_space.carrier:
         raise CarrierMismatchError("map endpoints do not match the spaces")
-    a, b = x_space.structure.rows, y_space.structure.rows
+    a, b = x_space.structure, y_space.structure
     row = x_space.quantale.kernel((a, b)).row
     indices = f.images
-    return all(row(a[i]) == row(b[fi], indices)
+    return all(row(a, i) == row(b, fi, indices)
                for i, fi in enumerate(indices))
 
 
@@ -195,7 +205,7 @@ def _continuous_images(x_space, y_space):
         return []
     _check_compatible(x_space, y_space)
     kernel, (a, b) = x_space.quantale.encode(
-        (x_space.structure.rows, y_space.structure.rows))
+        (x_space.structure, y_space.structure))
     below = kernel.below
     ys = range(m)
     if _is_discrete(x_space):
@@ -437,7 +447,7 @@ def compactness_witness(space):
     Row tx is compact when the unit is below the join over x of
     ``a(tx, x) (x) a(tx, x)``; rows are tested in order.
     """
-    kernel, (a,) = space.quantale.encode((space.structure.rows,), steps=2)
+    kernel, (a,) = space.quantale.encode((space.structure,), steps=2)
     tensor, unit = kernel.tensor, kernel.unit
     for x, row in zip(space.carrier.labels, a):
         total = kernel.join_all([tensor(v, v) for v in row])
@@ -456,7 +466,7 @@ def hausdorff_witness(space):
     ``a(tx, x) (x) a(tx, y)`` must be bottom for x != y and below the unit
     for x = y; pairs are tested with x outermost and tx innermost.
     """
-    kernel, (a,) = space.quantale.encode((space.structure.rows,), steps=2)
+    kernel, (a,) = space.quantale.encode((space.structure,), steps=2)
     bot, unit = kernel.bottom, kernel.unit
     tensor, below = kernel.tensor, kernel.below
     labels = space.carrier.labels
@@ -484,7 +494,7 @@ def separatedness_witness(space):
 
     Pairs ``(y1, y2)`` of distinct points are tested in row-major order.
     """
-    kernel, (a,) = space.quantale.encode((space.structure.rows,))
+    kernel, (a,) = space.quantale.encode((space.structure,))
     unit, below = kernel.unit, kernel.below
     up = [[below(unit, p) for p in row] for row in a]
     labels = space.carrier.labels
@@ -569,14 +579,29 @@ def exponentiability_witness(space):
     ``M[u][k] = a(x_i, x_k) /\\ u`` and ``N[k][(j, v)] = a(x_k, x_j) /\\ v``,
     so the kernel composes once per row i (see
     ``_Kernel.exponentiability_witness``) and scans j, u and v in that
-    order.  The entries and the values are encoded together, so the cost
-    kernel puts both over one scale, and each side sums at most two of them
-    below the ``inf`` sentinel.  Returns ``(big, x, u, v)`` for the first
-    failure, else None.
+    order.  The entries and the values, a one-row relation, are encoded
+    together, so the cost kernel puts both over one scale, and each side
+    sums at most two of them below the ``inf`` sentinel.  Returns
+    ``(big, x, u, v)`` for the first failure, else None.
+
+    When the tensor is the meet (bool2, ``chain(n)``, cost-max, any table
+    whose tensor table is its meet table) and every diagonal entry is top,
+    nothing fails, and nothing is searched: the term ``k = i`` of the right
+    side is ``(top /\\ u) (x) (a(x_i, x_j) /\\ v)``, which with ``(x)`` the
+    meet is ``a(x_i, x_j) /\\ u /\\ v``, the left side, and a join is above
+    each of its terms (the y = x argument of Clementino & Hofmann,
+    "Exponentiation in V-categories", 2006).  The order is checked first,
+    so an order that is not a complete lattice is refused as before.
     """
     q, rows = space.quantale, space.structure.rows
+    q.kernel(())                      # refuses an order that is not a lattice
+    top = q.top.payload
+    if q.meet_tensor and all(row[i] == top for i, row in enumerate(rows)):
+        return None
     values = _generated_payloads(q, [p for row in rows for p in row])
-    kernel, (a, (payloads,)) = q.encode((rows, [values]), steps=2)
+    free = VRel._from_rows(Carrier(["values"]), Carrier(map(
+        q.token_of, values)), q, [values])
+    kernel, (a, (payloads,)) = q.encode((space.structure, free), steps=2)
     hit = kernel.exponentiability_witness(a, payloads)
     if hit is None:
         return None
@@ -633,8 +658,7 @@ def exponential(y_space, z_space):
     maps = continuous_maps(y_space, z_space)
     carrier = Carrier(map_label(f) for f in maps)
     by_label = {map_label(f): f for f in maps}
-    kernel, (b, c) = q.encode((y_space.structure.rows,
-                               z_space.structure.rows))
+    kernel, (b, c) = q.encode((y_space.structure, z_space.structure))
     rows = kernel.function_space(b, c, [f.images for f in maps])
     return Space(carrier, monad, q, VRel._from_rows(
         carrier, carrier, q, kernel.decode(rows))), by_label

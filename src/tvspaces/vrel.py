@@ -11,8 +11,10 @@ build ``Value`` objects or tokens on demand.  Rows the library computes are
 right by construction and go through ``VRel._from_rows`` unchecked.
 :func:`compose`, the closure, joins and meets run the quantale's kernel
 (see :mod:`tvspaces.quantale`) on the stored rows and store the rows it
-returns: exactly the entrywise ``Value`` answers.  A finite table whose
-order is not a complete lattice has no kernel, so they refuse it.
+returns: exactly the entrywise ``Value`` answers.  A cost relation keeps
+its rows as kernel integers too, once a kernel has used it, so it is
+rescaled once, not once per operation.  A finite table whose order is not
+a complete lattice has no kernel, so they refuse it.
 
 A map stores ``images``, its image indices in domain order, the same way:
 ``MapArrow(dom, cod, table)`` checks a label table, ``table``, ``__call__``
@@ -144,9 +146,14 @@ class MapArrow:
 
 
 class VRel:
-    """A quantale-valued matrix indexed by a pair of carriers."""
+    """A quantale-valued matrix indexed by a pair of carriers.
 
-    __slots__ = ("dom", "cod", "quantale", "rows")
+    ``_cost_form`` holds a cost relation's kernel form once a kernel has
+    used it; :mod:`tvspaces.quantale` alone fills and reads it.  It is
+    derived from ``rows``, so equality and hashing ignore it.
+    """
+
+    __slots__ = ("dom", "cod", "quantale", "rows", "_cost_form")
 
     def __init__(self, dom, cod, quantale, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -255,7 +262,7 @@ def compose(r, s):
         raise CarrierMismatchError(
             f"cannot compose: {r.cod!r} != {s.dom!r}")
     q = r.quantale
-    kernel, (left, right) = q.encode((r.rows, s.rows), steps=2)
+    kernel, (left, right) = q.encode((r, s), steps=2)
     return VRel._from_rows(r.dom, s.cod, q, kernel.decode(
         kernel.compose(left, right, len(s.cod))))
 
@@ -268,14 +275,14 @@ def transpose(r):
 
 def rel_leq(r, s):
     _same_shape(r, s)
-    kernel, (a, b) = r.quantale.encode((r.rows, s.rows))
+    kernel, (a, b) = r.quantale.encode((r, s))
     return all(map(kernel.row_below, a, b))
 
 
 def rel_join(r, s):
     _same_shape(r, s)
     q = r.quantale
-    kernel, (a, b) = q.encode((r.rows, s.rows))
+    kernel, (a, b) = q.encode((r, s))
     for ra, rb in zip(a, b):
         kernel.join_at(ra, range(len(rb)), rb)
     return VRel._from_rows(r.dom, r.cod, q, kernel.decode(a))
@@ -284,7 +291,7 @@ def rel_join(r, s):
 def rel_meet(r, s):
     _same_shape(r, s)
     q = r.quantale
-    kernel, (a, b) = q.encode((r.rows, s.rows))
+    kernel, (a, b) = q.encode((r, s))
     meet = kernel.meet
     return VRel._from_rows(r.dom, r.cod, q, kernel.decode(
         [list(map(meet, ra, rb)) for ra, rb in zip(a, b)]))
@@ -303,5 +310,5 @@ def reflexive_transitive_closure(r):
     if r.dom != r.cod:
         raise CarrierMismatchError("closure needs a square relation")
     q = r.quantale
-    kernel, (c,) = q.encode((r.rows,), steps=2 * len(r.dom))
+    kernel, (c,) = q.encode((r,), steps=2 * len(r.dom))
     return VRel._from_rows(r.dom, r.cod, q, kernel.decode(kernel.close(c)))

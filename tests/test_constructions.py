@@ -710,8 +710,7 @@ def test_function_space_entries_match_reference(qname, n):
     maps = list({map_label(f): f for f in maps}.values())
 
     def payload_entries():
-        kernel, (b, c) = q.encode((y_space.structure.rows,
-                                   z_space.structure.rows))
+        kernel, (b, c) = q.encode((y_space.structure, z_space.structure))
         images = [z_space.carrier.indices(f.table.values()) for f in maps]
         return [tuple(r) for r in kernel.decode(
             kernel.function_space(b, c, images))]

@@ -8,10 +8,16 @@ implementations they replaced, kept as the oracle: every kernel answer must
 equal theirs, violation lists and witnesses in the same order included.
 ``list_compose`` and ``list_close`` are the row-wise ``map(max)`` index
 kernels that packed rows replaced on max-join tables, kept as a fast oracle
-for large random matrices.
+for large random matrices.  ``ref_cost_encode`` is the per-call rescale
+that the stored cost forms replaced: every operation's scale, sentinel and
+kernel rows must equal its.
 """
 
+import itertools
+import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -29,11 +35,14 @@ from tvspaces import (
     lukasiewicz_grid,
 )
 from tvspaces.monad import finite_ultrafilter_monad, identity_monad
+from tvspaces.quantale import _CostKernel, _generated_payloads
 from tvspaces.space import (
     Space,
     continuity_witness,
     exponentiability_witness,
     is_fully_faithful,
+    pair_carrier,
+    product,
     validate_space,
 )
 from tvspaces.validation import ValidationReport
@@ -113,6 +122,74 @@ def ref_fully_faithful(f, x_space, y_space):
     return all(a.get(tx, x) == b.get(f(tx), f(x))
                for tx in x_space.carrier.labels
                for x in x_space.carrier.labels)
+
+
+def ref_cost_encode(q, matrices, steps=1):
+    """The per-call rescale of payload matrices: ``(scale, inf, rows)``.
+
+    The scale is the lcm of every denominator of the operation and the
+    sentinel ``steps`` times the largest numerator times the scale, plus
+    one; each entry is rescaled from its ``Fraction`` on every call.
+    """
+    ratios = [p.as_integer_ratio() for m in matrices for row in m
+              for p in row if p is not INF]
+    scale = math.lcm(*{d for _, d in ratios})
+    inf = max(steps, 1) * max(ratios, default=(0, 1))[0] * scale + 1
+    return scale, inf, [[[inf if p is INF
+                          else (r := p.as_integer_ratio())[0] * (scale // r[1])
+                          for p in row] for row in m] for m in matrices]
+
+
+def ref_encode(q, matrices, steps=1):
+    """A kernel and the kernel rows of payload matrices, rescaled per call."""
+    if q.is_finite:
+        return q.kernel(()), [[list(row) for row in m] for m in matrices]
+    scale, inf, rows = ref_cost_encode(q, matrices, steps)
+    return _CostKernel(q, scale, inf), rows
+
+
+def ref_decode(kernel, rows):
+    """Entry by entry: the payload of each kernel entry."""
+    if not isinstance(kernel, _CostKernel):
+        return rows
+    return [[INF if x >= kernel.inf else Fraction(x, kernel.scale)
+             for x in row] for row in rows]
+
+
+def ref_kernel_compose(r, s):
+    kernel, (left, right) = ref_encode(r.quantale, (r.rows, s.rows), 2)
+    return VRel._from_rows(r.dom, s.cod, r.quantale, ref_decode(
+        kernel, kernel.compose(left, right, len(s.cod))))
+
+
+def ref_kernel_closure(r):
+    kernel, (c,) = ref_encode(r.quantale, (r.rows,), 2 * len(r.dom))
+    return VRel._from_rows(r.dom, r.cod, r.quantale,
+                           ref_decode(kernel, kernel.close(c)))
+
+
+def ref_product(x_space, y_space):
+    """The meet of the two pulled-back structures, entry by entry."""
+    q, a, b = x_space.quantale, x_space.structure, y_space.structure
+    c = pair_carrier(x_space.carrier, y_space.carrier)
+    return VRel(c, c, q, [[q.meet(a.get(x, x2), b.get(y, y2))
+                           for x2 in x_space.carrier for y2 in y_space.carrier]
+                          for x in x_space.carrier for y in y_space.carrier])
+
+
+def ref_exponentiability_witness(space):
+    """The kernel search, with entries and values rescaled per call and
+    no shortcut for a meet tensor."""
+    q, rows = space.quantale, space.structure.rows
+    values = _generated_payloads(q, [p for row in rows for p in row])
+    kernel, (a, (payloads,)) = ref_encode(q, (rows, [values]), steps=2)
+    hit = kernel.exponentiability_witness(a, payloads)
+    if hit is None:
+        return None
+    i, j, ui, vi = hit
+    labels = space.carrier.labels
+    return (space.monad.row_label(labels[i], 2), labels[j],
+            q.value_of(values[ui]), q.value_of(values[vi]))
 
 
 def _max_rows(rows, width):
@@ -454,6 +531,7 @@ def test_kernels_refuse_an_order_that_is_not_a_lattice(table, message):
                           (validate_space, sp),
                           (continuity_witness, f, sp, sp),
                           (is_fully_faithful, f, sp, sp),
+                          (exponentiability_witness, sp),
                           (rel_leq, r, r), (rel_join, r, diagonal),
                           (rel_meet, r, diagonal)):
             with pytest.raises(StructuralError) as exc:
@@ -495,7 +573,7 @@ def test_cost_kernel_results_are_canonical():
     q = cost_plus()
     r = cost_rel(q, [[Fraction(1, 3), INF, INF], [INF, INF, Fraction(5, 12)],
                      [INF, INF, INF]])
-    kernel, (a,) = q.encode((r.rows,), steps=2)
+    kernel, (a,) = q.encode((r,), steps=2)
     for rows, ref in ((kernel.compose(a, a, 3), ref_compose(r, r)),
                       (kernel.close([list(x) for x in a]), ref_closure(r))):
         assert all(p <= kernel.inf for row in rows for p in row)
@@ -636,3 +714,287 @@ def test_exponentiability_scan_rows_match_the_list_kernel(qname, n,
                           lambda self, left, right, width:
                           list_compose(q, left, right, width))
             assert exponentiability_witness(sp) == got
+
+
+# -- stored cost forms --------------------------------------------------------
+
+COST_QUANTALES = {"cost-plus": cost_plus, "cost-max": cost_max}
+# mixed denominators up to 10, so scales up to their lcm 2520, and inf
+COST_ENTRIES = st.one_of(
+    st.just(INF), st.fractions(min_value=0, max_value=12, max_denominator=10))
+# few values under meet, join and hom, for the exponentiability search
+SMALL_COSTS = st.sampled_from([INF, Fraction(0), Fraction(1, 3),
+                               Fraction(1, 2), Fraction(1), Fraction(5, 3)])
+
+
+@st.composite
+def cost_matrices(draw, n, m, entries=COST_ENTRIES):
+    """n rows of m cost payloads; about one row in five is all ``inf``."""
+    return [[INF] * m if draw(st.integers(0, 4)) == 0
+            else draw(st.lists(entries, min_size=m, max_size=m))
+            for _ in range(n)]
+
+
+def cost_relation(q, dom, cod, rows):
+    return VRel(dom, cod, q, [[q.bottom if p is INF else q.value(p)
+                               for p in row] for row in rows])
+
+
+@settings(max_examples=80, deadline=None)
+@given(qname=st.sampled_from(sorted(COST_QUANTALES)),
+       shapes=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                       min_size=1, max_size=3),
+       steps=st.integers(1, 12), earlier_steps=st.integers(1, 12),
+       data=st.data())
+def test_encode_matches_the_per_call_rescale(qname, shapes, steps,
+                                             earlier_steps, data):
+    """Scale, sentinel and rows equal the per-call rescale's, for empty
+    carriers and all-``inf`` rows too, whether or not a form was filled
+    before by an operation with other companions and another ``steps``."""
+    q = COST_QUANTALES[qname]()
+    rels = [cost_relation(q, carrier("r", n), carrier("c", m),
+                          data.draw(cost_matrices(n, m))) for n, m in shapes]
+    companion = cost_relation(q, carrier("r", 2), carrier("c", 3),
+                              data.draw(cost_matrices(2, 3)))
+    for r in rels:
+        if data.draw(st.booleans()):
+            q.encode((r, companion), steps=earlier_steps)
+    want = ref_cost_encode(q, [r.rows for r in rels], steps)
+    payloads = [[list(row) for row in r.rows] for r in rels]
+    for _ in range(2):                # the second pass reads stored forms
+        kernel, rows = q.encode(rels, steps)
+        assert (kernel.scale, kernel.inf, rows) == want
+        assert [kernel.decode(m) for m in rows] == payloads
+        for m in rows:                # the rows are the caller's to write
+            for row in m:
+                row[:] = [-1] * len(row)
+    kernel = q.kernel(rels, steps)
+    assert (kernel.scale, kernel.inf) == want[:2]
+    for r, m in zip(rels, want[2]):
+        for i, row in enumerate(m):
+            assert kernel.row(r, i) == row
+            indices = data.draw(st.lists(
+                st.integers(0, len(row) - 1), max_size=7)) if row else []
+            assert kernel.row(r, i, indices) == [row[j] for j in indices]
+
+
+@settings(max_examples=60, deadline=None)
+@given(qname=st.sampled_from(sorted(COST_QUANTALES)), n=st.integers(0, 4),
+       m=st.integers(0, 3), monad=st.sampled_from(MONADS), data=st.data())
+def test_cost_operations_match_the_reference(qname, n, m, monad, data):
+    """Compose, closure, validation, continuity, products and the
+    exponentiability search give the per-call rescale's answers."""
+    q, mon = COST_QUANTALES[qname](), monad()
+    c, z = carrier("p", n), carrier("z", m)
+    r = cost_relation(q, c, c, data.draw(cost_matrices(n, n)))
+    s = cost_relation(q, c, z, data.draw(cost_matrices(n, m)))
+    closed = reflexive_transitive_closure(r)
+    assert closed == ref_kernel_closure(r) == ref_closure(r)
+    for left, right in ((r, s), (closed, closed), (r, closed), (closed, s)):
+        assert (compose(left, right) == ref_kernel_compose(left, right)
+                == ref_compose(left, right))
+    x_space, y_space = Space(c, mon, q, r), Space(c, mon, q, closed)
+    for sp in (x_space, y_space):
+        assert validate_space(sp) == ref_validate(sp)
+    k = m if n else 0                 # no map into an empty carrier
+    xc = carrier("x", k)
+    images = data.draw(st.lists(st.integers(0, n - 1), min_size=k,
+                                max_size=k)) if n else []
+    f = MapArrow._from_images(xc, c, images)
+    pulled = [[closed.rows[fi][fj] for fj in images] for fi in images]
+    for rows in (pulled, data.draw(cost_matrices(k, k))):
+        w_space = Space(xc, mon, q, cost_relation(q, xc, xc, rows))
+        for target in (x_space, y_space):
+            assert (continuity_witness(f, w_space, target)
+                    == ref_continuity_witness(f, w_space, target))
+            assert (is_fully_faithful(f, w_space, target)
+                    == ref_fully_faithful(f, w_space, target))
+        assert (product(w_space, y_space)[0].structure
+                == ref_product(w_space, y_space))
+    e = carrier("e", min(n, 3))
+    e_space = Space(e, mon, q, cost_relation(
+        q, e, e, data.draw(cost_matrices(len(e), len(e), SMALL_COSTS))))
+    assert (exponentiability_witness(e_space)
+            == ref_exponentiability_witness(e_space))
+
+
+def test_stored_forms_leave_equality_hashes_and_keys_alone():
+    q = cost_plus()
+    c = carrier("p", 3)
+    rows = [[Fraction(0), Fraction(1, 3), INF],
+            [Fraction(5, 12), Fraction(0), Fraction(2)],
+            [INF, INF, Fraction(0)]]
+    r, twin = cost_relation(q, c, c, rows), cost_relation(q, c, c, rows)
+    sp, sp_twin = Space(c, identity_monad(), q, r), Space(
+        c, identity_monad(), q, twin)
+    before = (hash(r), hash(sp), sp.cache_key())
+    compose(r, r)
+    validate_space(sp)
+    assert hasattr(r, "_cost_form") and not hasattr(twin, "_cost_form")
+    assert r == twin and hash(r) == hash(twin) == before[0]
+    assert sp == sp_twin and hash(sp) == hash(sp_twin) == before[1]
+    assert sp.cache_key() == sp_twin.cache_key() == before[2]
+    assert len({r, twin}) == 1 and len({sp, sp_twin}) == 1
+
+
+def test_a_second_continuity_check_rescales_no_entry(monkeypatch):
+    q = cost_plus()
+    rng = random.Random("rescale once")
+    n = 8
+    c, xc = carrier("p", n), carrier("x", n)
+    y_rows = ref_closure(VRel(c, c, q, random_matrix(q, n, n, rng))).entries
+    images = [rng.randrange(n) for _ in range(n)]
+    f = MapArrow._from_images(xc, c, images)
+    x_rows = [[y_rows[fi][fj] for fj in images] for fi in images]
+    x_space, y_space = space_of(q, identity_monad(), xc, x_rows), space_of(
+        q, identity_monad(), c, y_rows)
+    calls = []
+    ratio = Fraction.as_integer_ratio
+
+    def counted(self):
+        calls.append(self)
+        return ratio(self)
+
+    monkeypatch.setattr(Fraction, "as_integer_ratio", counted)
+    assert continuity_witness(f, x_space, y_space) is None
+    assert calls                      # the first check fills both forms
+    calls.clear()
+    assert continuity_witness(f, x_space, y_space) is None
+    assert is_fully_faithful(f, x_space, y_space)
+    assert calls == []
+
+
+def test_threads_sharing_relations_get_the_single_thread_answers():
+    """Forms are stored without a lock: threads that race on an empty slot
+    compute the form twice and store equal values."""
+
+    def inputs():
+        out, rng = [], random.Random("threads")
+        for q in (cost_plus(), cost_max()):
+            n = 7
+            c = carrier("p", n)
+            r = VRel(c, c, q, random_matrix(q, n, n, rng))
+            closed = reflexive_transitive_closure(r)
+            images = [rng.randrange(n) for _ in range(n)]
+            f = MapArrow._from_images(c, c, images)
+            x = Space(c, finite_ultrafilter_monad(), q, VRel._from_rows(
+                c, c, q, [[closed.rows[fi][fj] for fj in images]
+                          for fi in images]))
+            y = Space(c, finite_ultrafilter_monad(), q, closed)
+            out.append((r, f, x, y))
+        return out
+
+    def answers(cases):
+        return [(reflexive_transitive_closure(r), compose(r, r),
+                 compose(x.structure, y.structure), validate_space(x),
+                 continuity_witness(f, x, y), is_fully_faithful(f, x, y),
+                 product(x, y)[0], hash(x), x.cache_key())
+                + ((exponentiability_witness(x),)
+                   if x.quantale is cost_max() else ())
+                for r, f, x, y in cases]
+
+    want = answers(inputs())
+    shared = inputs()
+    got, errors = [], []
+
+    def work():
+        try:
+            got.append(answers(shared))
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and got == [want] * 4
+
+
+# -- exponentiability for a meet tensor ---------------------------------------
+
+MEET_TENSORS = {
+    "bool2": bool2,
+    "chain3": lambda: chain(3),
+    "chain4": lambda: chain(4),
+    "m3": m3,
+    "diamond": diamond,
+}
+
+
+def meet_squares(q, rng):
+    """Index squares on up to 3 points: every one on up to 2 points; on 3,
+    every one with a top diagonal (a seeded 4,096 of m3's 15,625), and a
+    seeded sample of the others."""
+    r, top = range(len(q.labels)), q.top.payload
+    for n in (0, 1, 2):
+        for entries in itertools.product(r, repeat=n * n):
+            yield [list(entries[i * n:(i + 1) * n]) for i in range(n)]
+    off = list(itertools.product(r, repeat=6))
+    if len(off) > 4096:
+        off = rng.sample(off, 4096)
+    for entries in off:
+        it = iter(entries)
+        yield [[top if i == j else next(it) for j in range(3)]
+               for i in range(3)]
+    for _ in range(300):
+        square = [[rng.choice(r) for _ in range(3)] for _ in range(3)]
+        k = rng.randrange(3)
+        square[k][k] = rng.choice([x for x in r if x != top])
+        yield square
+
+
+@pytest.mark.parametrize("qname", sorted(MEET_TENSORS))
+@pytest.mark.parametrize("monad", MONADS, ids=["identity", "ultrafilter"])
+def test_a_meet_tensor_is_exponentiable_by_proof(qname, monad):
+    """With the tensor the meet and a top diagonal nothing is searched, and
+    every answer, witnesses included, is the kernel search's."""
+    q, mon = MEET_TENSORS[qname](), monad()
+    assert q.meet_tensor
+    rng = random.Random(f"meet/{qname}")
+    for rows in meet_squares(q, rng):
+        c = carrier("p", len(rows))
+        sp = Space(c, mon, q, VRel._from_rows(c, c, q, rows))
+        assert exponentiability_witness(sp) == ref_exponentiability_witness(sp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 4), reflexive=st.booleans(),
+       monad=st.sampled_from(MONADS), data=st.data())
+def test_cost_max_is_exponentiable_by_proof(n, reflexive, monad, data):
+    q = cost_max()
+    assert q.meet_tensor and not cost_plus().meet_tensor
+    rows = data.draw(cost_matrices(n, n, SMALL_COSTS))
+    if reflexive:
+        for i in range(n):
+            rows[i][i] = Fraction(0)
+    c = carrier("p", n)
+    sp = Space(c, monad(), q, cost_relation(q, c, c, rows))
+    assert exponentiability_witness(sp) == ref_exponentiability_witness(sp)
+    if reflexive:
+        assert exponentiability_witness(sp) is None
+
+
+def test_exponentiability_by_proof_searches_nothing(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(type(bool2().kernel(())), "exponentiability_witness",
+                        no_search)
+    monkeypatch.setattr(_CostKernel, "exponentiability_witness", no_search)
+    for q in (bool2(), chain(4), m3(), cost_max()):
+        n = 5
+        c = carrier("p", n)
+        rng = random.Random(f"no search/{q.describe()}")
+        rows = [[q.top if i == j else random_value(q, rng) for j in range(n)]
+                for i in range(n)]
+        sp = Space(c, identity_monad(), q, VRel(c, c, q, rows))
+        assert exponentiability_witness(sp) is None
+    # the Lukasiewicz tensor is not the meet: it is searched
+    assert not lukasiewicz_grid(3).meet_tensor

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvspaces import (
+    Carrier,
     INF,
     QuantaleMismatchError,
     StructuralError,
     UnsupportedOperationError,
+    VRel,
     bool2,
     chain,
     cost_max,
@@ -433,9 +435,10 @@ NOT_LATTICES = {
 def test_kernel_refuses_an_order_that_is_not_a_lattice(name):
     (labels, leq, tensor, unit), message = NOT_LATTICES[name]
     q = finite_table(labels, leq, tensor, unit)
-    for matrices in ((), ([[0]],)):
+    point = Carrier(["p"])
+    for relations in ((), (VRel._from_rows(point, point, q, [[0]]),)):
         with pytest.raises(StructuralError) as exc:
-            q.encode(matrices)
+            q.encode(relations)
         assert type(exc.value) is StructuralError
         assert str(exc.value) == message
     # the law check still reports the table in full, and the Value

@@ -669,3 +669,17 @@ def test_final_structure_is_least_and_initial_is_greatest():
         for other in structures:
             if is_continuous(g1, other, y1):
                 assert rel_leq(other.structure, initial.structure)
+
+
+def test_cache_key_is_built_once_and_equals_a_fresh_key():
+    for sp in (ORD_CHAIN2, cp_space(["a", "b"], [[0, "1/3"], ["inf", 0]]),
+               b_space([], [], finite_ultrafilter_monad())):
+        twin = Space.from_square(sp.carrier, sp.monad, sp.quantale,
+                                 VRel(sp.carrier, sp.carrier, sp.quantale,
+                                      sp.structure.entries))
+        key = sp.cache_key()
+        fresh = (sp.quantale.cache_key(), sp.monad.name, sp.carrier.labels,
+                 sp.structure.rows)
+        assert key == fresh and sp.cache_key() is key
+        assert hash(twin) == hash(sp) == hash(fresh)
+        assert twin.cache_key() == key and twin == sp
