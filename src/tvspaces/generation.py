@@ -87,15 +87,16 @@ class ProbeClass:
     dict by :meth:`_cached`.  An answer on the objects alone (class maps,
     witnesses, the (EP) report, the quasi layer's object checks and
     closure report) is always kept.  An answer for a target space is keyed
-    by its :meth:`~tvspaces.space.Space.cache_key` and kept only when the
-    target is over the class's own monad and quantale instances, so an
-    equal target over other instances gets its own answer or error.  The
-    objects are immutable and the keys are whole values, so an entry never
-    goes stale and a race on a missing entry stores equal values: the memo
-    is safe to share, but never evicted.  A cached ``None`` is a hit.  The
-    budget is checked only on a miss, so a small budget gets the answer of
-    an earlier, larger one; a call that raises caches nothing.  Cached
-    values are returned, not copied, and must not be modified.
+    by the space, which keeps its hash (see :class:`~tvspaces.space.Space`),
+    and kept only when the target is over the class's own monad and
+    quantale instances, so an equal target over other instances gets its
+    own answer or error.  The objects are immutable and the keys compare
+    by value, so an entry never goes stale and a race on a missing entry
+    stores equal values: the memo is safe to share, but never evicted.  A
+    cached ``None`` is a hit.  The budget is checked only on a miss, so a
+    small budget gets the answer of an earlier, larger one; a call that
+    raises caches nothing.  Cached values are returned, not copied, and
+    must not be modified.
     """
 
     __slots__ = ("objects", "spec", "monad", "quantale", "_discrete", "_memo")
@@ -197,7 +198,7 @@ class ProbeClass:
             return tuple(
                 (MapArrow._from_images(obj.carrier, space.carrier, f), obj)
                 for obj, fs in zip(self.objects, images) for f in fs)
-        return self._cached(("probes", space.cache_key()), build, space)
+        return self._cached(("probes", space), build, space)
 
     def _images_into(self, space, budget):
         """Per object, its continuous maps into a space as image-index
@@ -207,7 +208,7 @@ class ProbeClass:
             self._check_budget(space, budget)
             return tuple(_continuous_images(obj, space)
                          for obj in self.objects)
-        return self._cached(("images", space.cache_key()), search, space)
+        return self._cached(("images", space), search, space)
 
     def _check_budget(self, space, budget):
         n = len(space.carrier)
@@ -241,20 +242,20 @@ class ProbeClass:
         the closed form applies (see the class docstring); it makes the
         same budget check.
         """
-        key, q = space.cache_key(), space.quantale
+        q = space.quantale
 
         def compute():
             if (self._shares_tables(space) and self._discrete
                     and q.integral and _lawful(q)):
-                if ("images", key) not in self._memo:
+                if ("images", space) not in self._memo:
                     self._check_budget(space, budget)
                 return discrete_space(space.carrier, space.monad, q)
             return _final_space(space.carrier, space.monad, q, list(
                 zip(self.objects, self._images_into(space, budget))))
-        return self._cached(("coreflect", key), compute, space)
+        return self._cached(("coreflect", space), compute, space)
 
     def exponential_with(self, i, z_space):
-        return self._cached(("exp", i, z_space.cache_key()),
+        return self._cached(("exp", i, z_space),
                             lambda: exponential(self.objects[i], z_space),
                             z_space)
 

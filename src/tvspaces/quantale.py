@@ -19,9 +19,10 @@ payloads of its entries (see :mod:`tvspaces.vrel`); ``value_of`` and
 The matrix kernels behind ``vrel.compose``, the closure and the space
 predicates and constructions work on kernel rows, and this module alone
 decides how: :meth:`Quantale.encode` gives the kernel for one operation on
-some relations and the kernel rows of each (``Quantale.kernel`` and the
-kernel's ``row`` do the same one row at a time, for scans that may stop
-early), and the kernel's ``decode`` turns result rows into payloads.
+some relations and the kernel rows of each, and the kernel's ``decode``
+turns result rows into payloads.  The order tests of continuity and full
+faithfulness (the kernel's ``pullback_failure`` and ``is_pullback``) take
+the relations themselves, from ``Quantale.kernel``, and copy no row.
 
 * Finite quantales compute on the payloads, the carrier indices of the
   tables; the kernel reads ``_tensor``, ``_join2`` and ``_leq`` directly,
@@ -42,12 +43,17 @@ early), and the kernel's ``decode`` turns result rows into payloads.
   own denominators.  An operation's scale is the lcm of its relations'
   scales, so its kernel rows are the stored rows times a whole factor, and
   a relation already on that scale is copied, not multiplied.
+
+Each relation has one ``_form`` slot, which only this module fills and
+reads (see ``_form``): a cost relation's cost form, or, on a packed chain
+(see ``_FiniteKernel``), its rows as one string of thermometer codes.
 """
 
 import math
 import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import chain as _chain
 
 from .errors import (
     QuantaleMismatchError,
@@ -478,10 +484,10 @@ class CostQuantale(Quantale):
         ``steps`` times the largest numerator times the scale, so no finite
         sum of ``steps`` entries reaches it.
         """
-        forms = [_cost_form(r) for r in relations]
-        scale = math.lcm(*[s for s, _, _ in forms])
+        forms = [_form(r, _cost_form) for r in relations]
+        scale = math.lcm(*[f[0] for f in forms])
         # n * (scale // d) <= n * scale bounds every entry
-        largest = max([n for _, n, _ in forms], default=0) * scale
+        largest = max([f[1] for f in forms], default=0) * scale
         return _CostKernel(self, scale, max(steps, 1) * largest + 1)
 
     def _hom_payload(self, a, b):
@@ -534,29 +540,51 @@ class CostQuantale(Quantale):
 # -- payload kernels ----------------------------------------------------------
 
 
-def _cost_form(rel):
-    """A cost relation's kernel form, filled on its first kernel use.
+def _form(rel, build):
+    """A relation's kernel form: ``build(rel)``, kept on its first use.
 
-    The form is ``(scale, largest, rows)``: the lcm of the denominators of
-    the relation's entries, their largest numerator, and its rows as
-    integers over that scale, ``None`` marking ``inf``.  It lives in the
-    relation's ``_cost_form`` slot, which only this module reads or
-    writes.  Threads that race on an empty slot each store the same form,
-    and a relation never changes, so the form is never stale.
+    The form lives in the relation's ``_form`` slot, which only this module
+    reads or writes, and is derived from its rows alone.  A relation never
+    changes, so the form is never stale, and threads that race on an empty
+    slot each store an equal form.  Equality and hashing ignore the slot.
     """
     try:
-        return rel._cost_form
+        return rel._form
     except AttributeError:
         pass
+    form = rel._form = build(rel)
+    return form
+
+
+def _cost_form(rel):
+    """A cost relation's kernel form, kept by ``_form`` on its first
+    kernel use.
+
+    The form is ``(scale, largest, rows, tested)``: the lcm of the
+    denominators of the relation's entries, their largest numerator, its
+    rows as integers over that scale, ``None`` marking ``inf``, and a dict
+    of the order-test rows the kernels have made of it, keyed by the
+    kernel's scale and sentinel (see ``_CostKernel._order_rows``).  Each
+    entry of that dict is a function of its key, so a race stores equal
+    values there too; it holds one entry per scale and sentinel the
+    relation was order-tested at.
+    """
     ratios = [[None if p is INF else p.as_integer_ratio() for p in row]
               for row in rel.rows]
     finite = [r for row in ratios for r in row if r is not None]
     scale = math.lcm(*{d for _, d in finite})
-    form = rel._cost_form = (
-        scale, max(finite, default=(0, 1))[0],
-        tuple([tuple([None if r is None else r[0] * (scale // r[1])
-                      for r in row]) for row in ratios]))
-    return form
+    return (scale, max(finite, default=(0, 1))[0],
+            tuple([tuple([None if r is None else r[0] * (scale // r[1])
+                          for r in row]) for row in ratios]), {})
+
+
+def _pulled_rows(rows, images):
+    """The rows ``rows[f i]`` at the columns ``f j``, for each i and j, as
+    tuples; ``images`` is the map f as its image tuple."""
+    if len(images) < 2:               # itemgetter needs two indices
+        return [tuple([rows[fi][fj] for fj in images]) for fi in images]
+    return list(map(operator.itemgetter(*images),
+                    map(rows.__getitem__, images)))
 
 
 def _rows_by(fold, rows, width, empty):
@@ -604,10 +632,9 @@ class _Kernel:
     """Matrix operations on the kernel rows of one quantale.
 
     Subclasses give ``unit``, ``bottom`` and ``top`` (kernel entries),
-    ``rows(rel)`` (the kernel rows of a relation the kernel was made for, as
-    fresh lists), ``row(rel, i, indices=None)`` (its row i, or the entries
-    of row i at ``indices``, as a fresh list), ``decode(rows)`` (the
-    payload rows of kernel rows), ``below(a, b)`` and
+    ``rows(rel)`` (the kernel rows of a relation the kernel was made for),
+    ``_order_rows(rel)`` (the same rows for an order test),
+    ``decode(rows)`` (the payload rows of kernel rows), ``below(a, b)`` and
     ``row_below(ra, rb)`` (the quantale order on entries and on whole rows),
     ``tensor(a, b)``, ``meet(a, b)`` and ``heyting(a, b)`` on entries,
     ``compose(left, right, width)``, ``close(rows)``, and three folds:
@@ -620,9 +647,16 @@ class _Kernel:
     square ``a``).  Matrices are lists of rows, both going in and coming
     out; an operation may hold them in another form while it runs, as the
     finite kernel's packed rows.
+    Which rows a caller may write: ``rows``, ``decode``, ``compose`` and
+    the folds return fresh lists, and ``close`` writes to the list it is
+    given.  ``_order_rows`` returns stored tuples (a finite relation's
+    ``rows``, or the rows a cost relation keeps in its form), which are
+    read, never written.
     Built on these, ``function_space`` gives the function-space matrix on
-    some maps and ``exponentiability_witness`` the first failure of the
-    exponentiability inequality.
+    some maps, ``exponentiability_witness`` the first failure of the
+    exponentiability inequality, and ``pullback_failure`` and
+    ``is_pullback`` the order test and the equality of a square with the
+    pullback of another along a map.
     """
 
     def row_failures(self, ra, rb):
@@ -636,6 +670,27 @@ class _Kernel:
             if not self.row_below(ra, rb):
                 for j in self.row_failures(ra, rb):
                     yield i, j
+
+    def pullback_failure(self, a, b, images):
+        """The first ``(i, j)``, row by row, where ``a[i][j]`` is not below
+        ``b[f i][f j]``, or None; f is the map with image tuple ``images``.
+
+        One order test over the whole matrix: the order rows of ``a``,
+        flattened, against the rows of ``b`` pulled back along f, each
+        gathered by one ``itemgetter``.  The failure is looked for, row by
+        row, only when the test fails.
+        """
+        ra = self._order_rows(a)
+        rb = _pulled_rows(self._order_rows(b), images)
+        flat = _chain.from_iterable
+        if self.row_below(flat(ra), flat(rb)):
+            return None
+        return next(self.failures(ra, rb))
+
+    def is_pullback(self, a, b, images):
+        """Whether ``a[i][j] == b[f i][f j]`` for every i and j."""
+        return self._order_rows(a) == tuple(
+            _pulled_rows(self._order_rows(b), images))
 
     def function_space(self, b, c, images):
         """The function-space matrix on some maps Y -> Z.
@@ -758,11 +813,8 @@ class _FiniteKernel(_Kernel):
         return list(map(list, rel.rows))
 
     @staticmethod
-    def row(rel, i, indices=None):
-        row = rel.rows[i]
-        if indices is None:
-            return list(row)
-        return [row[j] for j in indices]
+    def _order_rows(rel):
+        return rel.rows
 
     @staticmethod
     def decode(rows):
@@ -814,6 +866,43 @@ class _FiniteKernel(_Kernel):
         if self._nbytes == 1:
             return bytes(row)
         return b"".join(map(self._spread.__getitem__, row))
+
+    def _codes(self, rel):
+        """A relation's rows as one string of codes, row by row: its form,
+        kept by ``_form``."""
+        return self._digits(_chain.from_iterable(rel.rows)).translate(
+            self._code_table)
+
+    def pullback_failure(self, a, b, images):
+        """The order test on codes, when this kernel packs and each code
+        row of ``b`` fits one translation table; else on the index rows.
+
+        The pulled-back code row of ``f i`` is the digits of the columns
+        ``f j``, translated through code row ``f i`` of ``b``: one
+        ``translate`` per point.  Read as little-endian ints, the
+        codes of ``a`` lie below the pulled codes entrywise exactly when no
+        bit of ``a``'s is missing from the pulled one's.  Bit ``k`` of such
+        an int lies in byte ``k // 8``, the bytes of entry ``t`` are
+        ``nbytes * t`` onwards, and entry ``t`` is ``(i, j)`` with
+        ``t = i * n + j``.  So the lowest bit of ``a & ~pulled`` lies in
+        the first failing entry, row by row.
+        """
+        nbytes, n = self._nbytes, len(images)
+        width = len(b.rows) * nbytes
+        if not (self._packed and width <= 256):
+            return super().pullback_failure(a, b, images)
+        codes = _form(b, self._codes)
+        # column f j's digits: the positions of its code in a code row
+        digits = bytes(images) if nbytes == 1 else bytes(
+            [y * nbytes + k for y in images for k in range(nbytes)])
+        pulled = b"".join([digits.translate(
+            codes[fi * width:(fi + 1) * width].ljust(256, b"\0"))
+            for fi in images])
+        bad = (int.from_bytes(_form(a, self._codes), "little")
+               & ~int.from_bytes(pulled, "little"))
+        if not bad:
+            return None
+        return divmod(((bad & -bad).bit_length() - 1) // (8 * nbytes), n)
 
     def _unpack(self, rows, width):
         """The index rows of some packed rows of ``width`` columns."""
@@ -919,8 +1008,9 @@ class _CostKernel(_Kernel):
     ``inf``, which the ``min`` ignores, so its terms are skipped.  The rows
     of a relation are its stored cost form (see ``_cost_form``) times
     ``scale`` over the form's scale, with the sentinel for ``inf``, so no
-    entry is rescaled from its ``Fraction``.  ``decode`` builds one payload
-    per distinct integer of its rows.
+    entry is rescaled from its ``Fraction``.  The order rows are those rows
+    as tuples, made once per relation, scale and sentinel and kept in the
+    form.  ``decode`` builds one payload per distinct integer of its rows.
     """
 
     def __init__(self, q, scale, inf):
@@ -937,15 +1027,15 @@ class _CostKernel(_Kernel):
         return [inf if x is None else x * k for x in entries]
 
     def rows(self, rel):
-        scale, _, rows = rel._cost_form
+        scale, _, rows, _ = rel._form
         return [self._scaled(scale, row) for row in rows]
 
-    def row(self, rel, i, indices=None):
-        scale, _, rows = rel._cost_form
-        row = rows[i]
-        if indices is not None:
-            row = [row[j] for j in indices]
-        return self._scaled(scale, row)
+    def _order_rows(self, rel):
+        tested, key = rel._form[3], (self.scale, self.inf)
+        rows = tested.get(key)
+        if rows is None:
+            rows = tested[key] = tuple(map(tuple, self.rows(rel)))
+        return rows
 
     def decode(self, rows):
         scale, inf = self.scale, self.inf

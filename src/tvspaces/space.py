@@ -46,12 +46,15 @@ from .vrel import Carrier, MapArrow, VRel, identity_rel
 class Space:
     """A finite carrier, a monad tag and a reflexive, transitive square.
 
-    ``cache_key`` is built on its first call and kept in ``_key``; a space
-    never changes, so the key is never stale, and threads that race on it
-    store equal keys.
+    ``cache_key`` is built on its first call and kept in ``_key``, and the
+    hash, the key's hash, in ``_hash``; a space never changes, so neither
+    is ever stale, and threads that race on them store equal values.  So a
+    dict keyed by a space hashes it once, however often it is looked up,
+    while equality still compares carrier, tables and structure.
     """
 
-    __slots__ = ("carrier", "monad", "quantale", "structure", "_key")
+    __slots__ = ("carrier", "monad", "quantale", "structure", "_key",
+                 "_hash")
 
     def __init__(self, carrier, monad, quantale, structure):
         if structure.dom != carrier or structure.cod != carrier:
@@ -88,7 +91,12 @@ class Space:
                 and self.structure == other.structure)
 
     def __hash__(self):
-        return hash(self.cache_key())
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        h = self._hash = hash(self.cache_key())
+        return h
 
     def __repr__(self):
         return (f"Space({list(self.carrier.labels)}, {self.monad.name}, "
@@ -146,26 +154,27 @@ def validate_space(space):
 
 
 def continuity_witness(f, x_space, y_space):
-    """None when continuous, else the offending ``(tx, x)`` pair."""
+    """None when continuous, else the offending ``(tx, x)`` pair.
+
+    f is continuous when ``a(x, x') <= b(f x, f x')`` for every pair, and
+    the witness is the first failing pair, row by row.  The kernel decides
+    it with one order test on the whole matrix (see
+    ``quantale._Kernel.pullback_failure``).  On a packed chain that test is
+    one ``a & ~pulled`` on two ints that hold every entry's code, entry
+    ``(i, j)`` at bytes ``nbytes * (i * n + j)`` onwards; bits count up
+    from the first entry, so the lowest set bit of a failure lies in its
+    first failing entry, row by row.
+    """
     _check_compatible(x_space, y_space)
     if f.dom != x_space.carrier or f.cod != y_space.carrier:
         raise CarrierMismatchError("map endpoints do not match the spaces")
     a, b = x_space.structure, y_space.structure
-    kernel = x_space.quantale.kernel((a, b))
-    row, row_below = kernel.row, kernel.row_below
-    indices = f.images
-    pulled = {}                       # image row fi of b, pulled back along f
-    # row by row, so that a map failing early is rejected early
-    for i, fi in enumerate(indices):
-        rb = pulled.get(fi)
-        if rb is None:
-            rb = pulled[fi] = row(b, fi, indices)
-        ra = row(a, i)
-        if not row_below(ra, rb):
-            j = kernel.row_failures(ra, rb)[0]
-            labels = x_space.carrier.labels
-            return (x_space.monad.row_label(labels[i]), labels[j])
-    return None
+    hit = x_space.quantale.kernel((a, b)).pullback_failure(a, b, f.images)
+    if hit is None:
+        return None
+    i, j = hit
+    labels = x_space.carrier.labels
+    return (x_space.monad.row_label(labels[i]), labels[j])
 
 
 def is_continuous(f, x_space, y_space):
@@ -178,10 +187,7 @@ def is_fully_faithful(f, x_space, y_space):
     if f.dom != x_space.carrier or f.cod != y_space.carrier:
         raise CarrierMismatchError("map endpoints do not match the spaces")
     a, b = x_space.structure, y_space.structure
-    row = x_space.quantale.kernel((a, b)).row
-    indices = f.images
-    return all(row(a, i) == row(b, fi, indices)
-               for i, fi in enumerate(indices))
+    return x_space.quantale.kernel((a, b)).is_pullback(a, b, f.images)
 
 
 def all_maps(dom, cod):

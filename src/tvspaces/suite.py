@@ -325,13 +325,13 @@ def battery_cmap_cartesian_closed(level="full"):
             prod_cache = {}
 
             def get_cmap(y, z):
-                key = (y.cache_key(), z.cache_key())
+                key = (y, z)
                 if key not in cmap_cache:
                     cmap_cache[key] = cmap_space(y, z, cls)
                 return cmap_cache[key]
 
             def get_product(x, y):
-                key = (x.cache_key(), y.cache_key())
+                key = (x, y)
                 if key not in prod_cache:
                     prod_cache[key] = product(x, y)[0]
                 return prod_cache[key]

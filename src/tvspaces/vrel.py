@@ -148,12 +148,13 @@ class MapArrow:
 class VRel:
     """A quantale-valued matrix indexed by a pair of carriers.
 
-    ``_cost_form`` holds a cost relation's kernel form once a kernel has
-    used it; :mod:`tvspaces.quantale` alone fills and reads it.  It is
-    derived from ``rows``, so equality and hashing ignore it.
+    ``_form`` holds the relation's kernel form once a kernel has used it
+    (a cost relation's integer rows, a packed chain's codes);
+    :mod:`tvspaces.quantale` alone fills and reads it.  It is derived from
+    ``rows``, so equality and hashing ignore it.
     """
 
-    __slots__ = ("dom", "cod", "quantale", "rows", "_cost_form")
+    __slots__ = ("dom", "cod", "quantale", "rows", "_form")
 
     def __init__(self, dom, cod, quantale, entries):
         entries = tuple(tuple(row) for row in entries)

@@ -1,5 +1,6 @@
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -84,6 +85,36 @@ def test_class_derived_answers_live_in_one_memo():
     assert {key[0] for key in cls._memo} == {"coreflect", "ep", "witness"}
     with pytest.raises(AttributeError):
         cls._ep = ([], [])
+
+
+def test_a_second_lookup_of_a_cost_target_hashes_no_payload(monkeypatch):
+    """The memo is keyed by the target space, which keeps its hash: a
+    lookup after the first hashes no ``Fraction`` of the target's rows."""
+    q = cost_plus()
+    point = Carrier(["*"])
+    cls = ProbeClass.explicit([Space(point, IM, q,
+                                     VRel(point, point, q, [[q.top]]))])
+    c = Carrier(["a", "b", "c"])
+    tokens = [["0", "1/3", "5/7"], ["2/9", "0", "inf"], ["inf", "11/4", "0"]]
+    target, twin = (Space(c, IM, q, VRel(c, c, q, [
+        [q.parse_value(t) for t in row] for row in tokens])) for _ in "ab")
+    core, probes = cls.coreflect(target), cls.probes_into(target)
+    hashes = []
+    fraction_hash = Fraction.__hash__
+
+    def counted(self):
+        hashes.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    assert cls.coreflect(target) is core and cls.probes_into(target) is probes
+    assert hashes == []
+    # an equal space hashes its key once, then finds the same entries
+    assert cls.coreflect(twin) is core and hashes
+    hashes.clear()
+    assert cls.probes_into(twin) is probes and hashes == []
+    fresh = (q.cache_key(), IM.name, c.labels, target.structure.rows)
+    assert hash(target) == hash(twin) == hash(fresh)
 
 
 def test_threads_sharing_one_class_get_the_single_thread_answers():

@@ -13,8 +13,10 @@ that the stored cost forms replaced: every operation's scale, sentinel and
 kernel rows must equal its.
 """
 
+import importlib.util
 import itertools
 import math
+import pathlib
 import random
 import sys
 import threading
@@ -35,7 +37,8 @@ from tvspaces import (
     lukasiewicz_grid,
 )
 from tvspaces.monad import finite_ultrafilter_monad, identity_monad
-from tvspaces.quantale import _CostKernel, _generated_payloads
+from tvspaces import quantale as quantale_module
+from tvspaces.quantale import _CostKernel, _FiniteKernel, _generated_payloads
 from tvspaces.space import (
     Space,
     continuity_witness,
@@ -771,11 +774,9 @@ def test_encode_matches_the_per_call_rescale(qname, shapes, steps,
     kernel = q.kernel(rels, steps)
     assert (kernel.scale, kernel.inf) == want[:2]
     for r, m in zip(rels, want[2]):
-        for i, row in enumerate(m):
-            assert kernel.row(r, i) == row
-            indices = data.draw(st.lists(
-                st.integers(0, len(row) - 1), max_size=7)) if row else []
-            assert kernel.row(r, i, indices) == [row[j] for j in indices]
+        # the order test's rows are the same rows, kept as tuples
+        rows = kernel._order_rows(r)
+        assert rows == tuple(map(tuple, m)) and kernel._order_rows(r) is rows
 
 
 @settings(max_examples=60, deadline=None)
@@ -818,19 +819,28 @@ def test_cost_operations_match_the_reference(qname, n, m, monad, data):
             == ref_exponentiability_witness(e_space))
 
 
-def test_stored_forms_leave_equality_hashes_and_keys_alone():
-    q = cost_plus()
+@pytest.mark.parametrize("q", [cost_plus(), bool2(), chain(4)],
+                         ids=["cost-plus", "bool2", "chain4"])
+def test_stored_forms_leave_equality_hashes_and_keys_alone(q):
     c = carrier("p", 3)
-    rows = [[Fraction(0), Fraction(1, 3), INF],
-            [Fraction(5, 12), Fraction(0), Fraction(2)],
-            [INF, INF, Fraction(0)]]
-    r, twin = cost_relation(q, c, c, rows), cost_relation(q, c, c, rows)
+    if q.is_finite:
+        top, bot = q.top, q.bottom
+        rows = [[top, q.carrier_values()[1], bot], [bot, top, top],
+                [bot, bot, top]]
+    else:
+        rows = [[Fraction(0), Fraction(1, 3), INF],
+                [Fraction(5, 12), Fraction(0), Fraction(2)],
+                [INF, INF, Fraction(0)]]
+        rows = [[q.bottom if p is INF else q.value(p) for p in row]
+                for row in rows]
+    r, twin = VRel(c, c, q, rows), VRel(c, c, q, rows)
     sp, sp_twin = Space(c, identity_monad(), q, r), Space(
         c, identity_monad(), q, twin)
     before = (hash(r), hash(sp), sp.cache_key())
     compose(r, r)
     validate_space(sp)
-    assert hasattr(r, "_cost_form") and not hasattr(twin, "_cost_form")
+    continuity_witness(MapArrow.identity(c), sp, sp)
+    assert hasattr(r, "_form") and not hasattr(twin, "_form")
     assert r == twin and hash(r) == hash(twin) == before[0]
     assert sp == sp_twin and hash(sp) == hash(sp_twin) == before[1]
     assert sp.cache_key() == sp_twin.cache_key() == before[2]
@@ -866,11 +876,12 @@ def test_a_second_continuity_check_rescales_no_entry(monkeypatch):
 
 def test_threads_sharing_relations_get_the_single_thread_answers():
     """Forms are stored without a lock: threads that race on an empty slot
-    compute the form twice and store equal values."""
+    compute the form twice and store equal values, cost forms and the
+    order-test rows in them, and a chain's codes."""
 
     def inputs():
         out, rng = [], random.Random("threads")
-        for q in (cost_plus(), cost_max()):
+        for q in (cost_plus(), cost_max(), bool2(), chain(4)):
             n = 7
             c = carrier("p", n)
             r = VRel(c, c, q, random_matrix(q, n, n, rng))
@@ -915,6 +926,199 @@ def test_threads_sharing_relations_get_the_single_thread_answers():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == [] and got == [want] * 4
+
+
+# -- continuity as one order test ---------------------------------------------
+
+
+def _perfbench_oracle():
+    """``perfbench/oracle.py``, the benchmark's independent oracle, as it
+    is: it reads printed tokens and calls nothing in ``tvspaces``."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_oracle", path / "oracle.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle = _perfbench_oracle()
+
+# packed chains (chain(10) with two code bytes per entry), the table
+# lattices, and the cost quantales; the oracle holds the chains and costs
+ORDER_QUANTALES = {
+    "bool2": (bool2, oracle.BOOL2),
+    "chain3": (lambda: chain(3), oracle.ChainAlgebra(
+        "chain3", [f"c{i}" for i in range(3)], min)),
+    "chain10": (lambda: chain(10), oracle.ChainAlgebra(
+        "chain10", [f"c{i}" for i in range(10)], min)),
+    "luk4": (lambda: lukasiewicz_grid(4), oracle.LUK4),
+    "m3": (m3, None),
+    "diamond": (diamond, None),
+    "cost-plus": (cost_plus, oracle.COST_PLUS),
+    "cost-max": (cost_max, oracle.COST_MAX),
+}
+
+
+def order_entries(q):
+    if q.is_finite:
+        return st.integers(0, len(q.labels) - 1)
+    return COST_ENTRIES
+
+
+def assert_order_tests_match(q, alg, images, a_rows, b_rows, mon):
+    """The kernel's witness and full faithfulness against the Value-level
+    references and the oracle, with fresh and then with stored forms."""
+    n, m = len(images), len(b_rows)
+    xc, yc = carrier("x", n), carrier("p", m)
+    a = VRel._from_rows(xc, xc, q, a_rows)
+    b = VRel._from_rows(yc, yc, q, b_rows)
+    x_space, y_space = Space(xc, mon, q, a), Space(yc, mon, q, b)
+    f = MapArrow._from_images(xc, yc, images)
+    want = ref_continuity_witness(f, x_space, y_space)
+    faithful = ref_fully_faithful(f, x_space, y_space)
+    for _ in range(2):
+        assert continuity_witness(f, x_space, y_space) == want
+        assert is_fully_faithful(f, x_space, y_space) == faithful
+    hit = q.kernel((a, b)).pullback_failure(a, b, images)
+    assert (hit is None) == (want is None)
+    if alg is not None:
+        assert hit == oracle.first_discontinuity(
+            alg, oracle.raw(alg, a.tokens()), oracle.raw(alg, b.tokens()),
+            images)
+    return hit
+
+
+@settings(max_examples=150, deadline=None)
+@given(qname=st.sampled_from(sorted(ORDER_QUANTALES)), n=st.integers(0, 6),
+       m=st.integers(1, 6), how=st.sampled_from(["pulled", "one", "any"]),
+       monad=st.sampled_from(MONADS), data=st.data())
+def test_the_order_test_matches_the_references(qname, n, m, how, monad,
+                                               data):
+    """Pullbacks (continuous and fully faithful), pullbacks with one entry
+    redrawn, and any square, on empty and one-point domains too."""
+    make, alg = ORDER_QUANTALES[qname]
+    q = make()
+    entries = order_entries(q)
+    b_rows = [data.draw(st.lists(entries, min_size=m, max_size=m))
+              for _ in range(m)]
+    images = data.draw(st.lists(st.integers(0, m - 1), min_size=n,
+                                max_size=n))
+    if how == "any":
+        a_rows = [data.draw(st.lists(entries, min_size=n, max_size=n))
+                  for _ in range(n)]
+    else:
+        a_rows = [[b_rows[fi][fj] for fj in images] for fi in images]
+        if how == "one" and n:
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(
+                st.integers(0, n - 1))
+            a_rows[i][j] = data.draw(entries)
+    hit = assert_order_tests_match(q, alg, images, a_rows, b_rows, monad())
+    if how == "pulled":
+        assert hit is None
+
+
+@pytest.mark.parametrize("qname", sorted(ORDER_QUANTALES))
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_a_failure_at_the_first_or_the_last_entry_is_the_witness(qname, n):
+    """Into a square of bottoms, a domain entry above bottom fails; with
+    several, the first of them, row by row, is the witness."""
+    make, alg = ORDER_QUANTALES[qname]
+    q = make()
+    bot, top = q.bottom.payload, q.top.payload
+    images = [i % 3 for i in range(n)]
+    b_rows = [[bot] * 3 for _ in range(3)]
+    last = (n - 1, n - 1)
+    for raised, first in (([(0, 0)], (0, 0)), ([last], last),
+                          ([last, (0, 0)], (0, 0)),
+                          ([(n - 1, 0), last], (n - 1, 0))):
+        a_rows = [[bot] * n for _ in range(n)]
+        for i, j in raised:
+            a_rows[i][j] = top
+        assert assert_order_tests_match(q, alg, images, a_rows, b_rows,
+                                        identity_monad()) == first
+
+
+@pytest.mark.parametrize("qname,m,packed", [
+    ("bool2", 256, True), ("bool2", 257, False), ("bool2", 300, False),
+    ("luk4", 300, False), ("chain10", 128, True), ("chain10", 129, False),
+    ("m3", 300, False), ("cost-plus", 300, False)])
+def test_large_codomains_match_the_references(qname, m, packed):
+    """A code row of the codomain must fit one 256-byte translation table
+    (``m * nbytes <= 256``); past that the test reads the index rows."""
+    make, alg = ORDER_QUANTALES[qname]
+    q = make()
+    rng = random.Random(f"large/{qname}/{m}")
+    values = [v.payload for v in (q.carrier_values() if q.is_finite
+                                  else map(q.value, COSTS))] + [
+        q.bottom.payload]
+    b_rows = [[rng.choice(values) for _ in range(m)] for _ in range(m)]
+    images = [m - 1, 0, rng.randrange(m), m - 1, rng.randrange(m)]
+    pulled = [[b_rows[fi][fj] for fj in images] for fi in images]
+    for a_rows in (pulled, [[rng.choice(values) for _ in images]
+                            for _ in images]):
+        assert_order_tests_match(q, alg, images, a_rows, b_rows,
+                                 identity_monad())
+    b = VRel._from_rows(carrier("p", m), carrier("p", m), q, b_rows)
+    a = VRel._from_rows(carrier("x", 5), carrier("x", 5), q, pulled)
+    assert q.kernel((a, b)).pullback_failure(a, b, images) is None
+    if q.is_finite:                   # packed relations keep their codes
+        assert hasattr(b, "_form") == packed == hasattr(a, "_form")
+
+
+def test_order_rows_are_kept_per_scale_and_sentinel():
+    """A relation tested against partners with other largest entries keeps
+    one row set per sentinel, so ``inf`` meets ``inf`` under one."""
+    q, c = cost_plus(), carrier("p", 2)
+    y = Space(c, identity_monad(), q, cost_relation(
+        q, c, c, [[Fraction(0), INF], [INF, Fraction(0)]]))
+    f = MapArrow.identity(c)
+    for d in (5, 0, 7):               # sentinels 6, 1 and 8
+        x = Space(c, identity_monad(), q, cost_relation(
+            q, c, c, [[Fraction(d), INF], [INF, Fraction(0)]]))
+        assert continuity_witness(f, x, y) is None
+        assert is_fully_faithful(f, x, y) == (d == 0)
+    assert sorted(y.structure._form[3]) == [(1, 1), (1, 6), (1, 8)]
+
+
+def test_a_second_order_test_builds_no_form_and_rescales_nothing(
+        monkeypatch):
+    built = []
+
+    def counting(name, fn):
+        def counted(*args):
+            built.append(name)
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(quantale_module, "_cost_form", counting(
+        "cost form", quantale_module._cost_form))
+    monkeypatch.setattr(_FiniteKernel, "_codes", counting(
+        "codes", _FiniteKernel._codes))
+    monkeypatch.setattr(_CostKernel, "_scaled", counting(
+        "rescale", _CostKernel._scaled))
+    for q in (bool2(), chain(4), chain(10), lukasiewicz_grid(4), m3(),
+              cost_plus(), cost_max()):
+        rng = random.Random(f"stored/{q.describe()}")
+        n = 9
+        c, xc = carrier("p", n), carrier("x", n)
+        y_rows = ref_closure(VRel(c, c, q, random_matrix(q, n, n, rng)))
+        images = [rng.randrange(n) for _ in range(n)]
+        f = MapArrow._from_images(xc, c, images)
+        x_space = space_of(q, identity_monad(), xc, [
+            [y_rows.entries[fi][fj] for fj in images] for fi in images])
+        y_space = space_of(q, identity_monad(), c, y_rows.entries)
+        assert continuity_witness(f, x_space, y_space) is None
+        assert is_fully_faithful(f, x_space, y_space)
+        if not q.is_finite:
+            assert built.count("cost form") == 2 and "rescale" in built
+        elif q.totally_ordered:       # a packed chain codes both squares
+            assert built == ["codes"] * 2
+        built.clear()
+        for _ in range(2):
+            assert continuity_witness(f, x_space, y_space) is None
+            assert is_fully_faithful(f, x_space, y_space)
+        assert built == []
 
 
 # -- exponentiability for a meet tensor ---------------------------------------
